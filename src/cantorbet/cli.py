@@ -65,6 +65,9 @@ def _read_file(path: str) -> str:
     except OSError as exc:
         raise DomainError(
             f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path!r} is not ASCII text (byte {exc.start})") from None
 
 
 def resolve_measure(spec: str):
@@ -95,6 +98,14 @@ def _term_source(ns) -> str:
 
 def _margin_flag(text: str):
     return None if text == "auto" else int(text)
+
+
+def _fraction_flag(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_regularize)
 
     p = sub.add_parser("rh", help="apply the capital transfer to a pair")
-    p.add_argument("--alpha", required=True, type=Fraction,
+    p.add_argument("--alpha", required=True, type=_fraction_flag,
                    help="weight of the first coordinate, in (0,1)")
-    p.add_argument("--s", required=True, type=Fraction)
-    p.add_argument("--t", required=True, type=Fraction)
+    p.add_argument("--s", required=True, type=_fraction_flag)
+    p.add_argument("--t", required=True, type=_fraction_flag)
     p.add_argument("--precision", type=int, default=None, metavar="R",
                    help="round both results onto the 2^-R grid")
     p.set_defaults(handler=_cmd_rh)
@@ -358,6 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse looks up sys.stdout and sys.stderr when it prints, so one parser
+# serves every call, captured streams included
+_PARSER = build_parser()
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -365,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Parse, dispatch, translate errors into the exit-status protocol."""
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -18,11 +18,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .config import check_magnitude
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 
 __all__ = [
     "Dyadic",
-    "Approximable",
     "ZERO",
     "ONE",
     "HALF",
@@ -33,10 +32,8 @@ __all__ = [
     "ntob",
     "succ",
     "pred",
-    "succ_pred",
     "smash",
     "growth",
-    "dyadic_arith",
     "validate_string",
     "is_prefix",
     "strings_of_length",
@@ -83,9 +80,6 @@ class Dyadic:
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.precision)
-
-    def __float__(self) -> float:
-        return self.mantissa / (1 << self.precision)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -262,47 +256,7 @@ def frac_round_at(q: Fraction | Dyadic | int, r: int) -> Dyadic:
 def as_fraction(x) -> Fraction:
     if isinstance(x, Dyadic):
         return x.to_fraction()
-    if isinstance(x, Approximable):
-        return x.exact
     return Fraction(x)
-
-
-class Approximable:
-    """An exact rational exposed through canonical approximations.
-
-    Quotients that fall off the dyadic grid are still exactly known here;
-    `approx(r)` returns the canonical rounding at precision r and `exact`
-    is the underlying Fraction.
-    """
-
-    __slots__ = ("exact",)
-
-    def __init__(self, value: Fraction | int | Dyadic):
-        object.__setattr__(self, "exact", as_fraction(value))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("Approximable is immutable")
-
-    def approx(self, r: int) -> Dyadic:
-        return frac_round_at(self.exact, r)
-
-    def is_dyadic(self) -> bool:
-        d = self.exact.denominator
-        return not (d & (d - 1))
-
-    def as_dyadic(self) -> Dyadic:
-        return Dyadic.from_fraction(self.exact)
-
-    def __eq__(self, other):
-        if isinstance(other, Approximable):
-            return self.exact == other.exact
-        return self.exact == as_fraction(other)
-
-    def __hash__(self):
-        return hash(self.exact)
-
-    def __repr__(self):
-        return f"Approximable({self.exact})"
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +303,6 @@ def pred(w: str) -> str:
     return ntob(n - 1) if n else ""
 
 
-def succ_pred(w: str) -> tuple[str, str]:
-    """Both neighbours in the enumeration; predecessor of '' is ''."""
-    return succ(w), pred(w)
-
-
 def smash(u: str, v: str) -> str:
     """All-ones string of length |u| * |v|."""
     validate_string(u)
@@ -391,24 +340,3 @@ def growth(i: int, n: int) -> int:
     e = growth(i - 1, _floor_log2(n))
     check_magnitude(e + 1, "growth value")
     return 1 << e
-
-
-_ARITH_OPS = ("add", "sub", "mul", "cmp", "min", "max")
-
-
-def dyadic_arith(a: Dyadic, b: Dyadic, op: str):
-    """Tiny dispatcher over exact dyadic arithmetic (used by the CLI)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "cmp":
-        c = a._cmp(b)
-        return "less" if c < 0 else ("greater" if c > 0 else "equal")
-    if op == "min":
-        return a if a <= b else b
-    if op == "max":
-        return a if a >= b else b
-    raise DomainError(f"unknown operation {op!r}; expected one of {_ARITH_OPS}")

@@ -565,11 +565,7 @@ def _parse_term(toks, i):
         raise ParseError(f"expected ')' closing '{head}' (position {where})")
     i += 1
 
-    try:
-        term = _build_term(head, params, children, hpos)
-    except DomainError:
-        raise
-    return term, i
+    return _build_term(head, params, children, hpos), i
 
 
 def _build_term(head, params, children, pos):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    Dyadic, ZERO, ONE, frac_round_at, validate_string, strings_of_length,
+    Dyadic, ZERO, frac_round_at, validate_string, strings_of_length,
 )
 from .errors import DomainError, MeasureMismatchError, ParseError
 from .measure import ProbabilityMeasure, uniform, biased
@@ -134,12 +134,6 @@ class TableMartingale(Martingale):
         if len(w) > self.depth:
             w = w[:self.depth]
         return self.table[w].to_fraction()
-
-    def dyadic_value(self, w: str) -> Dyadic:
-        validate_string(w)
-        if len(w) > self.depth:
-            w = w[:self.depth]
-        return self.table[w]
 
 
 class SumMartingale(Martingale):
@@ -312,11 +306,22 @@ class RegularizedMartingale(Martingale):
             dp = self.base.approx(q, p).to_fraction()
             g0 = cur - dp + self.base.approx(q, p + "0").to_fraction()
             g1 = cur - dp + self.base.approx(q, p + "1").to_fraction()
-            if alpha * g0 + (1 - alpha) * g1 < 1:
-                # rounding can nudge a boundary point out of the transfer
-                # domain; clamping is sound because the ideal inputs are >= 0
-                g0 = max(g0, Fraction(0))
-                g1 = max(g1, Fraction(0))
+            if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:
+                # Rounding can push the pair out of the transfer domain,
+                # the quadrant g >= 0 joined with the half-plane mean >= 1.
+                # Clamp the negative coordinates to 0 unless that lifts the
+                # mean to 1; then raise the mean to 1 instead, so both
+                # children get 1.  When the exact pair is within e of this
+                # one in each coordinate, and e < min(alpha, 1-alpha) (q
+                # keeps e below an eighth of that), the move lands within
+                # L*e of the exact transfer, L = max(1/alpha, 1/(1-alpha)),
+                # whichever part of the domain the exact pair is in: the
+                # slope `_level_bits` already budgets for this level.
+                c0, c1 = max(g0, Fraction(0)), max(g1, Fraction(0))
+                if alpha * c0 + (1 - alpha) * c1 < 1:
+                    g0, g1 = c0, c1
+                else:
+                    g0 = g1 = Fraction(1)
             pair = robin_hood_exact(alpha, g0, g1)
             cur = frac_round_at(pair[0 if child[-1] == "0" else 1],
                                 q).to_fraction()
@@ -382,9 +387,6 @@ def load_martingale(text: str, resolver=None,
             table[w] = Dyadic(int(parts[1]), int(parts[2]))
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad martingale line {ln!r}: {exc}") from None
-    try:
-        d = TableMartingale(table, depth, nu, validate=validate)
-    except DomainError:
-        raise
+    d = TableMartingale(table, depth, nu, validate=validate)
     d.measure_spec = spec
     return d

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    Dyadic, Approximable, ZERO, ONE, HALF, strings_of_length, validate_string,
+    Dyadic, ZERO, ONE, HALF, strings_of_length, validate_string,
     is_prefix,
 )
 from .errors import DomainError, ParseError, PreconditionError
@@ -24,10 +24,8 @@ from .errors import DomainError, ParseError, PreconditionError
 __all__ = [
     "PositivityWitness",
     "ProbabilityMeasure",
-    "Cylinder",
     "uniform",
     "biased",
-    "from_table",
     "conditional_scaled",
     "load_measure",
     "dump_measure",
@@ -51,20 +49,6 @@ class PositivityWitness:
     def threshold(self, n: int) -> Dyadic:
         """2**-l(n) as an exact dyadic."""
         return Dyadic(1, self(n))
-
-
-@dataclass(frozen=True)
-class Cylinder:
-    """The set of sequences extending w."""
-
-    w: str
-
-    def __post_init__(self):
-        validate_string(self.w)
-
-    def matches(self, x: str) -> bool:
-        """Does the cylinder contain every extension of x?"""
-        return is_prefix(self.w, x)
 
 
 class ProbabilityMeasure:
@@ -202,31 +186,21 @@ def biased(p: Dyadic) -> ProbabilityMeasure:
                               PositivityWitness(0, k))
 
 
-def from_table(table: dict[str, Dyadic], depth: int, ext=("const", HALF),
-               witness: PositivityWitness | None = None) -> ProbabilityMeasure:
-    return ProbabilityMeasure(table, depth, ext, witness)
-
-
-def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str):
-    """Three-case conditional value B(w, v) under nu's witness.
+def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str) -> Fraction:
+    """Three-case conditional value B(w, v) under nu's witness, exactly.
 
     nu(w|v) when v extends to w and nu(w) clears the positivity threshold;
     1 when w is a prefix of v under the same threshold; 0 otherwise.
-    Returns a Dyadic when the quotient is dyadic, else an Approximable.
     """
     validate_string(w)
     validate_string(v)
     mw = nu.mass(w)
     above = mw >= nu.witness.threshold(len(w))
     if is_prefix(v, w) and above:
-        q = mw.to_fraction() / nu.mass(v).to_fraction()
-        d = q.denominator
-        if d & (d - 1):
-            return Approximable(q)
-        return Dyadic.from_fraction(q)
+        return mw.to_fraction() / nu.mass(v).to_fraction()
     if is_prefix(w, v) and above:
-        return ONE
-    return ZERO
+        return Fraction(1)
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +254,10 @@ def load_measure(text: str) -> ProbabilityMeasure:
         if parts[0] == "l":
             if len(parts) != 4 or parts[1] != "poly":
                 raise ParseError(f"bad witness line: {ln!r}")
-            witness = PositivityWitness(int(parts[2]), int(parts[3]))
+            try:
+                witness = PositivityWitness(int(parts[2]), int(parts[3]))
+            except (DomainError, ValueError) as exc:
+                raise ParseError(f"bad witness line {ln!r}: {exc}") from None
             continue
         if len(parts) != 3:
             raise ParseError(f"bad table line: {ln!r}")

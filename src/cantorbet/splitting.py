@@ -9,33 +9,30 @@ the plus component started from the unit martingale.
 
 This module builds the concrete measurements the theory promises:
 cylinders (null and positive mass), complements, finite intersections and
-unions assembled from the four sign-composition components, subsets of null
-sets, unions of null sequences, and modulated limits of eventually-constant
-measurement sequences.
+unions, subsets of null sets, unions of null sequences, and modulated limits
+of eventually-constant measurement sequences.  An intersection or union of
+phi and psi is read off the four sign-composition components
+theta^{ab}(r, d) = psi^b(r+2, phi^a(r+1, d)); it applies phi once per sign
+and hands both halves to psi, so nesting on the phi side costs linear work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Dyadic, ZERO, frac_round_at, validate_string, is_prefix
+from .core import Dyadic, ZERO, validate_string, is_prefix
 from .errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
 )
 from .measure import ProbabilityMeasure
-from .martingale import (
-    Martingale, SumMartingale, add, unit, regularize, RegularizedMartingale,
-)
+from .martingale import Martingale, add, unit, regularize
 
 __all__ = [
     "SplittingOperator",
     "ModulatedSequence",
-    "cylinder_null",
-    "cylinder_pos",
     "cylinder",
     "complement",
-    "theta",
     "intersect_union",
     "complete_null",
     "union_sequence",
@@ -127,20 +124,6 @@ class DiffMartingale(Martingale):
         return self.whole.value(w) - self.part.value(w)
 
 
-class PassThroughOperator(SplittingOperator):
-    """plus ignores the input and returns a fixed martingale; minus is identity."""
-
-    def __init__(self, fixed: Martingale, nu: ProbabilityMeasure):
-        self.fixed = fixed
-        self.measure = nu
-
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        return self.fixed
-
-    def minus(self, r: int, d: Martingale) -> Martingale:
-        return d
-
-
 # ---------------------------------------------------------------------------
 # cylinder measurements
 # ---------------------------------------------------------------------------
@@ -183,17 +166,9 @@ class CylinderPos(SplittingOperator):
         return DiffMartingale(lam, SliceMartingale(self.w, self.measure, lam))
 
 
-def cylinder_null(w: str, nu: ProbabilityMeasure) -> CylinderNull:
-    return CylinderNull(w, nu)
-
-
-def cylinder_pos(w: str, nu: ProbabilityMeasure) -> CylinderPos:
-    return CylinderPos(w, nu)
-
-
 def cylinder(w: str, nu: ProbabilityMeasure) -> SplittingOperator:
     """Dispatch on the cylinder's mass."""
-    return cylinder_null(w, nu) if nu.mass(w) == ZERO else cylinder_pos(w, nu)
+    return CylinderNull(w, nu) if nu.mass(w) == ZERO else CylinderPos(w, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -218,47 +193,38 @@ def complement(op: SplittingOperator) -> SplittingOperator:
     return Complement(op)
 
 
-def theta(a: str, b: str, phi: SplittingOperator, psi: SplittingOperator):
-    """Sign-composition component: psi's b-side of phi's a-side, one and two
-    precision bits in."""
-    if a not in "+-" or b not in "+-":
-        raise DomainError("theta signs must be '+' or '-'")
-    _same_measure(phi.measure, psi.measure)
-    first = phi.plus if a == "+" else phi.minus
-    second = psi.plus if b == "+" else psi.minus
-
-    def run(r: int, d: Martingale) -> Martingale:
-        return second(r + 2, first(r + 1, d))
-
-    return run
-
-
 class IntersectUnion(SplittingOperator):
+    """Intersection (`cap`) or union (`cup`) of the sets phi and psi measure.
+
+    With a = phi.plus(r+1, d) and b = phi.minus(r+1, d), psi splits each at
+    precision r+2; a union's plus keeps every piece but psi's minus half of
+    b, an intersection's minus every piece but psi's plus half of a.
+    """
+
     def __init__(self, phi: SplittingOperator, psi: SplittingOperator,
                  which: str):
         if which not in ("cap", "cup"):
             raise DomainError("which must be 'cap' or 'cup'")
         self.measure = _same_measure(phi.measure, psi.measure)
+        self.phi = phi
+        self.psi = psi
         self.which = which
-        self._parts = {ab: theta(ab[0], ab[1], phi, psi)
-                       for ab in ("++", "+-", "-+", "--")}
-
-    def _sum(self, keys, r, d):
-        outs = [self._parts[k](r, d) for k in keys]
-        acc = outs[0]
-        for m in outs[1:]:
-            acc = add(acc, m)
-        return acc
 
     def plus(self, r: int, d: Martingale) -> Martingale:
+        a = self.phi.plus(r + 1, d)
         if self.which == "cap":
-            return self._parts["++"](r, d)
-        return self._sum(("++", "+-", "-+"), r, d)
+            return self.psi.plus(r + 2, a)
+        b = self.phi.minus(r + 1, d)
+        return add(add(self.psi.plus(r + 2, a), self.psi.minus(r + 2, a)),
+                   self.psi.plus(r + 2, b))
 
     def minus(self, r: int, d: Martingale) -> Martingale:
-        if self.which == "cap":
-            return self._sum(("+-", "-+", "--"), r, d)
-        return self._parts["--"](r, d)
+        b = self.phi.minus(r + 1, d)
+        if self.which == "cup":
+            return self.psi.minus(r + 2, b)
+        a = self.phi.plus(r + 1, d)
+        return add(add(self.psi.minus(r + 2, a), self.psi.plus(r + 2, b)),
+                   self.psi.minus(r + 2, b))
 
 
 def intersect_union(phi: SplittingOperator, psi: SplittingOperator,
@@ -465,64 +431,89 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _parse_sexpr(tokens, pos):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of operator expression")
-    tok = tokens[pos]
-    if tok == "(":
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            node, pos = _parse_sexpr(tokens, pos)
-            items.append(node)
-        if pos >= len(tokens):
-            raise ParseError("missing ')' in operator expression")
-        return items, pos + 1
-    if tok == ")":
-        raise ParseError("unexpected ')' in operator expression")
-    return tok, pos + 1
+def _show(tokens) -> str:
+    """The repr of the nested list a balanced run of tokens spells."""
+    out = []
+    for prev, tok in zip([None] + tokens, tokens):
+        if prev not in (None, "(") and tok != ")":
+            out.append(", ")
+        out.append("[" if tok == "(" else "]" if tok == ")" else repr(tok))
+    return "".join(out)
 
 
-def _build_operator(node, nu: ProbabilityMeasure) -> SplittingOperator:
-    if not isinstance(node, list) or not node:
-        raise ParseError(f"expected an operator form, got {node!r}")
-    head = node[0]
+def _operands(items):
+    for item in items:
+        if isinstance(item, str):
+            raise ParseError(f"expected an operator form, got {item!r}")
+    return items
+
+
+def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
+    """The operator of one closed form: its head, then atoms and operators."""
+    if not items:
+        raise ParseError("expected an operator form, got []")
+    head = items[0]
     if head == "cyl":
-        if len(node) != 2 or not isinstance(node[1], str):
+        if len(items) != 2 or not isinstance(items[1], str):
             raise ParseError("(cyl w) takes exactly one string")
-        w = "" if node[1] == "~" else node[1]
+        w = "" if items[1] == "~" else items[1]
         try:
             return cylinder(validate_string(w), nu)
         except DomainError as exc:
             raise ParseError(str(exc)) from None
     if head == "compl":
-        if len(node) != 2:
+        if len(items) != 2:
             raise ParseError("(compl E) takes exactly one operator")
-        return complement(_build_operator(node[1], nu))
+        return complement(*_operands(items[1:]))
     if head in ("cap", "cup"):
-        if len(node) != 3:
+        if len(items) != 3:
             raise ParseError(f"({head} E F) takes exactly two operators")
-        return intersect_union(_build_operator(node[1], nu),
-                               _build_operator(node[2], nu), head)
+        return intersect_union(*_operands(items[1:]), head)
     if head == "limit":
-        if len(node) < 3 or not isinstance(node[-1], str):
+        if len(items) < 3 or not isinstance(items[-1], str):
             raise ParseError("(limit E0 E1 ... K) needs stages and an index")
         try:
-            k = int(node[-1])
+            k = int(items[-1])
         except ValueError:
-            raise ParseError(f"bad limit index {node[-1]!r}") from None
+            raise ParseError(f"bad limit index {items[-1]!r}") from None
         if k < 0:
             raise ParseError("limit index must be >= 0")
-        stages = [_build_operator(sub, nu) for sub in node[1:-1]]
-        return limit_measurement(modulated(stages, k))
+        return limit_measurement(modulated(_operands(items[1:-1]), k))
     raise ParseError(f"unknown operator head {head!r}")
 
 
 def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
+    """Build an operator expression in one pass over its tokens.
+
+    `stack` holds the open forms, each as the position of its "(" and the
+    items read so far: atoms, and the operators of closed subforms.  A
+    form's operator is built when its ")" arrives, so nesting depth costs
+    no Python recursion.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty operator expression")
-    node, pos = _parse_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError("trailing tokens after operator expression")
-    return _build_operator(node, nu)
+    if tokens[0] != "(":
+        if tokens[0] == ")":
+            raise ParseError("unexpected ')' in operator expression")
+        if len(tokens) > 1:
+            raise ParseError("trailing tokens after operator expression")
+        raise ParseError(f"expected an operator form, got {tokens[0]!r}")
+    stack = []
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append((i, []))
+        elif tok == ")":
+            start, items = stack.pop()
+            if not stack and i + 1 < len(tokens):
+                raise ParseError("trailing tokens after operator expression")
+            if stack and not stack[-1][1]:
+                raise ParseError("unknown operator head "
+                                 + _show(tokens[start:i + 1]))
+            op = _build_form(items, nu)
+            if not stack:
+                return op
+            stack[-1][1].append(op)
+        else:
+            stack[-1][1].append(tok)
+    raise ParseError("missing ')' in operator expression")

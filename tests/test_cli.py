@@ -12,7 +12,9 @@ from cantorbet.config import set_magnitude_cap
 from cantorbet.core import Dyadic
 from cantorbet.funalg import parse_term
 from cantorbet.martingale import TableMartingale, add, dump_martingale
-from cantorbet.measure import PositivityWitness, dump_measure, from_table, uniform
+from cantorbet.measure import (
+    PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
+)
 
 
 def cli(*argv):
@@ -158,6 +160,16 @@ def test_regularize_matches_library(good_mg):
     assert out == "64/2^6\n"  # table holds 2 at 00; rebalancing floors it at 1
 
 
+def test_regularize_pinned_capital(tmp_path):
+    # the rebalanced capital at 0 is exactly 1 and stays there at 00
+    path = tmp_path / "pinned.mg"
+    path.write_text("martingale measure=biased:3/8 depth=2\n"
+                    "~ 1 1\n0 9 3\n1 1 3\n00 12525047 22\n01 34719 22\n"
+                    "10 1 3\n11 1 3\n")
+    assert cli("regularize", "--file", str(path), "--w", "00",
+               "--precision", "5") == (0, "32/2^5\n", "")
+
+
 def test_combine_is_the_canonical_sum(good_mg):
     code, out, _ = cli("combine", "--file", good_mg, "--file", good_mg,
                        "--w", "0", "--precision", "5")
@@ -177,6 +189,12 @@ def test_measure_value_of_disjoint_union():
     code, out, _ = cli("measure-value", "--expr", "(cup (cyl 00) (cyl 01))",
                        "--measure", "uniform", "--precision", "5")
     assert (code, out) == (0, "16/2^5\n")
+
+
+def test_measure_value_of_deep_complement():
+    text = "(compl " * 3000 + "(cyl 0)" + ")" * 3000
+    assert cli("measure-value", "--expr", text, "--measure", "uniform",
+               "--precision", "4") == (0, "8/2^4\n", "")
 
 
 def test_diagonalize_reports_trajectory(tmp_path):
@@ -203,8 +221,9 @@ def test_diagonalize_rejects_rich_bettor(good_mg):
 
 
 def test_measure_flag_accepts_a_file_path(tmp_path):
-    nu = from_table({"": Dyadic(1, 0), "0": Dyadic(3, 2), "1": Dyadic(1, 2)}, 1,
-                    witness=PositivityWitness(1, 1))
+    nu = ProbabilityMeasure(
+        {"": Dyadic(1, 0), "0": Dyadic(3, 2), "1": Dyadic(1, 2)}, 1,
+        witness=PositivityWitness(1, 1))
     path = tmp_path / "skew.measure"
     path.write_text(dump_measure(nu))
     code, out, _ = cli("measure-cylinder", "--w", "0", "--measure", str(path),
@@ -270,6 +289,30 @@ def test_magnitude_cap_is_exit_three(small_oracle):
         assert "secpoly-eval:" in err
     finally:
         set_magnitude_cap(None)
+
+
+def test_non_ascii_file_is_a_parse_error(tmp_path):
+    f = tmp_path / "t.term"
+    f.write_bytes("(succ \u00e9)\n".encode("utf-8"))
+    code, _, err = cli("eval", "--term-file", str(f))
+    assert code == 2
+    assert err.startswith("eval:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("witness", ["l poly x 1", "l poly -1 1"])
+def test_malformed_witness_is_a_parse_error(tmp_path, witness):
+    path = tmp_path / "bad.measure"
+    path.write_text(f"measure depth=0 ext=half\n~ 1 0\n{witness}\n")
+    code, _, err = cli("measure-cylinder", "--w", "0", "--measure", str(path),
+                       "--precision", "4")
+    assert code == 2
+    assert "witness" in err and "Traceback" not in err
+
+
+def test_zero_denominator_flag_is_a_usage_error():
+    code, _, err = cli("rh", "--alpha", "1/0", "--s", "1", "--t", "1")
+    assert code == 2
+    assert "--alpha" in err and "Traceback" not in err
 
 
 def test_unknown_verb_is_usage_error():

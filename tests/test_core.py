@@ -10,9 +10,8 @@ from hypothesis import given, strategies as st
 
 from cantorbet import config
 from cantorbet.core import (
-    Dyadic, Approximable, ZERO, ONE, HALF, parse_dyadic, frac_round_at,
-    bton, ntob, succ, pred, succ_pred, smash, growth, dyadic_arith,
-    strings_of_length,
+    Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at,
+    bton, ntob, succ, pred, smash, growth, strings_of_length,
 )
 from cantorbet.errors import DomainError, ResourceError
 
@@ -39,11 +38,11 @@ def test_arith_examples():
     assert Dyadic(3, 2) + Dyadic(1, 1) == Dyadic(5, 2)
     assert Dyadic(5, 3) - Dyadic(1, 1) == Dyadic(1, 3)
     assert Dyadic(3, 1) * Dyadic(3, 1) == Dyadic(9, 2)
-    assert dyadic_arith(Dyadic(5, 3), Dyadic(1, 1), "cmp") == "greater"
-    assert dyadic_arith(Dyadic(1, 1), Dyadic(1, 1), "cmp") == "equal"
-    assert dyadic_arith(ZERO, HALF, "cmp") == "less"
-    assert dyadic_arith(Dyadic(3, 2), ONE, "min") == Dyadic(3, 2)
-    assert dyadic_arith(Dyadic(3, 2), ONE, "max") == ONE
+    assert Dyadic(5, 3) > Dyadic(1, 1)
+    assert Dyadic(1, 1) == Dyadic(2, 2)
+    assert ZERO < HALF
+    assert min(Dyadic(3, 2), ONE) == Dyadic(3, 2)
+    assert max(Dyadic(3, 2), ONE) == ONE
 
 
 def test_negative_precision_rejected():
@@ -156,14 +155,6 @@ def test_parse_render_roundtrip(d):
     assert parse_dyadic(d.render()) == d
 
 
-def test_approximable():
-    a = Approximable(Fraction(1, 3))
-    assert a.approx(3) == Dyadic(3, 3)
-    assert not a.is_dyadic()
-    b = Approximable(Fraction(3, 8))
-    assert b.is_dyadic() and b.as_dyadic() == Dyadic(3, 3)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -180,9 +171,9 @@ def test_bton_examples():
 
 
 def test_succ_pred_examples():
-    assert succ_pred("") == ("0", "")
-    assert succ_pred("1") == ("00", "0")
-    assert succ_pred("01") == ("10", "00")
+    assert (succ(""), pred("")) == ("0", "")
+    assert (succ("1"), pred("1")) == ("00", "0")
+    assert (succ("01"), pred("01")) == ("10", "00")
 
 
 def test_enumeration_against_oracle():

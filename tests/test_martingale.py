@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from cantorbet.core import Dyadic, ZERO, ONE, HALF
+from cantorbet.core import Dyadic, ONE
 from cantorbet.errors import DomainError, MeasureMismatchError, ParseError
-from cantorbet.measure import uniform, biased, from_table, PositivityWitness
+from cantorbet.measure import uniform, biased
 from cantorbet.martingale import (
-    TableMartingale, unit, add, covers, is_regular, regularize,
+    Martingale, TableMartingale, unit, add, covers, is_regular, regularize,
     max_capital, min_tail_capital, load_martingale, dump_martingale,
 )
 
@@ -228,6 +228,63 @@ def test_regularize_approx_biased_measure():
         assert abs(got.to_fraction() - lam.value(w)) <= Fraction(1, 2 ** r)
 
 
+# Under biased:3/8 the rebalanced capital is pinned at exactly 1 at node 0,
+# where the base then stakes its whole excess: the exact transfer point at 0
+# has mean 1 and a negative coordinate.
+PINNED_TABLE = """martingale measure=biased:3/8 depth=2
+~ 1 1
+0 9 3
+1 1 3
+00 12525047 22
+01 34719 22
+10 1 3
+11 1 3
+"""
+
+
+def test_regularize_approx_on_pinned_capital():
+    d = load_martingale(PINNED_TABLE)
+    lam = regularize(d, d.measure)
+    assert lam.value("00") == 1
+    assert lam.approx(5, "00").render(5) == "32/2^5"
+    for n in range(5):
+        for i in range(1 << n):
+            w = format(i, f"0{n}b") if n else ""
+            for r in range(14):
+                got = lam.approx(r, w).to_fraction()
+                assert abs(got - lam.value(w)) <= Fraction(1, 2 ** r), (w, r)
+
+
+class FixedFractionBettor(Martingale):
+    """Stakes a fixed fraction of its capital on 0 at every step, under a
+    constant 0-conditional p; 1/p makes its values non-dyadic."""
+
+    def __init__(self, f, capital, p, nu):
+        self.f, self.capital, self.p = f, capital, p
+        self.measure = nu
+
+    def value(self, w):
+        v = self.capital
+        for b in w:
+            v *= (1 - self.f + self.f / self.p) if b == "0" else 1 - self.f
+        return v
+
+
+def test_regularize_approx_tracks_exact_past_capital_one():
+    # the bettors keep staking after their rebalanced capital is pinned at 1
+    rng = random.Random(61)
+    for nu in (biased(Dyadic(1, 2)), biased(Dyadic(3, 3)), uniform()):
+        p = nu.conditional("", "0")
+        for _ in range(6):
+            f = rng.choice([Fraction(1, 8), Fraction(1, 2), Fraction(3, 4)])
+            lam = regularize(FixedFractionBettor(f, Fraction(1, 4), p, nu), nu)
+            n = rng.randrange(20, 50)
+            w = "".join(rng.choice("0001") for _ in range(n))
+            r = rng.randrange(2, 20)
+            got = lam.approx(r, w).to_fraction()
+            assert abs(got - lam.value(w)) <= Fraction(1, 2 ** r), (f, w, r)
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
@@ -239,7 +296,7 @@ def test_dump_load_roundtrip():
     assert back.depth == 2
     assert back.measure_spec == "uniform"
     for w in COVER_FIXTURE:
-        assert back.dyadic_value(w) == d.dyadic_value(w)
+        assert back.table[w] == d.table[w]
     assert dump_martingale(back, "uniform") == text
 
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from cantorbet.core import Dyadic, Approximable, ZERO, ONE, HALF
+from cantorbet.core import Dyadic, ZERO, ONE, HALF, frac_round_at
 from cantorbet.errors import DomainError, ParseError, PreconditionError
 from cantorbet.measure import (
-    PositivityWitness, ProbabilityMeasure, Cylinder, uniform, biased,
-    from_table, conditional_scaled, load_measure, dump_measure,
+    PositivityWitness, ProbabilityMeasure, uniform, biased,
+    conditional_scaled, load_measure, dump_measure,
 )
 
 from helpers import (
@@ -43,8 +43,8 @@ def test_biased_masses():
 
 
 def test_table_with_half_extension():
-    nu = from_table({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2)}, 1,
-                    witness=PositivityWitness(0, 2))
+    nu = ProbabilityMeasure({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2)}, 1,
+                            witness=PositivityWitness(0, 2))
     assert nu.mass("0") == Dyadic(3, 2)
     assert nu.mass("00") == Dyadic(3, 3)          # 3/4 * 1/2
     assert nu.mass("011") == Dyadic(3, 4)
@@ -53,18 +53,18 @@ def test_table_with_half_extension():
 
 def test_table_validation():
     with pytest.raises(DomainError):   # root must be 1
-        from_table({"": HALF}, 0)
+        ProbabilityMeasure({"": HALF}, 0)
     with pytest.raises(DomainError):   # additivity
-        from_table({"": ONE, "0": HALF, "1": HALF + HALF}, 1)
+        ProbabilityMeasure({"": ONE, "0": HALF, "1": HALF + HALF}, 1)
     with pytest.raises(DomainError):   # incomplete
-        from_table({"": ONE, "0": HALF}, 1)
+        ProbabilityMeasure({"": ONE, "0": HALF}, 1)
     with pytest.raises(DomainError):   # negative mass
-        from_table({"": ONE, "0": Dyadic(3, 1), "1": Dyadic(-1, 1)}, 1)
+        ProbabilityMeasure({"": ONE, "0": Dyadic(3, 1), "1": Dyadic(-1, 1)}, 1)
 
 
 def test_copy_extension():
-    nu = from_table({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2)}, 1,
-                    ext=("copy",), witness=PositivityWitness(0, 2))
+    nu = ProbabilityMeasure({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2)}, 1,
+                            ext=("copy",), witness=PositivityWitness(0, 2))
     # both boundary nodes copy the root split (3/4 toward 0)
     assert nu.mass("00") == Dyadic(9, 4)
     assert nu.mass("01") == Dyadic(3, 4)
@@ -78,16 +78,16 @@ def test_copy_extension():
 def test_copy_extension_requires_dyadic_boundary_split():
     # boundary node 00 has conditional (1/4)/(3/4) = 1/3: not dyadic
     with pytest.raises(DomainError):
-        from_table({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2),
-                    "00": Dyadic(1, 2), "01": Dyadic(1, 2),
-                    "10": Dyadic(1, 2), "11": ZERO}, 2, ext=("copy",))
+        ProbabilityMeasure({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2),
+                            "00": Dyadic(1, 2), "01": Dyadic(1, 2),
+                            "10": Dyadic(1, 2), "11": ZERO}, 2, ext=("copy",))
     with pytest.raises(DomainError):
-        from_table({"": ONE}, 0, ext=("copy",))
+        ProbabilityMeasure({"": ONE}, 0, ext=("copy",))
 
 
 def test_zero_mass_subtree_stays_zero():
-    nu = from_table({"": ONE, "0": ONE, "1": ZERO}, 1,
-                    witness=PositivityWitness(0, 0))
+    nu = ProbabilityMeasure({"": ONE, "0": ONE, "1": ZERO}, 1,
+                            witness=PositivityWitness(0, 0))
     assert nu.mass("1") == ZERO
     assert nu.mass("101") == ZERO
     assert nu.mass("0000") == Dyadic(1, 3)
@@ -101,35 +101,33 @@ def test_zero_mass_subtree_stays_zero():
 
 def test_conditional_three_cases():
     mu = uniform()
-    assert conditional_scaled(mu, "01", "0") == HALF
-    assert conditional_scaled(mu, "0", "01") == ONE
-    assert conditional_scaled(mu, "0", "1") == ZERO
-    assert conditional_scaled(mu, "0", "0") == ONE    # equal strings
-    assert conditional_scaled(mu, "", "1101") == ONE
+    assert conditional_scaled(mu, "01", "0") == Fraction(1, 2)
+    assert conditional_scaled(mu, "0", "01") == 1
+    assert conditional_scaled(mu, "0", "1") == 0
+    assert conditional_scaled(mu, "0", "0") == 1    # equal strings
+    assert conditional_scaled(mu, "", "1101") == 1
 
 
 def test_conditional_below_threshold_is_zero():
     # witness demands >= 2^-1 at depth 1, but mass('0') is 1/4
-    nu = from_table({"": ONE, "0": Dyadic(1, 2), "1": Dyadic(3, 2)}, 1,
-                    witness=PositivityWitness(0, 1))
-    assert conditional_scaled(nu, "0", "") == ZERO
-    assert conditional_scaled(nu, "0", "00") == ZERO
+    nu = ProbabilityMeasure({"": ONE, "0": Dyadic(1, 2), "1": Dyadic(3, 2)}, 1,
+                            witness=PositivityWitness(0, 1))
+    assert conditional_scaled(nu, "0", "") == 0
+    assert conditional_scaled(nu, "0", "00") == 0
     # the sibling clears it
-    assert conditional_scaled(nu, "1", "") == Dyadic(3, 2)
+    assert conditional_scaled(nu, "1", "") == Fraction(3, 4)
 
 
 def test_conditional_non_dyadic_quotient():
-    nu = from_table({"": ONE, "0": Dyadic(5, 3), "1": Dyadic(3, 3),
-                     "00": Dyadic(1, 3), "01": Dyadic(1, 1),
-                     "10": Dyadic(1, 3), "11": Dyadic(1, 2)}, 2,
-                    witness=PositivityWitness(0, 3))
+    nu = ProbabilityMeasure({"": ONE, "0": Dyadic(5, 3), "1": Dyadic(3, 3),
+                             "00": Dyadic(1, 3), "01": Dyadic(1, 1),
+                             "10": Dyadic(1, 3), "11": Dyadic(1, 2)}, 2,
+                            witness=PositivityWitness(0, 3))
     got = conditional_scaled(nu, "00", "0")
-    assert isinstance(got, Approximable)
-    assert got.exact == Fraction(1, 5)
-    assert got.approx(4) == Dyadic(3, 4)
-    assert abs(got.approx(4).to_fraction() - Fraction(1, 5)) <= Fraction(1, 32)
+    assert got == Fraction(1, 5)
+    assert frac_round_at(got, 4) == Dyadic(3, 4)
     # conditional-probability identity, exactly
-    assert got.exact * nu.mass("0").to_fraction() == nu.mass("00").to_fraction()
+    assert got * nu.mass("0").to_fraction() == nu.mass("00").to_fraction()
 
 
 def test_conditional_identity_randomized():
@@ -141,8 +139,7 @@ def test_conditional_identity_randomized():
             n = rng.randrange(5)
             w = "".join(rng.choice("01") for _ in range(n))
             v = w[:rng.randrange(n + 1)]
-            got = conditional_scaled(nu, w, v)
-            val = got.exact if isinstance(got, Approximable) else got.to_fraction()
+            val = conditional_scaled(nu, w, v)
             if nu.mass(w) >= nu.witness.threshold(len(w)):
                 assert val * nu.mass(v).to_fraction() == nu.mass(w).to_fraction()
             else:
@@ -167,16 +164,6 @@ def test_random_tables_match_oracle():
         for w, q in masses.items():
             assert nu.mass(w).to_fraction() == q
         assert nu.weakly_positive(5)
-
-
-def test_cylinder():
-    c = Cylinder("01")
-    assert c.matches("010")
-    assert c.matches("01")
-    assert not c.matches("0")
-    assert not c.matches("11")
-    with pytest.raises(DomainError):
-        Cylinder("21")
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ from cantorbet.errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
 )
-from cantorbet.measure import uniform, biased, from_table, PositivityWitness
+from cantorbet.measure import (
+    PositivityWitness, ProbabilityMeasure, uniform, biased,
+)
 from cantorbet.martingale import unit, add, covers, regularize
 from cantorbet.splitting import (
-    cylinder_null, cylinder_pos, cylinder, complement, theta, intersect_union,
+    CylinderNull, CylinderPos, cylinder, complement, intersect_union,
     complete_null, union_sequence, modulated, limit_measurement, measure_value,
     capital_sum_check, initial_capital_surplus, parse_operator,
-    IndicatorMartingale,
+    IndicatorMartingale, SplittingOperator,
 )
 
 from helpers import random_conditionals, build_measure, build_table_martingale
@@ -27,8 +29,8 @@ from helpers import random_conditionals, build_measure, build_table_martingale
 
 def null_measure():
     """Everything on the all-zeros ray: mass 1 at '0', 0 at '1'."""
-    return from_table({"": ONE, "0": ONE, "1": ZERO}, 1,
-                      witness=PositivityWitness(0, 1))
+    return ProbabilityMeasure({"": ONE, "0": ONE, "1": ZERO}, 1,
+                              witness=PositivityWitness(0, 1))
 
 
 def random_d(seed, depth=4):
@@ -44,7 +46,7 @@ def random_d(seed, depth=4):
 
 def test_null_cylinder():
     nu = null_measure()
-    op = cylinder_null("1", nu)
+    op = CylinderNull("1", nu)
     plus = op.plus(4, unit(nu))
     assert plus.value("") == 0
     assert plus.value("1") == 1
@@ -57,11 +59,11 @@ def test_null_cylinder():
 def test_null_cylinder_preconditions():
     nu = null_measure()
     with pytest.raises(PreconditionError):
-        cylinder_null("0", nu)
+        CylinderNull("0", nu)
     with pytest.raises(PreconditionError):
-        cylinder_null("", nu)
+        CylinderNull("", nu)
     with pytest.raises(PreconditionError):
-        cylinder_pos("1", nu)
+        CylinderPos("1", nu)
 
 
 def test_indicator_is_martingale_on_null_cylinder():
@@ -75,7 +77,7 @@ def test_indicator_is_martingale_on_null_cylinder():
 
 def test_positive_cylinder_value():
     mu = uniform()
-    op = cylinder_pos("01", mu)
+    op = CylinderPos("01", mu)
     got = measure_value(op, 6)
     assert got == Dyadic(1, 2)
     assert got.render(6) == "16/2^6"
@@ -87,7 +89,7 @@ def test_positive_cylinder_value():
 def test_positive_cylinder_at_root_is_regularization():
     mu = uniform()
     d, nu = random_d(3)
-    op = cylinder_pos("", nu)
+    op = CylinderPos("", nu)
     plus = op.plus(5, d)
     lam = regularize(d, nu)
     for w in ["", "0", "11", "0101"]:
@@ -96,7 +98,7 @@ def test_positive_cylinder_at_root_is_regularization():
 
 def test_positive_cylinder_off_side_zero():
     mu = uniform()
-    plus = cylinder_pos("0", mu).plus(3, unit(mu))
+    plus = CylinderPos("0", mu).plus(3, unit(mu))
     assert plus.value("1") == 0
     assert plus.value("10") == 0
     assert plus.value("0") == 1
@@ -105,7 +107,7 @@ def test_positive_cylinder_off_side_zero():
 
 def test_slice_minus_nonnegative():
     d, nu = random_d(11)
-    op = cylinder_pos("010", nu)
+    op = CylinderPos("010", nu)
     minus = op.minus(4, d)
     rng = random.Random(2)
     for _ in range(60):
@@ -121,70 +123,102 @@ def test_cylinder_dispatch():
 
 
 # ---------------------------------------------------------------------------
-# complement and theta
+# complement
 # ---------------------------------------------------------------------------
 
 def test_complement_value():
     mu = uniform()
-    op = complement(cylinder_pos("0", mu))
+    op = complement(CylinderPos("0", mu))
     v = measure_value(op, 8)
     assert abs(v.to_fraction() - Fraction(1, 2)) <= Fraction(2, 2 ** 8)
 
 
 def test_complement_involution():
     mu = uniform()
-    base = cylinder_pos("0", mu)
+    base = CylinderPos("0", mu)
     assert complement(complement(base)) is base
 
 
 def test_complement_preserves_axiom_iii():
     d, nu = random_d(5)
-    op = complement(cylinder_pos("01", nu))
+    op = complement(CylinderPos("01", nu))
     for r in range(1, 8):
         assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
-
-
-def test_theta_values():
-    mu = uniform()
-    c0 = cylinder_pos("0", mu)
-    c1 = cylinder_pos("1", mu)
-    for r in (2, 5, 8):
-        both = theta("+", "+", c0, c0)(r, unit(mu))
-        assert abs(both.value("") - Fraction(1, 2)) == 0
-        only0 = theta("+", "-", c0, c1)(r, unit(mu))
-        assert abs(only0.value("") - Fraction(1, 2)) == 0
-
-
-def test_theta_outputs_satisfy_identity():
-    d, nu = random_d(7)
-    c = cylinder_pos("01", nu)
-    out = theta("+", "-", c, c)(3, d)
-    for n in range(3):
-        for i in range(1 << n):
-            w = format(i, f"0{n}b") if n else ""
-            lhs = out.value(w) * nu.mass(w).to_fraction()
-            rhs = sum(out.value(w + b) * nu.mass(w + b).to_fraction()
-                      for b in "01")
-            assert lhs == rhs
-
-
-def test_theta_sign_validation():
-    mu = uniform()
-    c = cylinder_pos("0", mu)
-    with pytest.raises(DomainError):
-        theta("x", "+", c, c)
-    with pytest.raises(MeasureMismatchError):
-        theta("+", "+", c, cylinder_pos("0", biased(Dyadic(3, 2))))
 
 
 # ---------------------------------------------------------------------------
 # intersection / union
 # ---------------------------------------------------------------------------
 
+def test_theta_values():
+    """The sign-composition components theta^{ab} = psi^b(phi^a): cap's
+    plus is ++ alone, cup's minus is -- alone, cap's minus the other three."""
+    mu = uniform()
+    c0 = CylinderPos("0", mu)
+    c1 = CylinderPos("1", mu)
+    for r in (2, 5, 8):
+        both = intersect_union(c0, c0, "cap").plus(r, unit(mu))
+        assert both.value("") == Fraction(1, 2)
+        neither = intersect_union(c0, c1, "cup").minus(r, unit(mu))
+        assert neither.value("") == 0
+        rest = intersect_union(c0, c1, "cap").minus(r, unit(mu))
+        assert rest.value("") == 1
+
+
+def test_theta_outputs_satisfy_identity():
+    d, nu = random_d(7)
+    c = CylinderPos("01", nu)
+    for which in ("cap", "cup"):
+        op = intersect_union(c, c, which)
+        for out in (op.plus(3, d), op.minus(3, d)):
+            for n in range(3):
+                for i in range(1 << n):
+                    w = format(i, f"0{n}b") if n else ""
+                    lhs = out.value(w) * nu.mass(w).to_fraction()
+                    rhs = sum(out.value(w + b) * nu.mass(w + b).to_fraction()
+                              for b in "01")
+                    assert lhs == rhs
+
+
+def test_intersect_union_validation():
+    mu = uniform()
+    c = CylinderPos("0", mu)
+    with pytest.raises(DomainError):
+        intersect_union(c, c, "both")
+    with pytest.raises(MeasureMismatchError):
+        intersect_union(c, CylinderPos("0", biased(Dyadic(3, 2))), "cap")
+
+
+class CountingOperator(SplittingOperator):
+    """Returns its input unchanged and counts plus and minus calls."""
+
+    def __init__(self, nu):
+        self.measure = nu
+        self.calls = {"plus": 0, "minus": 0}
+
+    def plus(self, r, d):
+        self.calls["plus"] += 1
+        return d
+
+    def minus(self, r, d):
+        self.calls["minus"] += 1
+        return d
+
+
+def test_intersect_union_applies_phi_once_per_sign():
+    mu = uniform()
+    for which in ("cap", "cup"):
+        for side in ("plus", "minus"):
+            phi, psi = CountingOperator(mu), CountingOperator(mu)
+            getattr(intersect_union(phi, psi, which), side)(3, unit(mu))
+            assert phi.calls["plus"] <= 1, (which, side)
+            assert phi.calls["minus"] <= 1, (which, side)
+
+
 def test_cap_cup_cylinder_values():
     mu = uniform()
-    c0 = cylinder_pos("0", mu)
-    c1 = cylinder_pos("1", mu)
+    c0 = CylinderPos("0", mu)
+    c1 = CylinderPos("1", mu)
     r = 8
     tol = Fraction(1, 2 ** r)
     assert measure_value(intersect_union(c0, c1, "cap"), r).to_fraction() <= tol
@@ -200,7 +234,7 @@ def test_inclusion_exclusion_sample():
     for _ in range(10):
         u = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
         v = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
-        cu, cv = cylinder_pos(u, mu), cylinder_pos(v, mu)
+        cu, cv = CylinderPos(u, mu), CylinderPos(v, mu)
         r = 7
         cap = measure_value(intersect_union(cu, cv, "cap"), r).to_fraction()
         cup = measure_value(intersect_union(cu, cv, "cup"), r).to_fraction()
@@ -211,8 +245,8 @@ def test_inclusion_exclusion_sample():
 
 def test_cap_cup_axiom_iii():
     d, nu = random_d(23)
-    c0 = cylinder_pos("0", nu)
-    c01 = cylinder_pos("01", nu)
+    c0 = CylinderPos("0", nu)
+    c01 = CylinderPos("01", nu)
     for which in ("cap", "cup"):
         op = intersect_union(c0, c01, which)
         for r in range(1, 8):
@@ -256,7 +290,7 @@ def test_axioms_i_ii_on_cylinders():
 
 def test_complete_null():
     nu = null_measure()
-    op = complete_null(cylinder_null("1", nu))
+    op = complete_null(CylinderNull("1", nu))
     d, _ = (unit(nu), None)
     assert op.minus(5, d) is d
     p1 = op.plus(5, d)
@@ -268,12 +302,12 @@ def test_complete_null():
 def test_complete_null_gate():
     mu = uniform()
     with pytest.raises(PreconditionError):
-        complete_null(cylinder_pos("0", mu))
+        complete_null(CylinderPos("0", mu))
 
 
 def test_union_sequence_bounds():
     nu = null_measure()
-    ops = [cylinder_null("1", nu) for _ in range(4)]
+    ops = [CylinderNull("1", nu) for _ in range(4)]
     seq = union_sequence(ops)
     one = unit(nu)
     prev = Fraction(0)
@@ -289,7 +323,7 @@ def test_union_sequence_bounds():
 def test_union_sequence_gate():
     mu = uniform()
     with pytest.raises(PreconditionError):
-        union_sequence([cylinder_pos("0", mu)])
+        union_sequence([CylinderPos("0", mu)])
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +332,7 @@ def test_union_sequence_gate():
 
 def test_limit_constant_sequence():
     mu = uniform()
-    seq = modulated([cylinder_pos("01", mu)])
+    seq = modulated([CylinderPos("01", mu)])
     op = limit_measurement(seq)
     for r in range(2, 9):
         v = measure_value(op, r)
@@ -307,10 +341,10 @@ def test_limit_constant_sequence():
 
 def test_limit_increasing_union():
     mu = uniform()
-    e0 = cylinder_pos("000", mu)
-    e1 = intersect_union(cylinder_pos("000", mu), cylinder_pos("001", mu),
+    e0 = CylinderPos("000", mu)
+    e1 = intersect_union(CylinderPos("000", mu), CylinderPos("001", mu),
                          "cup")
-    e2 = intersect_union(e1, cylinder_pos("01", mu), "cup")
+    e2 = intersect_union(e1, CylinderPos("01", mu), "cup")
     op = limit_measurement(modulated([e0, e1, e2]))
     for r in range(2, 9):
         v = measure_value(op, r)
@@ -319,7 +353,7 @@ def test_limit_increasing_union():
 
 def test_limit_axiom_iii():
     d, nu = random_d(41)
-    op = limit_measurement(modulated([cylinder_pos("0", nu)]))
+    op = limit_measurement(modulated([CylinderPos("0", nu)]))
     for r in range(1, 7):
         assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
 
@@ -327,7 +361,7 @@ def test_limit_axiom_iii():
 def test_limit_modulus_violation_detected():
     mu = uniform()
     # stages genuinely change at index 1, but the modulus claims constancy
-    seq = modulated([cylinder_pos("00", mu), cylinder_pos("0", mu)], gamma=0)
+    seq = modulated([CylinderPos("00", mu), CylinderPos("0", mu)], gamma=0)
     op = limit_measurement(seq)
     with pytest.raises(ModulusViolationError):
         measure_value(op, 8)
@@ -346,7 +380,7 @@ def test_modulated_empty_family_rejected():
 
 def test_measure_value_examples():
     mu = uniform()
-    disjoint = intersect_union(cylinder_pos("0", mu), cylinder_pos("10", mu),
+    disjoint = intersect_union(CylinderPos("0", mu), CylinderPos("10", mu),
                                "cup")
     v = measure_value(disjoint, 8)
     assert v.precision <= 8
@@ -355,21 +389,21 @@ def test_measure_value_examples():
 
 def test_capital_sum_check():
     mu = uniform()
-    whole = cylinder_pos("", mu)
+    whole = CylinderPos("", mu)
     assert capital_sum_check(whole, whole, 4, 6)
-    c0 = cylinder_pos("0", mu)
+    c0 = CylinderPos("0", mu)
     assert capital_sum_check(c0, complement(c0), 5, 5)
-    u = intersect_union(cylinder_pos("0", mu), cylinder_pos("1", mu), "cup")
-    assert capital_sum_check(u, cylinder_pos("", mu), 3, 3)
+    u = intersect_union(CylinderPos("0", mu), CylinderPos("1", mu), "cup")
+    assert capital_sum_check(u, CylinderPos("", mu), 3, 3)
 
 
 def test_axiom_iii_across_operators():
     d, nu = random_d(59)
     ops = [
-        cylinder_pos("0", nu),
-        cylinder_pos("", nu),
-        complement(cylinder_pos("11", nu)),
-        intersect_union(cylinder_pos("0", nu), cylinder_pos("01", nu), "cap"),
+        CylinderPos("0", nu),
+        CylinderPos("", nu),
+        complement(CylinderPos("11", nu)),
+        intersect_union(CylinderPos("0", nu), CylinderPos("01", nu), "cap"),
     ]
     for op in ops:
         for r in range(1, 11):
