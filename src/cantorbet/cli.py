@@ -15,9 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import (
-    bton, frac_round_at, ntob, pred, succ, validate_string,
-)
+from .core import bton, frac_round_at, ntob, pred, read_word, show_word, succ
 from .diagonal import capital_margin, conservation_check
 from .errors import CantorbetError, DomainError, ParseError, ResourceError
 from .funalg import (
@@ -37,15 +35,6 @@ __all__ = ["build_parser", "run", "main"]
 # ---------------------------------------------------------------------------
 # small input/output helpers
 # ---------------------------------------------------------------------------
-
-
-def _read_word(tok: str) -> str:
-    """CLI word: ``~`` stands for the empty string."""
-    return validate_string("" if tok == "~" else tok)
-
-
-def _show_word(w: str) -> str:
-    return w if w else "~"
 
 
 def _show_fraction(q: Fraction) -> str:
@@ -71,10 +60,13 @@ def _read_file(path: str) -> str:
 
 
 def resolve_measure(spec: str):
-    """A measure spec: an existing file path, else a built-in name."""
-    if os.path.exists(spec):
-        return load_measure(_read_file(spec))
-    return default_measure_resolver(spec)
+    """A measure spec: a built-in name, else an existing file path."""
+    try:
+        return default_measure_resolver(spec)
+    except ParseError:
+        if not os.path.exists(spec):
+            raise
+    return load_measure(_read_file(spec))
 
 
 def _load_martingale_file(path: str, measure_spec: str | None,
@@ -119,9 +111,9 @@ def _cmd_eval(ns) -> int:
         print(term.to_sexpr())
         return 0
     oracles = _load_oracles(ns.oracle)
-    args = tuple(_read_word(a) for a in ns.arg)
+    args = tuple(read_word(a) for a in ns.arg)
     meter = Meter()
-    print(_show_word(term.evaluate(oracles, args, meter)))
+    print(show_word(term.evaluate(oracles, args, meter)))
     if ns.meter:
         print(f"steps={meter.steps} max_len={meter.max_len}")
     return 0
@@ -131,15 +123,15 @@ def _cmd_check_bound(ns) -> int:
     term = parse_term(_term_source(ns))
     poly = parse_secpoly(ns.poly)
     oracles = _load_oracles(ns.oracle)
-    args = tuple(_read_word(a) for a in ns.arg)
+    args = tuple(read_word(a) for a in ns.arg)
     print(check_bound(term, poly, oracles, args).render())
     return 0
 
 
 def _cmd_length(ns) -> int:
     oracle = load_oracle(_read_file(ns.oracle))
-    print(_show_word(length_functional(oracle, _read_word(ns.x),
-                                       method=ns.method)))
+    print(show_word(length_functional(oracle, read_word(ns.x),
+                                      method=ns.method)))
     return 0
 
 
@@ -157,7 +149,7 @@ def _cmd_verify_martingale(ns) -> int:
     if bad is None:
         print("ok")
         return 0
-    print(f"identity fails at node {_show_word(bad)}")
+    print(f"identity fails at node {show_word(bad)}")
     return 1
 
 
@@ -165,7 +157,7 @@ def _cmd_regularize(ns) -> int:
     d = _load_martingale_file(ns.file, ns.measure)
     lam = regularize(d, d.measure)
     r = ns.precision
-    print(lam.approx(r, _read_word(ns.w)).render(r))
+    print(lam.approx(r, read_word(ns.w)).render(r))
     return 0
 
 
@@ -183,7 +175,7 @@ def _cmd_rh(ns) -> int:
 def _cmd_measure_cylinder(ns) -> int:
     nu = resolve_measure(ns.measure)
     r = ns.precision
-    print(nu.mass(_read_word(ns.w)).round_at(r).render(r))
+    print(nu.mass(read_word(ns.w)).round_at(r).render(r))
     return 0
 
 
@@ -193,7 +185,7 @@ def _cmd_combine(ns) -> int:
     d1 = _load_martingale_file(ns.file[0], ns.measure)
     d2 = _load_martingale_file(ns.file[1], ns.measure)
     r = ns.precision
-    print(add(d1, d2).approx(r, _read_word(ns.w)).render(r))
+    print(add(d1, d2).approx(r, read_word(ns.w)).render(r))
     return 0
 
 
@@ -207,7 +199,7 @@ def _cmd_measure_value(ns) -> int:
 
 def _cmd_diagonalize(ns) -> int:
     d = _load_martingale_file(ns.file, ns.measure)
-    w = _read_word(ns.w)
+    w = read_word(ns.w)
     m = capital_margin(d, w) if ns.margin is None else ns.margin
     print(conservation_check(d, d.measure, w, m, ns.depth).render())
     return 0
@@ -215,18 +207,18 @@ def _cmd_diagonalize(ns) -> int:
 
 def _cmd_enumerate(ns) -> int:
     if ns.index is not None:
-        print(bton(_read_word(ns.index)))
+        print(bton(read_word(ns.index)))
     elif ns.word is not None:
-        print(_show_word(ntob(ns.word)))
+        print(show_word(ntob(ns.word)))
     elif ns.next is not None:
-        print(_show_word(succ(_read_word(ns.next))))
+        print(show_word(succ(read_word(ns.next))))
     elif ns.prev is not None:
-        print(_show_word(pred(_read_word(ns.prev))))
+        print(show_word(pred(read_word(ns.prev))))
     else:
         if ns.first < 0:
             raise DomainError("count must be >= 0")
         for n in range(ns.first):
-            print(_show_word(ntob(n)))
+            print(show_word(ntob(n)))
     return 0
 
 

@@ -35,6 +35,8 @@ __all__ = [
     "smash",
     "growth",
     "validate_string",
+    "read_word",
+    "show_word",
     "is_prefix",
     "strings_of_length",
 ]
@@ -270,6 +272,16 @@ def validate_string(w: str) -> str:
     if w and not _BITS.issuperset(w):
         raise DomainError(f"not a binary string: {w!r}")
     return w
+
+
+def read_word(tok: str) -> str:
+    """A word as written in text: ``~`` stands for the empty string."""
+    return validate_string("" if tok == "~" else tok)
+
+
+def show_word(w: str) -> str:
+    """The inverse of read_word: the empty string is written ``~``."""
+    return w if w else "~"
 
 
 def is_prefix(u: str, w: str) -> bool:

@@ -18,8 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .config import check_magnitude
-from .core import bton, growth, ntob, pred, smash, succ, validate_string
+from .config import MAX_NESTING, check_magnitude
+from .core import (
+    bton, growth, ntob, pred, read_word, show_word, smash, succ,
+    validate_string,
+)
 from .errors import (
     BoundViolationError, DomainError, ParseError, PreconditionError,
 )
@@ -99,16 +102,6 @@ class Oracle:
         return answer
 
 
-def _render_word(w: str) -> str:
-    return w if w else "~"
-
-
-def _read_word(tok: str) -> str:
-    w = "" if tok == "~" else tok
-    validate_string(w)
-    return w
-
-
 def load_oracle(text: str) -> Oracle:
     """Table format: lines ``query answer``, final line ``default answer``."""
     table = {}
@@ -126,9 +119,9 @@ def load_oracle(text: str) -> Oracle:
                 f"oracle line {lineno}: default must be the final line")
         try:
             if key == "default":
-                default = _read_word(answer)
+                default = read_word(answer)
             else:
-                table[_read_word(key)] = _read_word(answer)
+                table[read_word(key)] = read_word(answer)
         except DomainError as e:
             raise ParseError(f"oracle line {lineno}: {e}") from e
     if default is None:
@@ -139,9 +132,9 @@ def load_oracle(text: str) -> Oracle:
 def dump_oracle(oracle: Oracle) -> str:
     if oracle.table is None:
         raise DomainError("only table oracles can be serialized")
-    lines = [f"{_render_word(q)} {_render_word(a)}"
+    lines = [f"{show_word(q)} {show_word(a)}"
              for q, a in sorted(oracle.table.items())]
-    lines.append(f"default {_render_word(oracle.default)}")
+    lines.append(f"default {show_word(oracle.default)}")
     return "\n".join(lines) + "\n"
 
 
@@ -607,6 +600,12 @@ def parse_term(text: str) -> Term:
     toks = _tokenize_term(text)
     if not toks:
         raise ParseError("empty term")
+    depth = 0
+    for tok, pos in toks:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_NESTING:
+            raise ParseError(f"term nested deeper than {MAX_NESTING} forms "
+                             f"(position {pos})")
     term, i = _parse_term(toks, 0)
     if i != len(toks):
         raise ParseError(f"trailing input at position {toks[i][1]}")

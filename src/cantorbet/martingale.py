@@ -20,11 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    Dyadic, ZERO, frac_round_at, validate_string, strings_of_length,
+    Dyadic, ZERO, frac_round_at, read_word, show_word, strings_of_length,
+    validate_string,
 )
 from .errors import DomainError, MeasureMismatchError, ParseError
 from .measure import ProbabilityMeasure, uniform, biased
-from .realfun import robin_hood_exact, ceil_log2
+from .realfun import robin_hood_exact, transfer_bits
 
 __all__ = [
     "Martingale",
@@ -210,6 +211,14 @@ def min_tail_capital(d: Martingale, prefix: str, horizon: int) -> Fraction:
 # regularization
 # ---------------------------------------------------------------------------
 
+def _weight(mp: Dyadic, m0: Dyadic) -> Fraction | None:
+    """A split's weight on its 0-child, m0/mp, or None when the split is
+    degenerate: a null node, or a 0-child with none or all of the mass."""
+    if mp == ZERO or m0 == ZERO or m0 == mp:
+        return None
+    return m0.to_fraction() / mp.to_fraction()
+
+
 class RegularizedMartingale(Martingale):
     """Robin-Hood rebalanced version of a base martingale.
 
@@ -242,16 +251,9 @@ class RegularizedMartingale(Martingale):
         return memo[w]
 
     def _children(self, w: str) -> None:
-        nu = self._nu
-        cur = self.value(w) if w not in self._memo else self._memo[w]
-        mw = nu.mass(w)
-        if mw == ZERO:
-            self._memo[w + "0"] = cur
-            self._memo[w + "1"] = cur
-            return
-        m0 = nu.mass(w + "0")
-        alpha = m0.to_fraction() / mw.to_fraction()
-        if alpha == 0 or alpha == 1:
+        cur = self._memo[w]   # value() fills the memo from the root down
+        alpha = _weight(self._nu.mass(w), self._nu.mass(w + "0"))
+        if alpha is None:
             self._memo[w + "0"] = cur
             self._memo[w + "1"] = cur
             return
@@ -263,22 +265,6 @@ class RegularizedMartingale(Martingale):
         self._memo[w + "1"] = out1
 
     # -- finite-precision route ----------------------------------------
-
-    def _level_bits(self, w: str) -> int:
-        """Total transfer-slope bits along the path to w."""
-        nu = self._nu
-        total = 0
-        for i in range(len(w)):
-            p = w[:i]
-            mp = nu.mass(p)
-            if mp == ZERO:
-                continue
-            m0 = nu.mass(p + "0")
-            alpha = m0.to_fraction() / mp.to_fraction()
-            if alpha == 0 or alpha == 1:
-                continue
-            total += ceil_log2(max(Fraction(1), 1 / alpha, 1 / (1 - alpha)))
-        return total
 
     def approx(self, r: int, w: str) -> Dyadic:
         """Level-by-level rounded recursion with threshold-based zero tests.
@@ -293,16 +279,28 @@ class RegularizedMartingale(Martingale):
             raise DomainError("precision must be >= 0")
         validate_string(w)
         nu = self._nu
-        q = r + 3 + self._level_bits(w) + (3 * (len(w) + 2)).bit_length()
+        # One scan reads each split once: the slope budget counts the splits
+        # the exact test finds nondegenerate, and `weights` holds alpha, or
+        # None where the threshold test finds the split degenerate.
+        weights = []
+        slope = 0
+        mp = nu.mass("")
+        for i, b in enumerate(w):
+            m0 = nu.mass(w[:i] + "0")
+            m1 = mp - m0           # masses are additive
+            alpha = _weight(mp, m0)
+            if alpha is not None:
+                slope += transfer_bits(alpha)
+            thr = nu.witness.threshold(i + 1)
+            live = mp >= nu.witness.threshold(i) and m0 >= thr and m1 >= thr
+            weights.append(alpha if live else None)
+            mp = m0 if b == "0" else m1
+        q = r + 3 + slope + (3 * (len(w) + 2)).bit_length()
         cur = self.base.approx(q, "").to_fraction()
-        for i in range(len(w)):
-            p, child = w[:i], w[:i + 1]
-            thr_p = nu.witness.threshold(len(p))
-            thr_c = nu.witness.threshold(len(p) + 1)
-            if (nu.mass(p) < thr_p or nu.mass(p + "0") < thr_c
-                    or nu.mass(p + "1") < thr_c):
+        for i, alpha in enumerate(weights):
+            if alpha is None:
                 continue  # degenerate: the child inherits the parent value
-            alpha = nu.mass(p + "0").to_fraction() / nu.mass(p).to_fraction()
+            p = w[:i]
             dp = self.base.approx(q, p).to_fraction()
             g0 = cur - dp + self.base.approx(q, p + "0").to_fraction()
             g1 = cur - dp + self.base.approx(q, p + "1").to_fraction()
@@ -316,15 +314,14 @@ class RegularizedMartingale(Martingale):
                 # keeps e below an eighth of that), the move lands within
                 # L*e of the exact transfer, L = max(1/alpha, 1/(1-alpha)),
                 # whichever part of the domain the exact pair is in: the
-                # slope `_level_bits` already budgets for this level.
+                # slope budget in q already covers this level.
                 c0, c1 = max(g0, Fraction(0)), max(g1, Fraction(0))
                 if alpha * c0 + (1 - alpha) * c1 < 1:
                     g0, g1 = c0, c1
                 else:
                     g0 = g1 = Fraction(1)
             pair = robin_hood_exact(alpha, g0, g1)
-            cur = frac_round_at(pair[0 if child[-1] == "0" else 1],
-                                q).to_fraction()
+            cur = frac_round_at(pair[int(w[i])], q).to_fraction()
         return frac_round_at(cur, r)
 
 
@@ -356,7 +353,7 @@ def dump_martingale(d: TableMartingale, measure_spec: str) -> str:
     for n in range(d.depth + 1):
         for w in strings_of_length(n):
             v = d.table[w]
-            lines.append(f"{w if w else '~'} {v.mantissa} {v.precision}")
+            lines.append(f"{show_word(w)} {v.mantissa} {v.precision}")
     return "\n".join(lines) + "\n"
 
 
@@ -383,7 +380,7 @@ def load_martingale(text: str, resolver=None,
         if len(parts) != 3:
             raise ParseError(f"bad martingale line: {ln!r}")
         try:
-            w = "" if parts[0] == "~" else validate_string(parts[0])
+            w = read_word(parts[0])
             table[w] = Dyadic(int(parts[1]), int(parts[2]))
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad martingale line {ln!r}: {exc}") from None

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import (
     Dyadic, ZERO, ONE, HALF, strings_of_length, validate_string,
-    is_prefix,
+    is_prefix, read_word, show_word,
 )
 from .errors import DomainError, ParseError, PreconditionError
 
@@ -124,7 +124,9 @@ class ProbabilityMeasure:
     # -- queries -------------------------------------------------------
 
     def mass(self, w: str) -> Dyadic:
-        """Exact cylinder mass, at any depth."""
+        """Exact cylinder mass, at any depth.  Below the table it is the
+        boundary node's mass times c**z * (1-c)**o, for a tail with z zeros
+        and o ones under a node whose subtree splits with conditional c."""
         validate_string(w)
         if len(w) <= self.depth:
             return self.table[w]
@@ -136,11 +138,11 @@ class ProbabilityMeasure:
             c = self.ext[1]
         else:
             c = self._copy_conditionals[u]
-        for b in w[self.depth:]:
-            m = m * (c if b == "0" else ONE - c)
-            if m == ZERO:
-                return ZERO
-        return m
+        d = ONE - c
+        z = w.count("0", self.depth)
+        o = len(w) - self.depth - z
+        return Dyadic(m.mantissa * c.mantissa ** z * d.mantissa ** o,
+                      m.precision + c.precision * z + d.precision * o)
 
     def conditional(self, w: str, b: str) -> Fraction:
         """nu(wb | w) as an exact fraction; requires nu(w) > 0."""
@@ -210,14 +212,6 @@ def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str) -> Fraction:
 #   w mantissa precision          (one line per string, λ written as ~)
 #   l poly c0 c1
 
-def _string_token(w: str) -> str:
-    return w if w else "~"
-
-
-def _parse_string_token(tok: str) -> str:
-    return "" if tok == "~" else validate_string(tok)
-
-
 def dump_measure(nu: ProbabilityMeasure) -> str:
     if nu.ext[0] == "const" and nu.ext[1] != HALF:
         raise DomainError("file format only covers ext=half and ext=copy")
@@ -226,7 +220,7 @@ def dump_measure(nu: ProbabilityMeasure) -> str:
     for n in range(nu.depth + 1):
         for w in strings_of_length(n):
             m = nu.table[w]
-            lines.append(f"{_string_token(w)} {m.mantissa} {m.precision}")
+            lines.append(f"{show_word(w)} {m.mantissa} {m.precision}")
     lines.append(f"l poly {nu.witness.c0} {nu.witness.c1}")
     return "\n".join(lines) + "\n"
 
@@ -262,7 +256,7 @@ def load_measure(text: str) -> ProbabilityMeasure:
         if len(parts) != 3:
             raise ParseError(f"bad table line: {ln!r}")
         try:
-            w = _parse_string_token(parts[0])
+            w = read_word(parts[0])
             table[w] = Dyadic(int(parts[1]), int(parts[2]))
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad table line {ln!r}: {exc}") from None

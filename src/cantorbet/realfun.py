@@ -31,6 +31,7 @@ __all__ = [
     "constant",
     "absolute_value",
     "ceil_log2",
+    "transfer_bits",
 ]
 
 Point = tuple
@@ -189,13 +190,17 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
     return ((m - (1 - a)) / a, Fraction(1))
 
 
+def transfer_bits(a: Fraction) -> int:
+    """ceil(log2) of the transfer's slope max(1, 1/a, 1/(1-a)), 0 < a < 1."""
+    return ceil_log2(max(Fraction(1), 1 / a, 1 / (1 - a)))
+
+
 def robin_hood(alpha) -> RealFunction:
     """The transfer function as a RealFunction (direct evaluation route)."""
     a = as_fraction(alpha)
     if not (0 < a < 1):
         raise DomainError("transfer weight must lie strictly in (0,1)")
-    lip = max(Fraction(1), 1 / a, 1 / (1 - a))
-    bits = ceil_log2(lip)
+    bits = transfer_bits(a)
 
     def exact_fn(xs):
         return robin_hood_exact(a, xs[0], xs[1])

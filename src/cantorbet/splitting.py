@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Dyadic, ZERO, validate_string, is_prefix
+from .config import MAX_NESTING
+from .core import Dyadic, ZERO, is_prefix, read_word, validate_string
 from .errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
@@ -129,7 +130,8 @@ class DiffMartingale(Martingale):
 # ---------------------------------------------------------------------------
 
 class CylinderNull(SplittingOperator):
-    """Measurement of a mass-zero cylinder: indicator / identity."""
+    """Measurement of a mass-zero cylinder: indicator / identity, both
+    exact, so the precision argument `r` is ignored."""
 
     def __init__(self, w: str, nu: ProbabilityMeasure):
         validate_string(w)
@@ -148,7 +150,8 @@ class CylinderNull(SplittingOperator):
 
 
 class CylinderPos(SplittingOperator):
-    """Measurement of a positive-mass cylinder through regularization."""
+    """Measurement of a positive-mass cylinder through regularization;
+    both components are exact, so the precision argument `r` is ignored."""
 
     def __init__(self, w: str, nu: ProbabilityMeasure):
         validate_string(w)
@@ -397,7 +400,9 @@ def limit_measurement(seq: ModulatedSequence) -> LimitMeasurement:
 # ---------------------------------------------------------------------------
 
 def measure_value(op: SplittingOperator, r: int) -> Dyadic:
-    """The measured value of the set, canonical at precision r."""
+    """The measured value of the set, canonical at precision r: the plus
+    component read at r+1, rounded onto the 2**-r grid.  For the cylinders,
+    which ignore `r`, this rounding alone is what meets 2**-r."""
     if r < 0:
         raise DomainError("precision must be >= 0")
     d = op.plus(r + 1, unit(op.measure))
@@ -456,9 +461,8 @@ def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
     if head == "cyl":
         if len(items) != 2 or not isinstance(items[1], str):
             raise ParseError("(cyl w) takes exactly one string")
-        w = "" if items[1] == "~" else items[1]
         try:
-            return cylinder(validate_string(w), nu)
+            return cylinder(read_word(items[1]), nu)
         except DomainError as exc:
             raise ParseError(str(exc)) from None
     if head == "compl":
@@ -482,13 +486,18 @@ def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
     raise ParseError(f"unknown operator head {head!r}")
 
 
+_RECURSIVE_HEADS = ("cap", "cup", "limit")
+
+
 def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
     """Build an operator expression in one pass over its tokens.
 
     `stack` holds the open forms, each as the position of its "(" and the
     items read so far: atoms, and the operators of closed subforms.  A
     form's operator is built when its ")" arrives, so nesting depth costs
-    no Python recursion.
+    no Python recursion.  Evaluation does recurse through `cap`, `cup` and
+    `limit`, so more than MAX_NESTING of them open at once is a parse
+    error; `compl` does not count, because nested complements cancel.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -500,11 +509,14 @@ def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
             raise ParseError("trailing tokens after operator expression")
         raise ParseError(f"expected an operator form, got {tokens[0]!r}")
     stack = []
+    nested = 0
     for i, tok in enumerate(tokens):
         if tok == "(":
             stack.append((i, []))
         elif tok == ")":
             start, items = stack.pop()
+            if items and items[0] in _RECURSIVE_HEADS:
+                nested -= 1
             if not stack and i + 1 < len(tokens):
                 raise ParseError("trailing tokens after operator expression")
             if stack and not stack[-1][1]:
@@ -515,5 +527,11 @@ def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
                 return op
             stack[-1][1].append(op)
         else:
+            if not stack[-1][1] and tok in _RECURSIVE_HEADS:
+                nested += 1
+                if nested > MAX_NESTING:
+                    raise ParseError(
+                        f"set expression nested deeper than {MAX_NESTING} "
+                        "cap/cup/limit forms")
             stack[-1][1].append(tok)
     raise ParseError("missing ')' in operator expression")

@@ -1,0 +1,113 @@
+"""Every martingale's canonical approximation: approx(r, w) lies on the
+2**-r grid and within 2**-r of value(w), for every Martingale subclass."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cantorbet.core import Dyadic
+from cantorbet.measure import biased, uniform
+from cantorbet.martingale import (
+    ConstantMartingale, RegularizedMartingale, SumMartingale,
+)
+from cantorbet.splitting import (
+    DiffMartingale, IndicatorMartingale, LimitMeasurement,
+    LimitPlusMartingale, SliceMartingale, cylinder, modulated,
+)
+
+from helpers import (
+    build_measure, build_table_martingale, random_conditionals,
+)
+
+
+def _measure(rng: random.Random):
+    """A weakly positive measure, its conditionals and its table depth.
+
+    About 15 % of a table measure's splits are degenerate (conditional 0
+    or 1); below the table every measure keeps splitting.
+    """
+    kind = rng.randrange(3)
+    depth = rng.randrange(1, 4)
+    if kind == 0:
+        cond = random_conditionals(rng, depth, precision=3, zeros=True)
+        return build_measure(cond, depth, precision=3), cond, depth
+    p = Dyadic(1, 1) if kind == 1 else Dyadic(rng.choice([1, 3, 5, 7]), 3)
+    nu = uniform() if kind == 1 else biased(p)
+    cond = {format(i, f"0{n}b") if n else "": p
+            for n in range(depth) for i in range(1 << n)}
+    return nu, cond, depth
+
+
+def _word(rng: random.Random, n: int) -> str:
+    return "".join(rng.choice("01") for _ in range(n))
+
+
+def _build(kind: str, rng: random.Random):
+    nu, cond, depth = _measure(rng)
+
+    def table():
+        return build_table_martingale(rng, nu, cond, depth)
+
+    if kind == "Table":
+        return table()
+    if kind == "Constant":
+        return ConstantMartingale(Fraction(rng.randrange(1, 50), 3), nu)
+    if kind == "Sum":
+        left = table() if rng.randrange(2) else \
+            RegularizedMartingale(table(), nu)
+        right = table() if rng.randrange(2) else \
+            ConstantMartingale(Fraction(rng.randrange(1, 50), 3), nu)
+        return SumMartingale(left, right)
+    if kind == "Regularized":
+        return RegularizedMartingale(table(), nu)
+    w = _word(rng, rng.randrange(0, depth + 2))
+    if kind == "Slice":
+        return SliceMartingale(w, nu, RegularizedMartingale(table(), nu))
+    if kind == "Diff":
+        lam = RegularizedMartingale(table(), nu)
+        return DiffMartingale(lam, SliceMartingale(w, nu, lam))
+    if kind == "Indicator":
+        return IndicatorMartingale(w, nu)
+    assert kind == "LimitPlus"
+    stages = [cylinder(_word(rng, rng.randrange(0, 4)), nu)
+              for _ in range(rng.randrange(1, 4))]
+    d = LimitMeasurement(modulated(stages)).plus(rng.randrange(0, 6), table())
+    assert isinstance(d, LimitPlusMartingale)
+    return d
+
+
+KINDS = ["Table", "Constant", "Sum", "Regularized", "Slice", "Diff",
+         "Indicator", "LimitPlus"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       path=st.text(alphabet="01", max_size=20),
+       r=st.integers(0, 24))
+def test_approx_on_grid_and_within_2_to_minus_r(kind, seed, path, r):
+    d = _build(kind, random.Random(seed))
+    got = d.approx(r, path)
+    assert got.precision <= r
+    assert abs(got.to_fraction() - d.value(path)) <= Fraction(1, 2 ** r)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a Sum term of a Sum is queried one bit finer but is only accurate to "
+    "that bit, so the outer rounding can land past 2^-r"))
+def test_nested_sum_approx_within_2_to_minus_r():
+    rng = random.Random(5)
+    for _ in range(300):
+        nu, cond, depth = _measure(rng)
+        d = SumMartingale(SumMartingale(
+            build_table_martingale(rng, nu, cond, depth),
+            build_table_martingale(rng, nu, cond, depth)),
+            build_table_martingale(rng, nu, cond, depth))
+        w = _word(rng, rng.randrange(8))
+        r = rng.randrange(20)
+        got = d.approx(r, w)
+        assert abs(got.to_fraction() - d.value(w)) <= Fraction(1, 2 ** r)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from cantorbet.cli import run
-from cantorbet.config import set_magnitude_cap
+from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.core import Dyadic
 from cantorbet.funalg import parse_term
 from cantorbet.martingale import TableMartingale, add, dump_martingale
@@ -197,6 +197,36 @@ def test_measure_value_of_deep_complement():
                "--precision", "4") == (0, "8/2^4\n", "")
 
 
+def _left_nested(head, k):
+    return f"({head} " * k + "(cyl 0)" + " (cyl 0))" * k
+
+
+def test_set_expression_nesting_bound():
+    # cap, cup and limit count toward the bound; compl does not (above)
+    assert cli("measure-value", "--expr", _left_nested("cap", MAX_NESTING),
+               "--measure", "uniform", "--precision", "4") == (0, "8/2^4\n", "")
+    for k in (MAX_NESTING + 1, 1000):
+        code, out, err = cli("measure-value", "--expr", _left_nested("cap", k),
+                             "--measure", "uniform", "--precision", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("measure-value:") and err.count("\n") == 1
+
+
+def test_term_nesting_bound():
+    def succs(k):
+        return "(succ " * k + "(proj 0)" + ")" * k
+
+    # k successors around (proj 0) nest k+1 forms; "0" has index 1 in the
+    # enumeration, so they reach index k+1
+    k = MAX_NESTING - 1
+    assert cli("eval", "--term", succs(k), "--arg", "0") == \
+        (0, bin(k + 2)[3:] + "\n", "")
+    for k in (MAX_NESTING, 3000):
+        code, out, err = cli("eval", "--term", succs(k), "--arg", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("eval:") and err.count("\n") == 1
+
+
 def test_diagonalize_reports_trajectory(tmp_path):
     nu = uniform()
     table = {"": Dyadic(1, 2),
@@ -229,6 +259,17 @@ def test_measure_flag_accepts_a_file_path(tmp_path):
     code, out, _ = cli("measure-cylinder", "--w", "0", "--measure", str(path),
                        "--precision", "4")
     assert (code, out) == (0, "12/2^4\n")
+
+
+@pytest.mark.parametrize("spec, want", [("uniform", "4/2^4\n"),
+                                        ("biased:1/4", "1/2^4\n")])
+def test_builtin_measure_names_beat_files(tmp_path, monkeypatch, spec, want):
+    path = tmp_path / spec             # biased:1/4 is a file in a folder
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("not a measure\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli("measure-cylinder", "--w", "00", "--measure", spec,
+               "--precision", "4") == (0, want, "")
 
 
 def test_missing_measure_file_is_a_parse_error():

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from cantorbet import config
 from cantorbet.core import (
     Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at,
-    bton, ntob, succ, pred, smash, growth, strings_of_length,
+    bton, ntob, succ, pred, smash, growth, strings_of_length, read_word,
+    show_word,
 )
 from cantorbet.errors import DomainError, ResourceError
 
@@ -214,6 +215,17 @@ def test_bton_validates():
         bton("012")
     with pytest.raises(DomainError):
         ntob(-1)
+
+
+@given(bitstrings)
+def test_word_codec_roundtrip(w):
+    assert read_word(show_word(w)) == w
+    assert show_word(w) == (w or "~")
+
+
+def test_word_codec_validates():
+    with pytest.raises(DomainError, match="not a binary string"):
+        read_word("0~")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import pytest
 
 from cantorbet.core import Dyadic, ONE
 from cantorbet.errors import DomainError, MeasureMismatchError, ParseError
-from cantorbet.measure import uniform, biased
+from cantorbet.measure import (
+    PositivityWitness, ProbabilityMeasure, uniform, biased,
+)
 from cantorbet.martingale import (
     Martingale, TableMartingale, unit, add, covers, is_regular, regularize,
     max_capital, min_tail_capital, load_martingale, dump_martingale,
@@ -253,6 +255,19 @@ def test_regularize_approx_on_pinned_capital():
             for r in range(14):
                 got = lam.approx(r, w).to_fraction()
                 assert abs(got - lam.value(w)) <= Fraction(1, 2 ** r), (w, r)
+
+
+def test_regularize_approx_copies_splits_below_the_witness_threshold():
+    # The witness promises every nonzero mass at depth 1 is at least 1/2,
+    # but mass("0") is 1/4: the exact route transfers at the root, while the
+    # threshold test makes the approximation copy the root's value.
+    nu = ProbabilityMeasure({"": ONE}, 0, ("const", Dyadic(1, 2)),
+                            PositivityWitness(0, 1))
+    d = TableMartingale({"": Dyadic(1, 1), "0": Dyadic(5, 2),
+                         "1": Dyadic(1, 2)}, 1, nu)
+    lam = regularize(d, nu)
+    assert lam.value("0") == 1
+    assert lam.approx(4, "0") == Dyadic(1, 1)
 
 
 class FixedFractionBettor(Martingale):

@@ -155,6 +155,36 @@ def test_additivity_depth_12_builtins():
                 assert nu.mass(w) == nu.mass(w + "0") + nu.mass(w + "1")
 
 
+def test_mass_below_table_is_the_per_bit_product():
+    rng = random.Random(59)
+    copy = ProbabilityMeasure(
+        {"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2),
+         "00": Dyadic(3, 3), "01": Dyadic(3, 3), "10": ZERO,
+         "11": Dyadic(1, 2)}, 2, ext=("copy",), witness=PositivityWitness(0, 3))
+    table = build_measure(random_conditionals(rng, 3, zeros=True), 3)
+    measures = [uniform(), biased(Dyadic(3, 3)), biased(Dyadic(1, 2)),
+                copy, table,
+                ProbabilityMeasure({"": ONE}, 0, ("const", ZERO)),
+                ProbabilityMeasure({"": ONE}, 0, ("const", ONE))]
+    for nu in measures:
+        for n in list(range(12)) + [rng.randrange(12, 300) for _ in range(8)] \
+                + [300]:
+            u = "".join(rng.choice("01") for _ in range(nu.depth))
+            tail = "".join(rng.choice("01") for _ in range(n))
+            want = nu.table[u].to_fraction()
+            if nu.ext[0] == "const":
+                c = nu.ext[1].to_fraction()
+            elif want:
+                parent = u[:-1]
+                c = (nu.table[parent + "0"].to_fraction()
+                     / nu.table[parent].to_fraction())
+            else:
+                c = Fraction(0)     # every mass under a null node is 0
+            for b in tail:
+                want *= c if b == "0" else 1 - c
+            assert nu.mass(u + tail) == Dyadic.from_fraction(want), (nu, u, n)
+
+
 def test_random_tables_match_oracle():
     rng = random.Random(23)
     for _ in range(15):
