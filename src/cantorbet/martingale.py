@@ -138,21 +138,31 @@ class TableMartingale(Martingale):
 
 
 class SumMartingale(Martingale):
-    """Pointwise sum; the approximation queries both terms one bit finer."""
+    """Pointwise sum of a flat tuple of terms.
 
-    def __init__(self, d1: Martingale, d2: Martingale):
-        self.d1 = d1
-        self.d2 = d2
-        self.measure = _compatible(d1.measure, d2.measure)
+    A sum passed as a term is spliced in, so sums built k deep are one
+    level deep.  The approximation asks each of the n terms at
+    q = r + 1 + ceil(log2 n) and rounds once: the terms err by at most
+    n * 2**-q <= 2**-(r+1) together and the rounding by 2**-(r+1), so the
+    answer is within 2**-r whatever the terms are.
+    """
+
+    def __init__(self, *terms: Martingale):
+        self.terms = tuple(u for t in terms
+                           for u in (t.terms if isinstance(t, SumMartingale)
+                                     else (t,)))
+        self.measure = None
+        for t in self.terms:
+            self.measure = _compatible(self.measure, t.measure)
 
     def value(self, w: str) -> Fraction:
-        return self.d1.value(w) + self.d2.value(w)
+        return sum(t.value(w) for t in self.terms)
 
     def approx(self, r: int, w: str) -> Dyadic:
         if r < 0:
             raise DomainError("precision must be >= 0")
-        s = self.d1.approx(r + 1, w) + self.d2.approx(r + 1, w)
-        return s.round_at(r)
+        q = r + 1 + (len(self.terms) - 1).bit_length()
+        return sum(t.approx(q, w) for t in self.terms).round_at(r)
 
 
 def add(d1: Martingale, d2: Martingale) -> SumMartingale:

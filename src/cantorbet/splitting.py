@@ -4,21 +4,27 @@ A splitting operator sends (precision, martingale) to a pair of martingales
 (plus, minus) that divide the input's initial capital between a set and its
 complement: successes inside the set are inherited by `plus`, successes
 outside by `minus`, and the two root values never exceed the input's root
-by more than 2**-precision.  The measured value of the set is then read off
-the plus component started from the unit martingale.
+by more than 2**-precision.  Each operator computes the pair in one
+`split(r, d)`; `plus` and `minus` are views of it.  The measured value of
+the set is then read off the plus component started from the unit
+martingale.
 
 This module builds the concrete measurements the theory promises:
 cylinders (null and positive mass), complements, finite intersections and
 unions, subsets of null sets, unions of null sequences, and modulated limits
 of eventually-constant measurement sequences.  An intersection or union of
-phi and psi is read off the four sign-composition components
-theta^{ab}(r, d) = psi^b(r+2, phi^a(r+1, d)); it applies phi once per sign
-and hands both halves to psi, so nesting on the phi side costs linear work.
+phi and psi splits the input with phi, then splits one of phi's halves with
+psi and adds the other half to the side it belongs to (see
+`IntersectUnion`).  This deliberately departs from the paper, which sums
+the four sign-composition pieces theta^{ab} = psi^b(phi^a): it keeps the
+splitting axioms with two terms and applies each of phi and psi once, so
+an expression nested k deep costs O(k) operator applications.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from .config import MAX_NESTING
 from .core import Dyadic, ZERO, is_prefix, read_word, validate_string
@@ -57,15 +63,29 @@ def _same_measure(a: ProbabilityMeasure, b: ProbabilityMeasure):
 
 
 class SplittingOperator:
-    """Interface: plus(r, d) and minus(r, d) return martingales over `measure`."""
+    """Interface: split(r, d) returns the pair (plus, minus) of martingales
+    over `measure`; plus(r, d) and minus(r, d) are its two halves.
+
+    Every subclass gets the two views in its own namespace unless it
+    defines them itself, so they can be looked up (and patched) per class.
+    """
 
     measure: ProbabilityMeasure
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in ("plus", "minus"):
+            if name not in cls.__dict__:
+                setattr(cls, name, SplittingOperator.__dict__[name])
+
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
         raise NotImplementedError
 
+    def plus(self, r: int, d: Martingale) -> Martingale:
+        return self.split(r, d)[0]
+
     def minus(self, r: int, d: Martingale) -> Martingale:
-        raise NotImplementedError
+        return self.split(r, d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +162,8 @@ class CylinderNull(SplittingOperator):
         self.w = w
         self.measure = nu
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        return IndicatorMartingale(self.w, self.measure)
-
-    def minus(self, r: int, d: Martingale) -> Martingale:
-        return d
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+        return IndicatorMartingale(self.w, self.measure), d
 
 
 class CylinderPos(SplittingOperator):
@@ -160,13 +177,10 @@ class CylinderPos(SplittingOperator):
         self.w = w
         self.measure = nu
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        return SliceMartingale(self.w, self.measure,
-                               regularize(d, self.measure))
-
-    def minus(self, r: int, d: Martingale) -> Martingale:
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
         lam = regularize(d, self.measure)
-        return DiffMartingale(lam, SliceMartingale(self.w, self.measure, lam))
+        inside = SliceMartingale(self.w, self.measure, lam)
+        return inside, DiffMartingale(lam, inside)
 
 
 def cylinder(w: str, nu: ProbabilityMeasure) -> SplittingOperator:
@@ -183,11 +197,9 @@ class Complement(SplittingOperator):
         self.inner = inner
         self.measure = inner.measure
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        return self.inner.minus(r, d)
-
-    def minus(self, r: int, d: Martingale) -> Martingale:
-        return self.inner.plus(r, d)
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+        plus, minus = self.inner.split(r, d)
+        return minus, plus
 
 
 def complement(op: SplittingOperator) -> SplittingOperator:
@@ -199,9 +211,20 @@ def complement(op: SplittingOperator) -> SplittingOperator:
 class IntersectUnion(SplittingOperator):
     """Intersection (`cap`) or union (`cup`) of the sets phi and psi measure.
 
-    With a = phi.plus(r+1, d) and b = phi.minus(r+1, d), psi splits each at
-    precision r+2; a union's plus keeps every piece but psi's minus half of
-    b, an intersection's minus every piece but psi's plus half of a.
+    With (a, b) = phi.split(r+1, d), psi splits one half at precision r+2:
+
+        cup: (a + psi+(b), psi-(b))        cap: (psi+(a), b + psi-(a))
+
+    Axiom (iii): a + b <= d + 2**-(r+1) and psi+ + psi- <= input
+    + 2**-(r+2), so plus + minus <= d + 3 * 2**-(r+2) <= d + 2**-r at the
+    root.  Successes are inherited case by case.  For cup: a sequence in
+    phi's set makes a succeed, hence plus; one in psi's set but not phi's
+    makes b succeed, hence psi+(b); one in neither makes b, hence psi-(b),
+    succeed.  For cap: a sequence in both makes a, hence psi+(a), succeed;
+    one in phi's set but not psi's makes a, hence psi-(a); one outside
+    phi's set makes b succeed.  The paper's four theta^{ab} pieces are
+    replaced by these two terms on purpose: phi and psi are each applied
+    once, so nesting on either side costs linear work.
     """
 
     def __init__(self, phi: SplittingOperator, psi: SplittingOperator,
@@ -213,21 +236,13 @@ class IntersectUnion(SplittingOperator):
         self.psi = psi
         self.which = which
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        a = self.phi.plus(r + 1, d)
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+        a, b = self.phi.split(r + 1, d)
         if self.which == "cap":
-            return self.psi.plus(r + 2, a)
-        b = self.phi.minus(r + 1, d)
-        return add(add(self.psi.plus(r + 2, a), self.psi.minus(r + 2, a)),
-                   self.psi.plus(r + 2, b))
-
-    def minus(self, r: int, d: Martingale) -> Martingale:
-        b = self.phi.minus(r + 1, d)
-        if self.which == "cup":
-            return self.psi.minus(r + 2, b)
-        a = self.phi.plus(r + 1, d)
-        return add(add(self.psi.minus(r + 2, a), self.psi.plus(r + 2, b)),
-                   self.psi.minus(r + 2, b))
+            plus, minus = self.psi.split(r + 2, a)
+            return plus, add(b, minus)
+        plus, minus = self.psi.split(r + 2, b)
+        return add(a, plus), minus
 
 
 def intersect_union(phi: SplittingOperator, psi: SplittingOperator,
@@ -256,11 +271,8 @@ def complete_null(op: SplittingOperator,
     class _Sub(SplittingOperator):
         measure = nu
 
-        def plus(self, r: int, d: Martingale) -> Martingale:
-            return op.plus(r, unit(nu))
-
-        def minus(self, r: int, d: Martingale) -> Martingale:
-            return d
+        def split(self, r: int, d: Martingale):
+            return op.split(r, unit(nu))[0], d
 
     return _Sub()
 
@@ -268,17 +280,18 @@ def complete_null(op: SplittingOperator,
 class ModulatedSequence:
     """A measurement sequence with a convergence modulus.
 
-    stage_plus/stage_minus give the k-th stage's components; gamma(t,r,d,w)
+    stage(k, r, d) gives the k-th stage's (plus, minus) pair; gamma(t,r,d,w)
     returns an index from which the plus values at w sit within 2**-t of
     their limit.  The library ships eventually-constant families, whose
-    modulus is a constant.
+    modulus is a constant; every stage from index `last` on is the same
+    measurement as stage `last`.
     """
 
-    def __init__(self, stage_plus, stage_minus, gamma, measure):
-        self.stage_plus = stage_plus
-        self.stage_minus = stage_minus
+    def __init__(self, stage, gamma, measure, last):
+        self.stage = stage
         self.gamma = gamma
         self.measure = measure
+        self.last = last
 
 
 def modulated(operators, gamma: int | None = None) -> ModulatedSequence:
@@ -289,16 +302,13 @@ def modulated(operators, gamma: int | None = None) -> ModulatedSequence:
     measure = ops[0].measure
     for op in ops[1:]:
         _same_measure(measure, op.measure)
-    const_from = len(ops) - 1 if gamma is None else gamma
-
-    def stage(k):
-        return ops[min(k, len(ops) - 1)]
-
+    last = len(ops) - 1
+    const_from = last if gamma is None else gamma
     return ModulatedSequence(
-        stage_plus=lambda k, r, d: stage(k).plus(r, d),
-        stage_minus=lambda k, r, d: stage(k).minus(r, d),
+        stage=lambda k, r, d: ops[min(k, last)].split(r, d),
         gamma=lambda t, r, d, w: const_from,
         measure=measure,
+        last=last,
     )
 
 
@@ -318,20 +328,17 @@ def union_sequence(operators,
         _same_measure(measure, op.measure)
         _require_null(op, f"union_sequence member {j}", gate)
 
-    def stage_plus(k, r, d):
-        acc = None
-        for j in range(k + 1):
-            if j >= len(ops):
-                break
-            m = ops[j].plus(j + r + 1, unit(measure))
-            acc = m if acc is None else add(acc, m)
-        return acc
+    def stage(k, r, d):
+        members = [op.split(j + r + 1, unit(measure))[0]
+                   for j, op in enumerate(ops[:k + 1])]
+        return reduce(add, members), d
 
+    last = len(ops) - 1
     return ModulatedSequence(
-        stage_plus=stage_plus,
-        stage_minus=lambda k, r, d: d,
-        gamma=lambda t, r, d, w: len(ops) - 1,
+        stage=stage,
+        gamma=lambda t, r, d, w: last,
         measure=measure,
+        last=last,
     )
 
 
@@ -345,7 +352,8 @@ class LimitPlusMartingale(Martingale):
     Exact values take the modulus at face value (sound for the library's
     eventually-constant families).  Approximations also probe a couple of
     later stages and refuse to answer if they wander outside the promised
-    envelope.
+    envelope; stages past the sequence's `last` index are not probed,
+    since they are stage `last` again.
     """
 
     PROBES = 2
@@ -357,7 +365,7 @@ class LimitPlusMartingale(Martingale):
         self.measure = seq.measure
 
     def _stage(self, k: int) -> Martingale:
-        return self.seq.stage_plus(k, self.rr, self.d)
+        return self.seq.stage(k, self.rr, self.d)[0]
 
     def value(self, w: str) -> Fraction:
         k = self.seq.gamma(1, self.rr, self.d, w)
@@ -369,11 +377,11 @@ class LimitPlusMartingale(Martingale):
         k = self.seq.gamma(t + 1, self.rr, self.d, w)
         got = self._stage(k).approx(t + 1, w)
         envelope = Fraction(2, 2 ** t)  # 4 * 2^-(t+1)
-        for extra in range(1, self.PROBES + 1):
-            probe = self._stage(k + extra).approx(t + 1, w)
+        for j in range(k + 1, min(k + self.PROBES, self.seq.last) + 1):
+            probe = self._stage(j).approx(t + 1, w)
             if abs(probe.to_fraction() - got.to_fraction()) > envelope:
                 raise ModulusViolationError(
-                    f"stage {k + extra} at {w!r} is {probe}, "
+                    f"stage {j} at {w!r} is {probe}, "
                     f"outside the 2^-{t} envelope around {got}")
         return got.round_at(t)
 
@@ -383,12 +391,10 @@ class LimitMeasurement(SplittingOperator):
         self.seq = seq
         self.measure = seq.measure
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        return LimitPlusMartingale(self.seq, r + 1, d)
-
-    def minus(self, r: int, d: Martingale) -> Martingale:
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
         m = self.seq.gamma(r + 1, r + 1, d, "")
-        return self.seq.stage_minus(m, r + 1, d)
+        return (LimitPlusMartingale(self.seq, r + 1, d),
+                self.seq.stage(m, r + 1, d)[1])
 
 
 def limit_measurement(seq: ModulatedSequence) -> LimitMeasurement:
@@ -421,8 +427,8 @@ def capital_sum_check(phi: SplittingOperator, psi: SplittingOperator,
 def initial_capital_surplus(op: SplittingOperator, r: int,
                             d: Martingale) -> Fraction:
     """plus(λ) + minus(λ) - d(λ): axiom (iii) demands this <= 2**-r."""
-    return (op.plus(r, d).value("") + op.minus(r, d).value("")
-            - d.value(""))
+    plus, minus = op.split(r, d)
+    return plus.value("") + minus.value("") - d.value("")
 
 
 # ---------------------------------------------------------------------------

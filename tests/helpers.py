@@ -127,3 +127,31 @@ def build_table_martingale(rng: random.Random, nu, cond, depth: int,
 
     table = random_martingale_table(rng, cond, depth, jitter)
     return TableMartingale(table, depth, nu)
+
+
+def nesting_shapes(k: int) -> dict[str, tuple[str, Fraction]]:
+    """Set expressions with k nested cap/cup/limit forms (k even, k >= 2),
+    each with the measure of its set under the uniform measure."""
+    half = Fraction(1, 2)
+
+    def right(head):
+        return f"({head} (cyl 0) " * k + "(cyl 0)" + ")" * k
+
+    def left(head):
+        return f"({head} " * k + "(cyl 0)" + " (cyl 0))" * k
+
+    # E -> (compl (cap E (cyl 0))) turns 0... into 1..., then 1... into all
+    compl_cap = "(cyl 0)"
+    for _ in range(k):
+        compl_cap = f"(compl (cap {compl_cap} (cyl 0)))"
+    return {
+        "right-cup": (right("cup"), half),
+        "right-cap": (right("cap"), half),
+        "left-cup": (left("cup"), half),
+        "left-cap": (left("cap"), half),
+        "compl-cap": (compl_cap, half if k % 2 else Fraction(1)),
+        "limit": ("(limit " * k + "(cyl 0)" + " 0)" * k, half),
+        # (cup (cyl 1) E) is everything once E covers 0...
+        "limit-cup": ("(limit (cyl 0) (cup (cyl 1) " * (k // 2) + "(cyl 0)"
+                      + ") 1)" * (k // 2), Fraction(1)),
+    }

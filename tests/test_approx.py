@@ -96,9 +96,6 @@ def test_approx_on_grid_and_within_2_to_minus_r(kind, seed, path, r):
     assert abs(got.to_fraction() - d.value(path)) <= Fraction(1, 2 ** r)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a Sum term of a Sum is queried one bit finer but is only accurate to "
-    "that bit, so the outer rounding can land past 2^-r"))
 def test_nested_sum_approx_within_2_to_minus_r():
     rng = random.Random(5)
     for _ in range(300):

@@ -2,10 +2,13 @@
 
 import contextlib
 import io
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorbet.cli import run
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
@@ -15,6 +18,8 @@ from cantorbet.martingale import TableMartingale, add, dump_martingale
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
 )
+
+from helpers import nesting_shapes
 
 
 def cli(*argv):
@@ -197,16 +202,15 @@ def test_measure_value_of_deep_complement():
                "--precision", "4") == (0, "8/2^4\n", "")
 
 
-def _left_nested(head, k):
-    return f"({head} " * k + "(cyl 0)" + " (cyl 0))" * k
-
-
 def test_set_expression_nesting_bound():
-    # cap, cup and limit count toward the bound; compl does not (above)
-    assert cli("measure-value", "--expr", _left_nested("cap", MAX_NESTING),
-               "--measure", "uniform", "--precision", "4") == (0, "8/2^4\n", "")
+    # cap, cup and limit count toward the bound; compl does not (above).
+    # Every shape at the bound finishes with its exact value.
+    for name, (text, want) in nesting_shapes(MAX_NESTING).items():
+        assert cli("measure-value", "--expr", text, "--measure", "uniform",
+                   "--precision", "4") == (0, f"{want * 16}/2^4\n", ""), name
     for k in (MAX_NESTING + 1, 1000):
-        code, out, err = cli("measure-value", "--expr", _left_nested("cap", k),
+        text = nesting_shapes(k)["left-cap"][0]
+        code, out, err = cli("measure-value", "--expr", text,
                              "--measure", "uniform", "--precision", "4")
         assert (code, out) == (2, "")
         assert err.startswith("measure-value:") and err.count("\n") == 1
@@ -354,6 +358,96 @@ def test_zero_denominator_flag_is_a_usage_error():
     code, _, err = cli("rh", "--alpha", "1/0", "--s", "1", "--t", "1")
     assert code == 2
     assert "--alpha" in err and "Traceback" not in err
+
+
+# Set expressions as tuples: ("cyl", w), ("compl", E), ("cap", E, F),
+# ("cup", E, F) or ("limit", [E0, ..., En], K), with words of at most three
+# bits, so each set is a union of the eight 3-bit cylinders.
+
+_THREE_BITS = frozenset(format(i, "03b") for i in range(8))
+_ZERO_SHARE = {"uniform": Fraction(1, 2), "biased:3/8": Fraction(3, 8)}
+
+
+def _expressions(depth):
+    """Well-formed expressions nested at most `depth` forms deep."""
+    leaf = st.tuples(st.just("cyl"), st.text("01", max_size=3))
+    e = leaf
+    for _ in range(depth):
+        e = st.one_of(
+            leaf,
+            st.tuples(st.just("compl"), e),
+            st.tuples(st.sampled_from(["cap", "cup"]), e, e),
+            st.tuples(st.just("limit"), st.lists(e, min_size=1, max_size=3),
+                      st.integers(0, 3)),
+        )
+    return e
+
+
+def _text(e):
+    if e[0] == "cyl":
+        return f"(cyl {e[1] or '~'})"
+    if e[0] == "limit":
+        return "(limit " + " ".join(map(_text, e[1])) + f" {e[2]})"
+    return f"({e[0]} " + " ".join(map(_text, e[1:])) + ")"
+
+
+def _truth_table(e):
+    """The 3-bit strings whose cylinders lie in the set; a limit is its
+    stage K, or its last stage when there are fewer."""
+    head = e[0]
+    if head == "cyl":
+        return frozenset(s for s in _THREE_BITS if s.startswith(e[1]))
+    if head == "compl":
+        return _THREE_BITS - _truth_table(e[1])
+    if head == "limit":
+        return _truth_table(e[1][min(e[2], len(e[1]) - 1)])
+    left, right = _truth_table(e[1]), _truth_table(e[2])
+    return left & right if head == "cap" else left | right
+
+
+def _honest(e):
+    """Does every limit's family keep one set from its index K on?"""
+    if e[0] == "cyl":
+        return True
+    if e[0] == "limit":
+        later = {_truth_table(s) for s in e[1][min(e[2], len(e[1]) - 1):]}
+        return len(later) == 1 and all(map(_honest, e[1]))
+    return all(map(_honest, e[1:]))
+
+
+def _set_measure(e, spec):
+    p = _ZERO_SHARE[spec]
+    return sum((p ** s.count("0") * (1 - p) ** s.count("1")
+                for s in _truth_table(e)), Fraction(0))
+
+
+# cli() raises whatever escapes run(), so an uncaught exception, the only
+# source of a traceback, fails these tests
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(e=_expressions(6), spec=st.sampled_from(sorted(_ZERO_SHARE)),
+       r=st.integers(0, 10))
+def test_generated_set_expressions_keep_the_contract(e, spec, r):
+    code, out, err = cli("measure-value", "--expr", _text(e),
+                         "--measure", spec, "--precision", str(r))
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if _honest(e):
+        assert code == 0, err
+        m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?\n", out)
+        got = Fraction(int(m.group(1)), 2 ** int(m.group(2) or 0))
+        assert abs(got - _set_measure(e, spec)) <= Fraction(1, 2 ** r)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(e=_expressions(6), data=st.data())
+def test_mutated_set_expressions_keep_the_contract(e, data):
+    text = _text(e)
+    i = data.draw(st.integers(0, len(text)), label="cut from")
+    j = data.draw(st.integers(i, len(text)), label="cut to")
+    patch = data.draw(st.text("() 01~-9acilmnoptuy\u00e9", max_size=8),
+                      label="patch")
+    code, _, err = cli("measure-value", "--expr", text[:i] + patch + text[j:],
+                       "--measure", "uniform", "--precision", "6")
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 def test_unknown_verb_is_usage_error():

@@ -4,6 +4,7 @@ machinery, modulated limits, and value extraction."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,13 +19,16 @@ from cantorbet.measure import (
 )
 from cantorbet.martingale import unit, add, covers, regularize
 from cantorbet.splitting import (
-    CylinderNull, CylinderPos, cylinder, complement, intersect_union,
-    complete_null, union_sequence, modulated, limit_measurement, measure_value,
-    capital_sum_check, initial_capital_surplus, parse_operator,
-    IndicatorMartingale, SplittingOperator,
+    Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
+    cylinder, complement, intersect_union, complete_null, union_sequence,
+    modulated, limit_measurement, measure_value, capital_sum_check,
+    initial_capital_surplus, parse_operator, IndicatorMartingale,
+    SplittingOperator,
 )
 
-from helpers import random_conditionals, build_measure, build_table_martingale
+from helpers import (
+    random_conditionals, build_measure, build_table_martingale, nesting_shapes,
+)
 
 
 def null_measure():
@@ -151,8 +155,8 @@ def test_complement_preserves_axiom_iii():
 # ---------------------------------------------------------------------------
 
 def test_theta_values():
-    """The sign-composition components theta^{ab} = psi^b(phi^a): cap's
-    plus is ++ alone, cup's minus is -- alone, cap's minus the other three."""
+    """The two-term components: cap's plus is psi+(phi+) alone, cup's minus
+    is psi-(phi-) alone, and cap's minus is phi- + psi-(phi+)."""
     mu = uniform()
     c0 = CylinderPos("0", mu)
     c1 = CylinderPos("1", mu)
@@ -190,19 +194,30 @@ def test_intersect_union_validation():
 
 
 class CountingOperator(SplittingOperator):
-    """Returns its input unchanged and counts plus and minus calls."""
+    """Splits its input into two copies of itself and counts the splits."""
 
     def __init__(self, nu):
         self.measure = nu
-        self.calls = {"plus": 0, "minus": 0}
+        self.calls = 0
 
-    def plus(self, r, d):
-        self.calls["plus"] += 1
-        return d
+    def split(self, r, d):
+        self.calls += 1
+        return d, d
 
-    def minus(self, r, d):
-        self.calls["minus"] += 1
-        return d
+
+def test_operator_classes_own_their_views():
+    # tools look plus and minus up in each class's own namespace
+    for cls in (CylinderNull, CylinderPos, Complement, IntersectUnion,
+                LimitMeasurement, CountingOperator):
+        assert {"plus", "minus", "split"} <= set(vars(cls)), cls
+
+    class OwnPlus(CountingOperator):
+        def plus(self, r, d):
+            return "own"
+
+    op = OwnPlus(uniform())
+    assert op.plus(1, unit(op.measure)) == "own"
+    assert op.minus(1, unit(op.measure)) is not None
 
 
 def test_intersect_union_applies_phi_once_per_sign():
@@ -211,8 +226,45 @@ def test_intersect_union_applies_phi_once_per_sign():
         for side in ("plus", "minus"):
             phi, psi = CountingOperator(mu), CountingOperator(mu)
             getattr(intersect_union(phi, psi, which), side)(3, unit(mu))
-            assert phi.calls["plus"] <= 1, (which, side)
-            assert phi.calls["minus"] <= 1, (which, side)
+            assert (phi.calls, psi.calls) == (1, 1), (which, side)
+
+
+def count_splits(op, r):
+    """measure_value(op, r) and the number of `split` applications it made.
+
+    A profile hook counts them, so the count adds no Python frame per
+    nesting level and deep shapes stay within the default recursion limit.
+    """
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "split":
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        value = measure_value(op, r)
+    finally:
+        sys.setprofile(None)
+    return value, calls
+
+
+def test_nesting_costs_linear_operator_applications():
+    # cup, cap and compl shapes apply each operator a bounded number of
+    # times; a limit's minus half builds its stage eagerly, so nested limits
+    # may cost O(k) applications per level.  Each doubling is checked as it
+    # completes, so a shape that grows exponentially fails at small k.
+    mu = uniform()
+    for name in nesting_shapes(2):
+        growth = 4.4 if name.startswith("limit") else 2.2
+        row = []
+        for k in (4, 8, 16, 32, 64, 128, 256):
+            text, want = nesting_shapes(k)[name]
+            value, calls = count_splits(parse_operator(text, mu), 4)
+            assert value.to_fraction() == want, (name, k)
+            row.append(calls)
+            assert len(row) == 1 or calls <= growth * row[-2], (name, row)
 
 
 def test_cap_cup_cylinder_values():
@@ -312,12 +364,12 @@ def test_union_sequence_bounds():
     one = unit(nu)
     prev = Fraction(0)
     for k in range(6):
-        plus = seq.stage_plus(k, 3, one)
+        plus, minus = seq.stage(k, 3, one)
+        assert minus is one
         v = plus.value("")
         assert v <= Fraction(1, 2 ** 3)
         assert v >= prev
         prev = v
-    assert seq.stage_minus(2, 3, one) is one
 
 
 def test_union_sequence_gate():
