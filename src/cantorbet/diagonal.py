@@ -5,8 +5,11 @@ iterating it from the empty string pins down a single infinite sequence.
 `diagonalize` turns a martingale into the constructor that first rushes
 through a designated cylinder and afterwards always walks into the child
 the (approximated) martingale values less — dodging the bettor's capital.
+Each such step asks for both children at once (`approx_children`), which
+a regularized martingale answers from one path scan.
 `conservation_check` runs that walk for finitely many steps and reports
-the capital trajectory, witnessing that it never climbs back to 1.
+the capital it compared at each step, witnessing that it never climbs
+back to 1.
 """
 
 from __future__ import annotations
@@ -68,12 +71,16 @@ def diagonalize(d: Martingale, m: int, w: str) -> Constructor:
     def step(x: str) -> str:
         if is_prefix(x, w) and len(x) < len(w):
             return w
-        a = query_precision(x, m)
-        if d.approx(a, x + "0") <= d.approx(a, x + "1"):
-            return x + "0"
-        return x + "1"
+        return x + _cheaper_child(d, m, x)[0]
 
     return Constructor(step)
+
+
+def _cheaper_child(d: Martingale, m: int, x: str) -> tuple[str, Dyadic]:
+    """The bit of the child of x that d values less at the step's
+    precision, and that approximation; ties go to 0."""
+    c0, c1 = d.approx_children(query_precision(x, m), x)
+    return ("0", c0) if c0 <= c1 else ("1", c1)
 
 
 def capital_margin(d: Martingale, w: str) -> int:
@@ -116,9 +123,12 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
     """Walk the diagonalized sequence and certify the capital stays < 1.
 
     Requires d(root) < nu(w) exactly; that is the regime in which the
-    walk provably escapes the bettor.  Each report line shows the bit
-    taken and the capital approximation at the precision the walk
-    itself used at that step.
+    walk provably escapes the bettor.  The walk runs once: inside w each
+    step takes w's next bit and asks for that child's approximation;
+    past w it compares both children from one `approx_children` query.
+    Each report line shows the bit taken and the approximation the walk
+    itself compared (or asked for), at the step's precision.  The walk
+    stops at the first step whose exact capital reaches 1.
     """
     validate_string(w)
     if depth < 0:
@@ -130,17 +140,21 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
         raise PreconditionError(
             "initial capital must be strictly below the cylinder mass")
 
-    bits = result_prefix(diagonalize(d, m, w), depth)
+    x = ""
     steps = []
     peak = d.value("")
     for i in range(depth):
-        prefix = bits[: i + 1]
-        a = query_precision(bits[:i], m)
-        exact = d.value(prefix)
+        if i < len(w):
+            bit = w[i]
+            capital = d.approx(query_precision(x, m), x + bit)
+        else:
+            bit, capital = _cheaper_child(d, m, x)
+        x += bit
+        exact = d.value(x)
         peak = max(peak, exact)
         if exact >= 1:
             raise PreconditionError(
                 f"capital reached 1 at step {i}; the margin index {m} "
                 "is too small for this martingale")
-        steps.append(TrajectoryStep(i, bits[i], d.approx(a, prefix)))
-    return ConservationReport(bits, tuple(steps), peak)
+        steps.append(TrajectoryStep(i, bit, capital))
+    return ConservationReport(x, tuple(steps), peak)

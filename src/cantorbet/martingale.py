@@ -60,6 +60,12 @@ class Martingale:
             raise DomainError("precision must be >= 0")
         return frac_round_at(self.value(w), r)
 
+    def approx_children(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
+        """Both children's approximations, ``(approx(r, x + "0"),
+        approx(r, x + "1"))``; a subclass that can share the work between
+        the two overrides this."""
+        return self.approx(r, x + "0"), self.approx(r, x + "1")
+
 
 def _compatible(a: ProbabilityMeasure | None, b: ProbabilityMeasure | None):
     if a is None:
@@ -283,11 +289,28 @@ class RegularizedMartingale(Martingale):
         per-level rounding, so the final answer is within 2**-r.  Masses
         are compared against the witness threshold exactly — for a weakly
         positive measure that test recognizes null and degenerate splits
-        precisely.
+        precisely.  A non-empty w is one child of the scan of its parent.
         """
         if r < 0:
             raise DomainError("precision must be >= 0")
         validate_string(w)
+        if not w:  # the base's root value at q = r + 3 + (3 * 2).bit_length()
+            return frac_round_at(self.base.approx(r + 6, "").to_fraction(), r)
+        return self._scan(r, w[:-1])[int(w[-1])]
+
+    def approx_children(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
+        if r < 0:
+            raise DomainError("precision must be >= 0")
+        validate_string(x)
+        return self._scan(r, x)
+
+    def _scan(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
+        """approx(r, x + "0") and approx(r, x + "1") from one path scan.
+
+        The two children read the same splits, x's own included, so they
+        share the slope budget, the working precision q, the rounding pass
+        down to x and the last transfer; only the final pick differs.
+        """
         nu = self._nu
         # One scan reads each split once: the slope budget counts the splits
         # the exact test finds nondegenerate, and `weights` holds alpha, or
@@ -295,8 +318,8 @@ class RegularizedMartingale(Martingale):
         weights = []
         slope = 0
         mp = nu.mass("")
-        for i, b in enumerate(w):
-            m0 = nu.mass(w[:i] + "0")
+        for i in range(len(x) + 1):
+            m0 = nu.mass(x[:i] + "0")
             m1 = mp - m0           # masses are additive
             alpha = _weight(mp, m0)
             if alpha is not None:
@@ -304,16 +327,24 @@ class RegularizedMartingale(Martingale):
             thr = nu.witness.threshold(i + 1)
             live = mp >= nu.witness.threshold(i) and m0 >= thr and m1 >= thr
             weights.append(alpha if live else None)
-            mp = m0 if b == "0" else m1
-        q = r + 3 + slope + (3 * (len(w) + 2)).bit_length()
-        cur = self.base.approx(q, "").to_fraction()
+            if i < len(x):
+                mp = m0 if x[i] == "0" else m1
+        q = r + 3 + slope + (3 * (len(x) + 3)).bit_length()
+        # `dp` is the base at the current node, or None where the level
+        # above was degenerate and so did not ask the base for it.
+        dp = cur = self.base.approx(q, "").to_fraction()
         for i, alpha in enumerate(weights):
             if alpha is None:
-                continue  # degenerate: the child inherits the parent value
-            p = w[:i]
-            dp = self.base.approx(q, p).to_fraction()
-            g0 = cur - dp + self.base.approx(q, p + "0").to_fraction()
-            g1 = cur - dp + self.base.approx(q, p + "1").to_fraction()
+                # degenerate: the children inherit the parent value
+                dp = None
+                pair = (cur, cur)
+                continue
+            p = x[:i]
+            if dp is None:
+                dp = self.base.approx(q, p).to_fraction()
+            b0, b1 = (v.to_fraction() for v in self.base.approx_children(q, p))
+            g0 = cur - dp + b0
+            g1 = cur - dp + b1
             if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:
                 # Rounding can push the pair out of the transfer domain,
                 # the quadrant g >= 0 joined with the half-plane mean >= 1.
@@ -331,8 +362,14 @@ class RegularizedMartingale(Martingale):
                 else:
                     g0 = g1 = Fraction(1)
             pair = robin_hood_exact(alpha, g0, g1)
-            cur = frac_round_at(pair[int(w[i])], q).to_fraction()
-        return frac_round_at(cur, r)
+            if i == len(x):
+                pair = [frac_round_at(v, q).to_fraction() for v in pair]
+            else:
+                # The base at the child taken is the next level's parent.
+                bit = int(x[i])
+                cur = frac_round_at(pair[bit], q).to_fraction()
+                dp = (b0, b1)[bit]
+        return frac_round_at(pair[0], r), frac_round_at(pair[1], r)
 
 
 def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:

@@ -96,6 +96,20 @@ def test_approx_on_grid_and_within_2_to_minus_r(kind, seed, path, r):
     assert abs(got.to_fraction() - d.value(path)) <= Fraction(1, 2 ** r)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       path=st.text(alphabet="01", max_size=12),
+       r=st.integers(0, 24))
+def test_approx_children_equals_two_single_queries(kind, seed, path, r):
+    # table measures have degenerate splits, and paths run below the table
+    d = _build(kind, random.Random(seed))
+    pair = d.approx_children(r, path)
+    singles = (d.approx(r, path + "0"), d.approx(r, path + "1"))
+    assert [(c.mantissa, c.precision) for c in pair] == \
+        [(c.mantissa, c.precision) for c in singles]
+
+
 def test_nested_sum_approx_within_2_to_minus_r():
     rng = random.Random(5)
     for _ in range(300):

@@ -10,7 +10,7 @@ import pytest
 from cantorbet.core import Dyadic, strings_of_length
 from cantorbet.errors import DomainError, MeasureMismatchError, PreconditionError
 from cantorbet.martingale import (
-    ConstantMartingale, Martingale, TableMartingale, unit,
+    ConstantMartingale, Martingale, TableMartingale, regularize, unit,
 )
 from cantorbet.measure import biased, uniform
 from cantorbet.diagonal import (
@@ -255,3 +255,49 @@ def test_conservation_random_martingales():
                                 for k in range(14)]
         for k in range(len(w), 14):
             assert caps[k + 1] <= caps[k] + Fraction(1, 2 ** (k + m + 1))
+
+
+def test_conservation_scans_once_per_step():
+    # Each step asks the regularized martingale for one scan, and every
+    # scan asks the base for the root once: inside w for the child taken,
+    # past w for both children.
+    rng = random.Random(31)
+    for _ in range(8):
+        depth = rng.randrange(2, 5)
+        cond = random_conditionals(rng, depth)
+        nu = build_measure(cond, depth)
+        raw = build_table_martingale(rng, nu, cond, depth)
+        table = {w: v * Dyadic(1, 2) for w, v in raw.table.items()}
+        base = TableMartingale(table, depth, nu)
+        heavy = max(["0", "1"], key=lambda b: nu.mass(b).to_fraction())
+        w = heavy[:rng.randrange(2)]
+        rec = RecordingMartingale(base)
+        lam = regularize(rec, nu)
+        m = capital_margin(lam, w)
+        steps = 12
+        rep = conservation_check(lam, nu, w, m, steps)
+        assert sum(1 for _, v in rec.calls if v == "") == steps
+        fresh = regularize(base, nu)
+        for s in rep.steps:
+            prefix = rep.prefix[: s.index + 1]
+            want = fresh.approx(query_precision(prefix[:-1], m), prefix)
+            assert (s.capital.mantissa, s.capital.precision) == \
+                (want.mantissa, want.precision)
+
+
+def test_conservation_stops_at_the_first_step_reaching_one():
+    # At margin 0 the walk's roundings tie at every step, so it takes the
+    # 0 side; capital 63/64 at 00 still fits, and 000 reaches 1 at step 2.
+    t = {"": Dyadic(235, 8), "0": Dyadic(123, 7), "1": Dyadic(7, 3),
+         "00": Dyadic(63, 6), "01": Dyadic(15, 4),
+         "000": Dyadic(1, 0), "001": Dyadic(31, 5)}
+    for n in range(3):
+        for v in strings_of_length(n):
+            for b in "01":
+                t.setdefault(v + b, t[v])
+    mu = uniform()
+    rec = RecordingMartingale(TableMartingale(t, 3, mu))
+    with pytest.raises(PreconditionError, match="at step 2;"):
+        conservation_check(rec, mu, "", 0, 8)
+    assert rec.calls
+    assert max(len(v) for _, v in rec.calls) == 3

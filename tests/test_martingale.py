@@ -257,6 +257,17 @@ def test_regularize_approx_on_pinned_capital():
                 assert abs(got - lam.value(w)) <= Fraction(1, 2 ** r), (w, r)
 
 
+def test_regularize_approx_children_on_pinned_capital():
+    d = load_martingale(PINNED_TABLE)
+    lam = regularize(d, d.measure)
+    for x in ("", "0", "00", "01", "1", "0010"):
+        for r in range(14):
+            pair = lam.approx_children(r, x)
+            singles = (lam.approx(r, x + "0"), lam.approx(r, x + "1"))
+            assert [(c.mantissa, c.precision) for c in pair] == \
+                [(c.mantissa, c.precision) for c in singles], (x, r)
+
+
 def test_regularize_approx_copies_splits_below_the_witness_threshold():
     # The witness promises every nonzero mass at depth 1 is at least 1/2,
     # but mass("0") is 1/4: the exact route transfers at the root, while the
