@@ -15,7 +15,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .core import bton, frac_round_at, ntob, pred, read_word, show_word, succ
+from .core import (
+    Dyadic, bton, frac_round_at, ntob, pred, read_word, show_int, show_word,
+    succ,
+)
 from .diagonal import capital_margin, conservation_check
 from .errors import CantorbetError, DomainError, ParseError, ResourceError
 from .funalg import (
@@ -39,12 +42,9 @@ __all__ = ["build_parser", "run", "main"]
 
 def _show_fraction(q: Fraction) -> str:
     """Integers plainly, dyadics as m/2^k, anything else as num/den."""
-    d = q.denominator
-    if d == 1:
-        return str(q.numerator)
-    if d & (d - 1) == 0:
-        return f"{q.numerator}/2^{d.bit_length() - 1}"
-    return f"{q.numerator}/{d}"
+    if q.denominator & (q.denominator - 1):
+        return f"{show_int(q.numerator)}/{show_int(q.denominator)}"
+    return Dyadic.from_fraction(q).render()
 
 
 def _read_file(path: str) -> str:
@@ -139,7 +139,7 @@ def _cmd_secpoly_eval(ns) -> int:
     poly = parse_secpoly(ns.poly)
     lengths = [restricted_length(f, ns.radius)
                for f in _load_oracles(ns.oracle)]
-    print(eval_secpoly(poly, lengths, ns.n))
+    print(show_int(eval_secpoly(poly, lengths, ns.n)))
     return 0
 
 
@@ -207,7 +207,7 @@ def _cmd_diagonalize(ns) -> int:
 
 def _cmd_enumerate(ns) -> int:
     if ns.index is not None:
-        print(bton(read_word(ns.index)))
+        print(show_int(bton(read_word(ns.index))))
     elif ns.word is not None:
         print(show_word(ntob(ns.word)))
     elif ns.next is not None:

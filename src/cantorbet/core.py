@@ -15,10 +15,11 @@ enumeration with bton('') == 0.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .config import check_magnitude
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 __all__ = [
     "Dyadic",
@@ -26,6 +27,7 @@ __all__ = [
     "ONE",
     "HALF",
     "parse_dyadic",
+    "show_int",
     "frac_round_at",
     "as_fraction",
     "bton",
@@ -200,14 +202,14 @@ class Dyadic:
         """
         if precision is None:
             if self.precision == 0:
-                return str(self.mantissa)
-            return f"{self.mantissa}/2^{self.precision}"
+                return show_int(self.mantissa)
+            return f"{show_int(self.mantissa)}/2^{self.precision}"
         if precision == 0:
-            return str(self.mantissa_at(0))
-        return f"{self.mantissa_at(precision)}/2^{precision}"
+            return show_int(self.mantissa_at(0))
+        return f"{show_int(self.mantissa_at(precision))}/2^{precision}"
 
     def __repr__(self):
-        return f"Dyadic({self.mantissa}, {self.precision})"
+        return f"Dyadic({show_int(self.mantissa)}, {self.precision})"
 
     def __str__(self):
         return self.render()
@@ -224,6 +226,17 @@ def _coerce(x):
 ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
 HALF = Dyadic(1, 1)
+
+
+def show_int(n: int) -> str:
+    """Decimal text of n; ResourceError past the interpreter's limit on
+    converting integers to text, sys.get_int_max_str_digits()."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ResourceError(
+            f"an integer of {n.bit_length()} bits has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def parse_dyadic(text: str) -> Dyadic:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Dyadic, validate_string, is_prefix
+from .core import Dyadic, is_prefix, show_int, validate_string
 from .errors import DomainError, MeasureMismatchError, PreconditionError
 from .martingale import Martingale
 from .measure import ProbabilityMeasure
@@ -105,7 +105,7 @@ class TrajectoryStep:
 
     def render(self) -> str:
         return (f"{self.index} {self.bit} "
-                f"{self.capital.mantissa} {self.capital.precision}")
+                f"{show_int(self.capital.mantissa)} {self.capital.precision}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .config import MAX_NESTING, check_magnitude
 from .core import (
-    bton, growth, ntob, pred, read_word, show_word, smash, succ,
+    bton, growth, ntob, pred, read_word, show_int, show_word, smash, succ,
     validate_string,
 )
 from .errors import (
@@ -1002,7 +1002,8 @@ class BoundReport:
     def render(self) -> str:
         flag = "within" if self.within else "VIOLATED"
         return (f"steps={self.steps} max_len={self.max_len} "
-                f"allowed={self.allowed} radius={self.radius} {flag}")
+                f"allowed={show_int(self.allowed)} radius={self.radius} "
+                f"{flag}")
 
 
 def restricted_length(f: Oracle, radius: int):

@@ -44,7 +44,7 @@ __all__ = [
     "complete_null",
     "union_sequence",
     "modulated",
-    "limit_measurement",
+    "LimitMeasurement",
     "measure_value",
     "capital_sum_check",
     "initial_capital_surplus",
@@ -262,84 +262,72 @@ def _require_null(op: SplittingOperator, what: str,
             f"{what}: operator value {v} at precision {gate} is not null")
 
 
+class CompleteNull(SplittingOperator):
+    """Measurement of an arbitrary subset of the null set `op` measures: op's
+    plus half restarted from the unit martingale, and the input itself."""
+
+    def __init__(self, op: SplittingOperator):
+        self.op = op
+        self.measure = op.measure
+
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+        return self.op.split(r, unit(self.measure))[0], d
+
+
 def complete_null(op: SplittingOperator,
-                  gate: int = NULL_GATE_PRECISION) -> SplittingOperator:
-    """Measurement of an arbitrary subset of a null set."""
+                  gate: int = NULL_GATE_PRECISION) -> CompleteNull:
     _require_null(op, "complete_null", gate)
-    nu = op.measure
+    return CompleteNull(op)
 
-    class _Sub(SplittingOperator):
-        measure = nu
 
-        def split(self, r: int, d: Martingale):
-            return op.split(r, unit(nu))[0], d
+class NullUnion(SplittingOperator):
+    """Union of finitely many null sets: member j restarts from the unit
+    martingale at precision j+r+1, the plus half is their sum and the minus
+    half is the input itself."""
 
-    return _Sub()
+    def __init__(self, members):
+        self.members = tuple(members)
+        self.measure = self.members[0].measure
+
+    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+        return reduce(add, [op.split(j + r + 1, unit(self.measure))[0]
+                            for j, op in enumerate(self.members)]), d
 
 
 class ModulatedSequence:
-    """A measurement sequence with a convergence modulus.
+    """A measurement sequence with a constant convergence modulus: the
+    operators `stages` E_0 ... E_n, every one from index `k` <= n on the
+    same measurement, so the plus values sit at their limit from stage k.
+    Stages past n repeat E_n."""
 
-    stage(k, r, d) gives the k-th stage's (plus, minus) pair; gamma(t,r,d,w)
-    returns an index from which the plus values at w sit within 2**-t of
-    their limit.  The library ships eventually-constant families, whose
-    modulus is a constant; every stage from index `last` on is the same
-    measurement as stage `last`.
-    """
-
-    def __init__(self, stage, gamma, measure, last):
-        self.stage = stage
-        self.gamma = gamma
-        self.measure = measure
-        self.last = last
+    def __init__(self, stages: tuple, k: int):
+        self.stages = stages
+        self.k = k
+        self.measure = stages[0].measure
 
 
 def modulated(operators, gamma: int | None = None) -> ModulatedSequence:
-    """Eventually-constant family: stages clamp to the last operator."""
-    ops = list(operators)
+    """Eventually-constant family, constant from index `gamma` (default:
+    the last operator)."""
+    ops = tuple(operators)
     if not ops:
         raise DomainError("modulated family must have at least one stage")
-    measure = ops[0].measure
     for op in ops[1:]:
-        _same_measure(measure, op.measure)
+        _same_measure(ops[0].measure, op.measure)
+    if gamma is not None and gamma < 0:
+        raise DomainError("modulus index must be >= 0")
     last = len(ops) - 1
-    const_from = last if gamma is None else gamma
-    return ModulatedSequence(
-        stage=lambda k, r, d: ops[min(k, last)].split(r, d),
-        gamma=lambda t, r, d, w: const_from,
-        measure=measure,
-        last=last,
-    )
+    return ModulatedSequence(ops, last if gamma is None else min(gamma, last))
 
 
 def union_sequence(operators,
                    gate: int = NULL_GATE_PRECISION) -> ModulatedSequence:
-    """Union of a (finite, hence eventually-empty) family of null sets.
-
-    Stage k's plus component restarts each member measurement from the unit
-    martingale at precision j+r+1 and adds them up; the minus component is
-    the input itself.  Members past the end of the list contribute nothing.
-    """
-    ops = list(operators)
-    if not ops:
-        raise DomainError("union family must have at least one member")
-    measure = ops[0].measure
+    """Union of a (finite, hence eventually-empty) family of null sets:
+    stage j is the `NullUnion` of members 0 ... j."""
+    ops = modulated(operators).stages
     for j, op in enumerate(ops):
-        _same_measure(measure, op.measure)
         _require_null(op, f"union_sequence member {j}", gate)
-
-    def stage(k, r, d):
-        members = [op.split(j + r + 1, unit(measure))[0]
-                   for j, op in enumerate(ops[:k + 1])]
-        return reduce(add, members), d
-
-    last = len(ops) - 1
-    return ModulatedSequence(
-        stage=stage,
-        gamma=lambda t, r, d, w: last,
-        measure=measure,
-        last=last,
-    )
+    return modulated(NullUnion(ops[:j + 1]) for j in range(len(ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,38 +335,30 @@ def union_sequence(operators,
 # ---------------------------------------------------------------------------
 
 class LimitPlusMartingale(Martingale):
-    """The limit of the stage plus-components, queried through the modulus.
+    """The limit of the stage plus halves, read through the modulus.
 
-    Exact values take the modulus at face value (sound for the library's
-    eventually-constant families).  Approximations also probe a couple of
-    later stages and refuse to answer if they wander outside the promised
-    envelope; stages past the sequence's `last` index are not probed,
-    since they are stage `last` again.
+    `halves` are the plus halves of stages k, k+1, ...  Exact values take
+    the modulus at face value and read stage k (sound for the library's
+    eventually-constant families).  Approximations also check the later
+    halves and refuse to answer if they wander outside the promised
+    envelope.
     """
 
-    PROBES = 2
-
-    def __init__(self, seq: ModulatedSequence, rr: int, d: Martingale):
-        self.seq = seq
-        self.rr = rr
-        self.d = d
-        self.measure = seq.measure
-
-    def _stage(self, k: int) -> Martingale:
-        return self.seq.stage(k, self.rr, self.d)[0]
+    def __init__(self, halves, k: int, measure: ProbabilityMeasure):
+        self.halves = halves
+        self.k = k
+        self.measure = measure
 
     def value(self, w: str) -> Fraction:
-        k = self.seq.gamma(1, self.rr, self.d, w)
-        return self._stage(k).value(w)
+        return self.halves[0].value(w)
 
     def approx(self, t: int, w: str) -> Dyadic:
         if t < 0:
             raise DomainError("precision must be >= 0")
-        k = self.seq.gamma(t + 1, self.rr, self.d, w)
-        got = self._stage(k).approx(t + 1, w)
+        got = self.halves[0].approx(t + 1, w)
         envelope = Fraction(2, 2 ** t)  # 4 * 2^-(t+1)
-        for j in range(k + 1, min(k + self.PROBES, self.seq.last) + 1):
-            probe = self._stage(j).approx(t + 1, w)
+        for j, half in enumerate(self.halves[1:], self.k + 1):
+            probe = half.approx(t + 1, w)
             if abs(probe.to_fraction() - got.to_fraction()) > envelope:
                 raise ModulusViolationError(
                     f"stage {j} at {w!r} is {probe}, "
@@ -387,18 +367,23 @@ class LimitPlusMartingale(Martingale):
 
 
 class LimitMeasurement(SplittingOperator):
+    """Limit of a modulated sequence: stage k and up to PROBES later stages
+    (never past the last) are split once each, at precision r+1; the plus
+    half is the limit of their plus halves, the minus half stage k's."""
+
+    PROBES = 2
+
     def __init__(self, seq: ModulatedSequence):
         self.seq = seq
         self.measure = seq.measure
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        m = self.seq.gamma(r + 1, r + 1, d, "")
-        return (LimitPlusMartingale(self.seq, r + 1, d),
-                self.seq.stage(m, r + 1, d)[1])
-
-
-def limit_measurement(seq: ModulatedSequence) -> LimitMeasurement:
-    return LimitMeasurement(seq)
+        k = self.seq.k
+        pairs = [op.split(r + 1, d)
+                 for op in self.seq.stages[k:k + self.PROBES + 1]]
+        return (LimitPlusMartingale([plus for plus, _ in pairs], k,
+                                    self.measure),
+                pairs[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +473,7 @@ def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
             raise ParseError(f"bad limit index {items[-1]!r}") from None
         if k < 0:
             raise ParseError("limit index must be >= 0")
-        return limit_measurement(modulated(_operands(items[1:-1]), k))
+        return LimitMeasurement(modulated(_operands(items[1:-1]), k))
     raise ParseError(f"unknown operator head {head!r}")
 
 

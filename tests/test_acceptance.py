@@ -23,7 +23,7 @@ from cantorbet.martingale import TableMartingale, add, is_regular, regularize, u
 from cantorbet.measure import biased, uniform
 from cantorbet.realfun import absolute_value, robin_hood_exact
 from cantorbet.splitting import (
-    complement, cylinder, intersect_union, limit_measurement, measure_value,
+    LimitMeasurement, complement, cylinder, intersect_union, measure_value,
     modulated,
 )
 
@@ -355,7 +355,7 @@ def test_criterion_12_limit_of_union():
     stages = [cylinder("000", nu)]
     stages.append(intersect_union(stages[0], cylinder("001", nu), "cup"))
     stages.append(intersect_union(stages[1], cylinder("01", nu), "cup"))
-    lim = limit_measurement(modulated(stages))
+    lim = LimitMeasurement(modulated(stages))
     failures, checked = [], 0
     for r in range(9):
         got = measure_value(lim, r)

@@ -336,6 +336,33 @@ def test_magnitude_cap_is_exit_three(small_oracle):
         set_magnitude_cap(None)
 
 
+# Python refuses to write an integer of more than sys.get_int_max_str_digits()
+# decimal digits (4300 by default); 20000 bits is about 6000 digits
+_WIDE = "20000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure-cylinder", "--w", "0", "--measure", "uniform",
+     "--precision", _WIDE],
+    ["measure-value", "--expr", "(cyl 0)", "--measure", "uniform",
+     "--precision", _WIDE],
+    ["regularize", "--file", "MG", "--w", "01", "--precision", _WIDE],
+    ["combine", "--file", "MG", "--file", "MG", "--w", "0",
+     "--precision", _WIDE],
+    ["rh", "--alpha", "1/2", "--s", "3", "--t", "1", "--precision", _WIDE],
+    ["enumerate", "--index", "1" * 15000],
+    ["secpoly-eval", "--poly", "g1(g1(g1(g1(n1))))", "--n", str(10 ** 300)],
+    ["check-bound", "--term", "(proj 0)", "--arg", "0101010101",
+     "--poly", "g1(" * 13 + "n1" + ")" * 13],
+], ids=lambda argv: argv[0])
+def test_too_many_decimal_digits_is_exit_three(good_mg, argv):
+    argv = [good_mg if a == "MG" else a for a in argv]
+    code, out, err = cli(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
+    assert "decimal digits" in err
+
+
 def test_non_ascii_file_is_a_parse_error(tmp_path):
     f = tmp_path / "t.term"
     f.write_bytes("(succ \u00e9)\n".encode("utf-8"))
@@ -448,6 +475,60 @@ def test_mutated_set_expressions_keep_the_contract(e, data):
     code, _, err = cli("measure-value", "--expr", text[:i] + patch + text[j:],
                        "--measure", "uniform", "--precision", "6")
     assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+# Valid measure, martingale and oracle files, and the verbs that load each
+# ("FILE" stands for its path).  The mutation tests below cut a piece out
+# of one and insert format tokens; every outcome must keep the contract.
+_FILE_INPUTS = {
+    "measure": (
+        "measure depth=2 ext=copy\n~ 1 0\n0 3 2\n1 1 2\n"
+        "00 3 3\n01 3 3\n10 1 4\n11 3 4\nl poly 4 2\n",
+        [["measure-cylinder", "--w", "011", "--measure", "FILE",
+          "--precision", "6"]]),
+    "martingale": (
+        "martingale measure=uniform depth=2\n~ 1 2\n0 3 3\n1 1 3\n"
+        "00 1 1\n01 1 2\n10 1 3\n11 1 3\n",
+        [["regularize", "--file", "FILE", "--w", "011", "--precision", "6"],
+         ["diagonalize", "--file", "FILE", "--w", "0", "--depth", "4"],
+         ["verify-martingale", "--file", "FILE"]]),
+    "oracle": (
+        "~ 11\n0 10110\n01 1\ndefault 0\n",
+        [["length", "--oracle", "FILE", "--x", "0101"]]),
+}
+_FILE_TOKENS = ["~", "0", "1", "01", "-1", "3", "1/3", "2^", "=", "#", " ",
+                "\n", "depth=", "measure=", "ext=", "half", "copy", "l",
+                "poly", "default", "martingale", "measure", "uniform",
+                "biased:3/8", "99", "\u00e9"]
+
+
+def _run_on_file(path, text, argv):
+    path.write_text(text, encoding="utf-8")
+    return cli(*[str(path) if a == "FILE" else a for a in argv])
+
+
+@pytest.mark.parametrize("kind", sorted(_FILE_INPUTS))
+def test_file_inputs_are_valid(tmp_path, kind):
+    text, verbs = _FILE_INPUTS[kind]
+    for argv in verbs:
+        code, out, err = _run_on_file(tmp_path / kind, text, argv)
+        assert (code, err) == (0, ""), argv
+
+
+# A guard: no mutated file is known to break the contract
+@pytest.mark.parametrize("kind", sorted(_FILE_INPUTS))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_files_keep_the_contract(tmp_path_factory, kind, data):
+    text, verbs = _FILE_INPUTS[kind]
+    i = data.draw(st.integers(0, len(text)), label="cut from")
+    j = data.draw(st.integers(i, len(text)), label="cut to")
+    patch = data.draw(st.lists(st.sampled_from(_FILE_TOKENS), max_size=4)
+                      .map("".join), label="patch")
+    path = tmp_path_factory.getbasetemp() / f"mutated-{kind}"
+    for argv in verbs:
+        code, _, err = _run_on_file(path, text[:i] + patch + text[j:], argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err, argv
 
 
 def test_unknown_verb_is_usage_error():

@@ -3,6 +3,7 @@ machinery, modulated limits, and value extraction."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from cantorbet.martingale import unit, add, covers, regularize
 from cantorbet.splitting import (
     Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
     cylinder, complement, intersect_union, complete_null, union_sequence,
-    modulated, limit_measurement, measure_value, capital_sum_check,
+    modulated, measure_value, capital_sum_check,
     initial_capital_surplus, parse_operator, IndicatorMartingale,
     SplittingOperator,
 )
@@ -229,42 +230,59 @@ def test_intersect_union_applies_phi_once_per_sign():
             assert (phi.calls, psi.calls) == (1, 1), (which, side)
 
 
-def count_splits(op, r):
-    """measure_value(op, r) and the number of `split` applications it made.
+@contextlib.contextmanager
+def counting_splits():
+    """Count `split` applications in the block, in the yielded list's one
+    entry.
 
     A profile hook counts them, so the count adds no Python frame per
     nesting level and deep shapes stay within the default recursion limit.
     """
-    calls = 0
+    calls = [0]
 
     def hook(frame, event, arg):
-        nonlocal calls
         if event == "call" and frame.f_code.co_name == "split":
-            calls += 1
+            calls[0] += 1
 
     sys.setprofile(hook)
     try:
-        value = measure_value(op, r)
+        yield calls
     finally:
         sys.setprofile(None)
-    return value, calls
+
+
+def count_splits(op, r):
+    """measure_value(op, r) and the number of `split` applications it made."""
+    with counting_splits() as calls:
+        value = measure_value(op, r)
+    return value, calls[0]
 
 
 def test_nesting_costs_linear_operator_applications():
-    # cup, cap and compl shapes apply each operator a bounded number of
-    # times; a limit's minus half builds its stage eagerly, so nested limits
-    # may cost O(k) applications per level.  Each doubling is checked as it
-    # completes, so a shape that grows exponentially fails at small k.
+    # every operator is split at most once per split of the form around
+    # it, so a whole measurement costs at most one split per form
     mu = uniform()
     for name in nesting_shapes(2):
-        growth = 4.4 if name.startswith("limit") else 2.2
-        row = []
         for k in (4, 8, 16, 32, 64, 128, 256):
             text, want = nesting_shapes(k)[name]
             value, calls = count_splits(parse_operator(text, mu), 4)
             assert value.to_fraction() == want, (name, k)
-            row.append(calls)
-            assert len(row) == 1 or calls <= growth * row[-2], (name, row)
+            assert calls <= text.count("("), (name, k, calls)
+
+
+def test_union_sequence_limit_splits_each_member_once():
+    # the limit splits stage `last` once; its plus half answers every
+    # query from that one split
+    nu = null_measure()
+    for n in (1, 4, 16):
+        op = LimitMeasurement(
+            union_sequence([CylinderNull("1", nu) for _ in range(n)]))
+        with counting_splits() as calls:
+            plus = op.plus(3, unit(nu))
+            for w in ("", "0", "1", "10", "0110"):
+                plus.value(w)
+                plus.approx(5, w)
+        assert calls[0] == n + 2, (n, calls)
 
 
 def test_cap_cup_cylinder_values():
@@ -363,8 +381,8 @@ def test_union_sequence_bounds():
     seq = union_sequence(ops)
     one = unit(nu)
     prev = Fraction(0)
-    for k in range(6):
-        plus, minus = seq.stage(k, 3, one)
+    for stage in seq.stages:
+        plus, minus = stage.split(3, one)
         assert minus is one
         v = plus.value("")
         assert v <= Fraction(1, 2 ** 3)
@@ -385,7 +403,7 @@ def test_union_sequence_gate():
 def test_limit_constant_sequence():
     mu = uniform()
     seq = modulated([CylinderPos("01", mu)])
-    op = limit_measurement(seq)
+    op = LimitMeasurement(seq)
     for r in range(2, 9):
         v = measure_value(op, r)
         assert abs(v.to_fraction() - Fraction(1, 4)) <= Fraction(1, 2 ** r)
@@ -397,7 +415,7 @@ def test_limit_increasing_union():
     e1 = intersect_union(CylinderPos("000", mu), CylinderPos("001", mu),
                          "cup")
     e2 = intersect_union(e1, CylinderPos("01", mu), "cup")
-    op = limit_measurement(modulated([e0, e1, e2]))
+    op = LimitMeasurement(modulated([e0, e1, e2]))
     for r in range(2, 9):
         v = measure_value(op, r)
         assert abs(v.to_fraction() - Fraction(1, 2)) <= Fraction(1, 2 ** r)
@@ -405,7 +423,7 @@ def test_limit_increasing_union():
 
 def test_limit_axiom_iii():
     d, nu = random_d(41)
-    op = limit_measurement(modulated([CylinderPos("0", nu)]))
+    op = LimitMeasurement(modulated([CylinderPos("0", nu)]))
     for r in range(1, 7):
         assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
 
@@ -414,7 +432,7 @@ def test_limit_modulus_violation_detected():
     mu = uniform()
     # stages genuinely change at index 1, but the modulus claims constancy
     seq = modulated([CylinderPos("00", mu), CylinderPos("0", mu)], gamma=0)
-    op = limit_measurement(seq)
+    op = LimitMeasurement(seq)
     with pytest.raises(ModulusViolationError):
         measure_value(op, 8)
 
@@ -424,6 +442,11 @@ def test_modulated_empty_family_rejected():
         modulated([])
     with pytest.raises(DomainError):
         union_sequence([])
+
+
+def test_modulated_negative_index_rejected():
+    with pytest.raises(DomainError):
+        modulated([CylinderPos("0", uniform())], gamma=-1)
 
 
 # ---------------------------------------------------------------------------
