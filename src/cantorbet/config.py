@@ -42,6 +42,9 @@ def set_magnitude_cap(value: int | None) -> None:
 def check_magnitude(size: int, what: str = "value") -> None:
     """Raise ResourceError if `size` (a length / bit-length) exceeds the cap."""
     if size > magnitude_cap():
+        # a size past 2^64 is shown by its bit length: too long to print
+        shown = size if size.bit_length() <= 64 else \
+            f"2^{size.bit_length() - 1} or more"
         raise ResourceError(
-            f"{what} of size {size} exceeds magnitude cap {magnitude_cap()}"
+            f"{what} of size {shown} exceeds magnitude cap {magnitude_cap()}"
         )

@@ -11,15 +11,20 @@ computations at different precisions must agree deterministically.
 Binary strings are plain Python `str` over {'0','1'}; the empty string is
 the root of Cantor space.  `bton`/`ntob` give the standard length-then-lex
 enumeration with bton('') == 0.
+
+Terms and set expressions are both written as s-expressions;
+`read_sexpr` is the one reader for them, and `read_natural` reads the
+numbers they contain.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
-from .config import check_magnitude
-from .errors import DomainError, ResourceError
+from .config import MAX_NESTING, check_magnitude
+from .errors import DomainError, ParseError, ResourceError
 
 __all__ = [
     "Dyadic",
@@ -41,6 +46,8 @@ __all__ = [
     "show_word",
     "is_prefix",
     "strings_of_length",
+    "read_natural",
+    "read_sexpr",
 ]
 
 
@@ -338,6 +345,80 @@ def smash(u: str, v: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# s-expressions
+# ---------------------------------------------------------------------------
+
+def read_natural(tok: str, what: str) -> int:
+    """A natural number written in ASCII digits."""
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(f"{what} must be a natural number, got {tok!r}")
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"{what} has {len(tok)} digits, more than "
+                         f"{sys.get_int_max_str_digits()}") from None
+
+
+_SEXPR_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _token_position(text: str, k: int) -> int:
+    """Offset in text of its k-th token; only error messages need it."""
+    for j, m in enumerate(_SEXPR_TOKEN.finditer(text)):
+        if j == k:
+            return m.start()
+    return len(text)
+
+
+def read_sexpr(text: str, build, deep=(), what: str = "expression"):
+    """Read one s-expression in a single pass over its tokens.
+
+    `stack` holds the open forms, each as the index of its "(" and the
+    items read so far: atoms, and the values built for closed subforms.
+    When a form's ")" arrives, build(items) gives its value, so nesting
+    depth costs no Python recursion.  A ParseError from build gets the
+    form's text position added.  More than MAX_NESTING open forms whose
+    head is in `deep` is a ParseError, raised when the head is read.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    if not tokens:
+        raise ParseError(f"empty {what}")
+    if tokens[0] != "(":
+        raise ParseError(f"{what} must start with '(', got {tokens[0]!r}")
+    stack = []
+    nested = 0
+    for i, tok in enumerate(tokens):
+        if tok == "(":
+            stack.append((i, []))
+        elif tok == ")":
+            start, items = stack.pop()
+            if items and isinstance(items[0], str) and items[0] in deep:
+                nested -= 1
+            try:
+                value = build(items)
+            except ParseError as exc:
+                raise ParseError(f"{exc} (position "
+                                 f"{_token_position(text, start)})") from None
+            if not stack:
+                if i + 1 < len(tokens):
+                    raise ParseError(
+                        f"trailing input after {what} at position "
+                        f"{_token_position(text, i + 1)}")
+                return value
+            stack[-1][1].append(value)
+        else:
+            items = stack[-1][1]
+            if not items and tok in deep:
+                nested += 1
+                if nested > MAX_NESTING:
+                    raise ParseError(
+                        f"{what} nested deeper than {MAX_NESTING} forms "
+                        f"(position {_token_position(text, i)})")
+            items.append(tok)
+    raise ParseError(f"missing ')' in {what}")
+
+
+# ---------------------------------------------------------------------------
 # growth hierarchy
 # ---------------------------------------------------------------------------
 
@@ -358,10 +439,16 @@ def growth(i: int, n: int) -> int:
         raise DomainError("growth argument must be >= 0")
     if i == 0:
         return 2 * n
-    if i == 1:
-        r = n * n
-        check_magnitude(r.bit_length(), "growth value")
-        return r
-    e = growth(i - 1, _floor_log2(n))
-    check_magnitude(e + 1, "growth value")
-    return 1 << e
+    # level 1 squares floor(log2) taken i-1 times, which is 0 after
+    # log* n steps; each level above exponentiates, so the cap stops the
+    # climb within a few levels however large i is
+    for _ in range(i - 1):
+        if n == 0:
+            break
+        n = _floor_log2(n)
+    r = n * n
+    check_magnitude(r.bit_length(), "growth value")
+    for _ in range(i - 1):
+        check_magnitude(r + 1, "growth value")
+        r = 1 << r
+    return r

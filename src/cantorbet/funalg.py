@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .config import MAX_NESTING, check_magnitude
 from .core import (
-    bton, growth, ntob, pred, read_word, show_int, show_word, smash, succ,
-    validate_string,
+    bton, growth, ntob, pred, read_natural, read_sexpr, read_word, show_int,
+    show_word, smash, strings_of_length, succ, validate_string,
 )
 from .errors import (
     BoundViolationError, DomainError, ParseError, PreconditionError,
@@ -296,7 +296,9 @@ class Pad(Term):
         return f"(pad {self.i})"
 
     def run(self, fs, xs, meter):
-        out = "1" * growth(self.i, len(xs[0]))
+        n = growth(self.i, len(xs[0]))
+        check_magnitude(n, "pad output")
+        out = "1" * n
         meter.charge(out)
         return out
 
@@ -488,128 +490,63 @@ def evaluate(term: Term, oracles=(), args=(), meter: Meter | None = None):
 
 _LEAVES = {cls.head: cls for cls in (Const, S0, S1, Succ, Pred, Smash, Ap)}
 
-_TOKEN = re.compile(r"\s*(\(|\)|[^\s()]+)")
+# the heads that take leading numbers: the term class, and how many
+# numbers it takes at most (one at least)
+_NUMBERED = {"proj": (Proj, 2), "oracle": (OracleRef, 2), "pad": (Pad, 1)}
+
+_HEADS = frozenset(_LEAVES) | frozenset(_NUMBERED) | {
+    "comp", "expand", "lrn", "br"}
 
 
-def _tokenize_term(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"bad character at position {pos}")
-    return out
+def _build_term(items):
+    """The term of one closed form: its head, then numbers and subterms.
 
-
-def _take_ints(toks, i, head, minimum, maximum):
-    """Read between minimum and maximum leading integer parameters."""
-    ints = []
-    while len(ints) < maximum and i < len(toks):
-        tok, pos = toks[i]
-        if not tok.isdigit():
-            break
-        ints.append(int(tok))
-        i += 1
-    if len(ints) < minimum:
-        raise ParseError(
-            f"'{head}' needs {minimum} numeric parameter(s) "
-            f"(at position {toks[i - 1][1] if i else 0})")
-    return ints, i
-
-def _parse_term(toks, i):
-    if i >= len(toks):
-        raise ParseError("unexpected end of input")
-    tok, pos = toks[i]
-    if tok != "(":
-        raise ParseError(f"expected '(' at position {pos}")
-    i += 1
-    if i >= len(toks):
-        raise ParseError("unexpected end of input after '('")
-    head, hpos = toks[i]
-    if head in ("(", ")"):
-        raise ParseError(f"expected an operator name at position {hpos}")
-    i += 1
-
-    params: list[int] = []
-    if head == "proj" or head == "oracle":
-        params, i = _take_ints(toks, i, head, 1, 2)
-    elif head == "pad":
-        params, i = _take_ints(toks, i, head, 1, 1)
-    elif head == "expand":
-        pass  # the two counts come after the inner term
-
-    children = []
-    while i < len(toks) and toks[i][0] == "(":
-        child, i = _parse_term(toks, i)
-        children.append(child)
-
+    The layout is checked before anything is built: one or two leading
+    numbers for proj and oracle, one for pad; for expand one subterm,
+    then two numbers; subterms only for every other head.
+    """
+    head = items[0] if items else None
+    if not isinstance(head, str):
+        raise ParseError("expected an operator name")
+    if head not in _HEADS:
+        raise ParseError(f"unknown operator {head!r}")
+    args = items[1:]
     if head == "expand":
-        if len(children) != 1:
-            raise ParseError(
-                f"'expand' takes one inner term (at position {hpos})")
-        params, i = _take_ints(toks, i, head, 2, 2)
-
-    if i >= len(toks) or toks[i][0] != ")":
-        where = toks[i][1] if i < len(toks) else len(toks)
-        raise ParseError(f"expected ')' closing '{head}' (position {where})")
-    i += 1
-
-    return _build_term(head, params, children, hpos), i
-
-
-def _build_term(head, params, children, pos):
+        if [isinstance(a, str) for a in args] != [False, True, True]:
+            raise ParseError("'expand' takes one inner term, then two numbers")
+        return Expand(args[0], read_natural(args[1], "'expand' count"),
+                      read_natural(args[2], "'expand' count"))
+    nums = 0
+    while nums < len(args) and isinstance(args[nums], str):
+        nums += 1
+    cls, most = _NUMBERED.get(head, (None, 0))
+    if nums > most or (most and not nums):
+        raise ParseError(f"'{head}' takes one to {most} leading numbers"
+                         if most else f"'{head}' takes subterms only")
+    children = args[nums:]
+    if any(isinstance(c, str) for c in children):
+        raise ParseError(f"'{head}' takes its numbers before its subterms")
     if head in _LEAVES:
-        leaf = _LEAVES[head]()
-        if not children:
-            return leaf
-        return Comp(leaf, tuple(children))
-    if head == "proj":
-        t = Proj(*params)
-    elif head == "oracle":
-        t = OracleRef(*params)
-    elif head == "pad":
-        t = Pad(params[0])
+        t = _LEAVES[head]()
+    elif cls is not None:
+        t = cls(*[read_natural(a, f"'{head}' parameter") for a in args[:nums]])
     elif head == "comp":
         if len(children) < 2:
             raise ParseError(
-                f"'comp' needs an outer term and at least one inner "
-                f"(position {pos})")
+                "'comp' needs an outer term and at least one inner")
         return Comp(children[0], tuple(children[1:]))
-    elif head == "expand":
-        return Expand(children[0], params[0], params[1])
-    elif head == "lrn":
-        if len(children) != 3:
-            raise ParseError(f"'lrn' takes three terms (position {pos})")
-        return Lrn(*children)
-    elif head == "br":
-        if len(children) != 3:
-            raise ParseError(f"'br' takes three terms (position {pos})")
-        return Br(*children)
     else:
-        raise ParseError(f"unknown operator '{head}' at position {pos}")
+        if len(children) != 3:
+            raise ParseError(f"'{head}' takes three terms")
+        return (Lrn if head == "lrn" else Br)(*children)
     if children:
         return Comp(t, tuple(children))
     return t
 
 
 def parse_term(text: str) -> Term:
-    toks = _tokenize_term(text)
-    if not toks:
-        raise ParseError("empty term")
-    depth = 0
-    for tok, pos in toks:
-        depth += (tok == "(") - (tok == ")")
-        if depth > MAX_NESTING:
-            raise ParseError(f"term nested deeper than {MAX_NESTING} forms "
-                             f"(position {pos})")
-    term, i = _parse_term(toks, 0)
-    if i != len(toks):
-        raise ParseError(f"trailing input at position {toks[i][1]}")
-    return term
+    """Read a term; every form counts toward the nesting bound."""
+    return read_sexpr(text, _build_term, _HEADS, "term")
 
 
 # ---------------------------------------------------------------------------
@@ -767,21 +704,14 @@ def length_term(space_pure: bool = False) -> Term:
     return Comp(ones, (Comp(Ap(), (best,)),))
 
 
-def length_functional(f: Oracle, x: str, method: str = "term",
-                      meter: Meter | None = None) -> str:
+def length_functional(f: Oracle, x: str, method: str = "term") -> str:
     """1^(max |f(w)| over all |w| <= |x|), by algebra term or brute force."""
     validate_string(x)
     if method == "term":
-        return length_term().evaluate((f,), (x,), meter)
+        return length_term().evaluate((f,), (x,))
     if method != "brute":
         raise DomainError(f"unknown method {method!r}")
-    check_magnitude(2 ** (len(x) + 1), "brute-force search space")
-    best = 0
-    for n in range(len(x) + 1):
-        for i in range(1 << n):
-            w = format(i, f"0{n}b") if n else ""
-            best = max(best, len(f(w)))
-    return "1" * best
+    return "1" * restricted_length(f, len(x))(len(x))
 
 
 # ---------------------------------------------------------------------------
@@ -833,33 +763,44 @@ class SPVar(SecPoly):
 
 
 @dataclass(frozen=True)
-class SPAdd(SecPoly):
-    p: SecPoly
-    q: SecPoly
+class _SPChain(SecPoly):
+    """A chain of two or more parts joined by one operator.  A part that
+    is a chain of the same operator is spliced in, as `SumMartingale`
+    does, so a long chain is one node and evaluates in one loop."""
 
-    def evaluate(self, lengths=(), nvals=()):
-        return self.p.evaluate(lengths, nvals) + self.q.evaluate(lengths, nvals)
+    parts: tuple
 
-    def to_text(self):
-        return f"{self.p.to_text()} + {self.q.to_text()}"
+    @classmethod
+    def of(cls, parts) -> SecPoly:
+        if len(parts) == 1:
+            return parts[0]
+        return cls(tuple(u for p in parts
+                         for u in (p.parts if isinstance(p, cls) else (p,))))
 
 
 @dataclass(frozen=True)
-class SPMul(SecPoly):
-    p: SecPoly
-    q: SecPoly
-
-    def _factor(self, side):
-        text = side.to_text()
-        if isinstance(side, SPAdd):
-            return f"({text})"
-        return text
-
+class SPAdd(_SPChain):
     def evaluate(self, lengths=(), nvals=()):
-        return self.p.evaluate(lengths, nvals) * self.q.evaluate(lengths, nvals)
+        total = 0
+        for p in self.parts:
+            total += p.evaluate(lengths, nvals)
+        return total
 
     def to_text(self):
-        return f"{self._factor(self.p)} * {self._factor(self.q)}"
+        return " + ".join(p.to_text() for p in self.parts)
+
+
+@dataclass(frozen=True)
+class SPMul(_SPChain):
+    def evaluate(self, lengths=(), nvals=()):
+        total = 1
+        for p in self.parts:
+            total *= p.evaluate(lengths, nvals)
+        return total
+
+    def to_text(self):
+        return " * ".join(f"({p.to_text()})" if isinstance(p, SPAdd)
+                          else p.to_text() for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -930,38 +871,44 @@ class _SPParser:
         self.i += 1
         return tok, pos
 
-    def expr(self):
-        p = self.product()
-        while self.peek() == "+":
+    def expr(self, depth=0):
+        """A sum of products of atoms, read up to the first token that
+        cannot continue it.  A parenthesized group or an application
+        reads its argument one call deeper; `depth` counts the groups
+        open around this one, so recursion is bounded by MAX_NESTING."""
+        terms, factors = [], []
+        while True:
+            tok, pos = self.take()
+            head = tok[0]
+            if head in "(Lg":
+                if depth == MAX_NESTING:
+                    raise ParseError(
+                        f"growth expression nested deeper than {MAX_NESTING} "
+                        f"groups (position {pos})")
+                if head == "(":
+                    p = self.expr(depth + 1)
+                else:
+                    index = read_natural(tok[1:], f"index of {head}")
+                    self.take("(")
+                    p = self.expr(depth + 1)
+                    p = SPApp(index, p) if head == "L" else SPGrow(index, p)
+                self.take(")")
+            elif head == "n":
+                p = SPVar(read_natural(tok[1:], "index of n"))
+            elif head in ")+*":
+                raise ParseError(f"unexpected token {tok!r} at position {pos}")
+            else:
+                p = SPConst(read_natural(tok, "constant"))
+            factors.append(p)
+            op = self.peek()
+            if op == "*":
+                self.take()
+                continue
+            terms.append(SPMul.of(factors))
+            if op != "+":
+                return SPAdd.of(terms)
             self.take()
-            p = SPAdd(p, self.product())
-        return p
-
-    def product(self):
-        p = self.atom()
-        while self.peek() == "*":
-            self.take()
-            p = SPMul(p, self.atom())
-        return p
-
-    def atom(self):
-        tok, pos = self.take()
-        if tok == "(":
-            p = self.expr()
-            self.take(")")
-            return p
-        if tok.isdigit():
-            return SPConst(int(tok))
-        if tok[0] == "n":
-            return SPVar(int(tok[1:]))
-        if tok[0] in "Lg":
-            self.take("(")
-            p = self.expr()
-            self.take(")")
-            if tok[0] == "L":
-                return SPApp(int(tok[1:]), p)
-            return SPGrow(int(tok[1:]), p)
-        raise ParseError(f"unexpected token {tok!r} at position {pos}")
+            factors = []
 
 
 def parse_secpoly(text: str) -> SecPoly:
@@ -1008,12 +955,13 @@ class BoundReport:
 
 def restricted_length(f: Oracle, radius: int):
     """|f| by brute force, frozen outside the queried radius."""
+    if radius < 0:
+        raise DomainError("radius must be >= 0")
     check_magnitude(2 ** (radius + 1), "brute-force search space")
     best = [0] * (radius + 1)
     seen = 0
     for n in range(radius + 1):
-        for i in range(1 << n):
-            w = format(i, f"0{n}b") if n else ""
+        for w in strings_of_length(n):
             seen = max(seen, len(f(w)))
         best[n] = seen
 

@@ -208,18 +208,22 @@ def robin_hood(alpha) -> RealFunction:
     return from_exact(2, 2, exact_fn, lambda n: n + bits)
 
 
-def robin_hood_pipeline(alpha, box_bits: int = 6) -> RealFunction:
+PIPELINE_BOX_BITS = 6
+
+
+def robin_hood_pipeline(alpha) -> RealFunction:
     """Reference route: the same function assembled from nested pastes.
 
     Branch order: identity inside the unit square; mean-to-both when the
     mean clears 1; then the two give-to-the-poorer triangles; (1,1) as the
     join of the remaining seams.  Guard moduli are valid on the box
-    |s|, |t| <= 2**box_bits, which is all the tests (and the kernel) use.
+    |s|, |t| <= 2**PIPELINE_BOX_BITS, which is all the tests (and the
+    kernel) use.
     """
     a = as_fraction(alpha)
     if not (0 < a < 1):
         raise DomainError("transfer weight must lie strictly in (0,1)")
-    B = box_bits
+    B = PIPELINE_BOX_BITS
 
     def fn2(exact, modulus):
         return from_exact(2, 2, exact, modulus)

@@ -24,10 +24,12 @@ an expression nested k deep costs O(k) operator applications.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
-from .config import MAX_NESTING
-from .core import Dyadic, ZERO, is_prefix, read_word, validate_string
+from .core import (
+    Dyadic, ZERO, is_prefix, read_natural, read_sexpr, read_word,
+    validate_string,
+)
 from .errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
@@ -254,12 +256,12 @@ def intersect_union(phi: SplittingOperator, psi: SplittingOperator,
 # null sets: subsets and countable unions
 # ---------------------------------------------------------------------------
 
-def _require_null(op: SplittingOperator, what: str,
-                  gate: int = NULL_GATE_PRECISION) -> None:
-    v = measure_value(op, gate)
-    if v > Dyadic(1, gate):
+def _require_null(op: SplittingOperator, what: str) -> None:
+    v = measure_value(op, NULL_GATE_PRECISION)
+    if v > Dyadic(1, NULL_GATE_PRECISION):
         raise PreconditionError(
-            f"{what}: operator value {v} at precision {gate} is not null")
+            f"{what}: operator value {v} at precision "
+            f"{NULL_GATE_PRECISION} is not null")
 
 
 class CompleteNull(SplittingOperator):
@@ -274,9 +276,8 @@ class CompleteNull(SplittingOperator):
         return self.op.split(r, unit(self.measure))[0], d
 
 
-def complete_null(op: SplittingOperator,
-                  gate: int = NULL_GATE_PRECISION) -> CompleteNull:
-    _require_null(op, "complete_null", gate)
+def complete_null(op: SplittingOperator) -> CompleteNull:
+    _require_null(op, "complete_null")
     return CompleteNull(op)
 
 
@@ -320,13 +321,12 @@ def modulated(operators, gamma: int | None = None) -> ModulatedSequence:
     return ModulatedSequence(ops, last if gamma is None else min(gamma, last))
 
 
-def union_sequence(operators,
-                   gate: int = NULL_GATE_PRECISION) -> ModulatedSequence:
+def union_sequence(operators) -> ModulatedSequence:
     """Union of a (finite, hence eventually-empty) family of null sets:
     stage j is the `NullUnion` of members 0 ... j."""
     ops = modulated(operators).stages
     for j, op in enumerate(ops):
-        _require_null(op, f"union_sequence member {j}", gate)
+        _require_null(op, f"union_sequence member {j}")
     return modulated(NullUnion(ops[:j + 1]) for j in range(len(ops)))
 
 
@@ -423,20 +423,6 @@ def initial_capital_surplus(op: SplittingOperator, r: int,
 # where w is a bit string (~ for the empty string) and K is the index from
 # which the limit family is constant.
 
-def _tokenize(text: str):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _show(tokens) -> str:
-    """The repr of the nested list a balanced run of tokens spells."""
-    out = []
-    for prev, tok in zip([None] + tokens, tokens):
-        if prev not in (None, "(") and tok != ")":
-            out.append(", ")
-        out.append("[" if tok == "(" else "]" if tok == ")" else repr(tok))
-    return "".join(out)
-
-
 def _operands(items):
     for item in items:
         if isinstance(item, str):
@@ -446,9 +432,9 @@ def _operands(items):
 
 def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
     """The operator of one closed form: its head, then atoms and operators."""
-    if not items:
-        raise ParseError("expected an operator form, got []")
-    head = items[0]
+    head = items[0] if items else None
+    if not isinstance(head, str):
+        raise ParseError("expected an operator name")
     if head == "cyl":
         if len(items) != 2 or not isinstance(items[1], str):
             raise ParseError("(cyl w) takes exactly one string")
@@ -467,62 +453,15 @@ def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
     if head == "limit":
         if len(items) < 3 or not isinstance(items[-1], str):
             raise ParseError("(limit E0 E1 ... K) needs stages and an index")
-        try:
-            k = int(items[-1])
-        except ValueError:
-            raise ParseError(f"bad limit index {items[-1]!r}") from None
-        if k < 0:
-            raise ParseError("limit index must be >= 0")
+        k = read_natural(items[-1], "limit index")
         return LimitMeasurement(modulated(_operands(items[1:-1]), k))
     raise ParseError(f"unknown operator head {head!r}")
 
 
-_RECURSIVE_HEADS = ("cap", "cup", "limit")
-
-
 def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
-    """Build an operator expression in one pass over its tokens.
-
-    `stack` holds the open forms, each as the position of its "(" and the
-    items read so far: atoms, and the operators of closed subforms.  A
-    form's operator is built when its ")" arrives, so nesting depth costs
-    no Python recursion.  Evaluation does recurse through `cap`, `cup` and
-    `limit`, so more than MAX_NESTING of them open at once is a parse
-    error; `compl` does not count, because nested complements cancel.
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty operator expression")
-    if tokens[0] != "(":
-        if tokens[0] == ")":
-            raise ParseError("unexpected ')' in operator expression")
-        if len(tokens) > 1:
-            raise ParseError("trailing tokens after operator expression")
-        raise ParseError(f"expected an operator form, got {tokens[0]!r}")
-    stack = []
-    nested = 0
-    for i, tok in enumerate(tokens):
-        if tok == "(":
-            stack.append((i, []))
-        elif tok == ")":
-            start, items = stack.pop()
-            if items and items[0] in _RECURSIVE_HEADS:
-                nested -= 1
-            if not stack and i + 1 < len(tokens):
-                raise ParseError("trailing tokens after operator expression")
-            if stack and not stack[-1][1]:
-                raise ParseError("unknown operator head "
-                                 + _show(tokens[start:i + 1]))
-            op = _build_form(items, nu)
-            if not stack:
-                return op
-            stack[-1][1].append(op)
-        else:
-            if not stack[-1][1] and tok in _RECURSIVE_HEADS:
-                nested += 1
-                if nested > MAX_NESTING:
-                    raise ParseError(
-                        f"set expression nested deeper than {MAX_NESTING} "
-                        "cap/cup/limit forms")
-            stack[-1][1].append(tok)
-    raise ParseError("missing ')' in operator expression")
+    """Build an operator expression with `read_sexpr`.  Evaluation
+    recurses through `cap`, `cup` and `limit`, so only those count toward
+    the nesting bound; `compl` does not, because nested complements
+    cancel."""
+    return read_sexpr(text, partial(_build_form, nu=nu),
+                      ("cap", "cup", "limit"), "set expression")

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorbet.calibration import EVALUATOR_MARGIN
 from cantorbet.cli import run
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.core import Dyadic
@@ -231,6 +232,56 @@ def test_term_nesting_bound():
         assert err.startswith("eval:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    "(pad \u00b2)", "(proj \u00b3)", "(expand (const) \u00b9 0)",
+    "(pad " + "1" * 5000 + ")", "(oracle \u0663 0)",
+], ids=["superscript-pad", "superscript-proj", "superscript-expand",
+        "long-pad", "arabic-indic-oracle"])
+def test_term_numbers_are_ascii_digits(text):
+    code, out, err = cli("eval", "--term", text, "--arg", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("eval:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("poly, want", [
+    ("(" * 300 + "n1" + ")" * 300, None),
+    ("g0(" * 300 + "n1" + ")" * 300, None),
+    (" + ".join(["1"] * 5000), "5000\n"),
+    ("1" * 5000, None),
+    ("n" + "1" * 5000, None),
+], ids=["parentheses", "applications", "long-sum", "long-constant",
+        "long-variable"])
+def test_growth_expression_inputs(poly, want):
+    code, out, err = cli("secpoly-eval", "--poly", poly, "--n", "1")
+    if want is not None:
+        assert (code, out, err) == (0, want, "")
+        return
+    assert (code, out) == (2, "")
+    assert err.startswith("secpoly-eval:") and err.count("\n") == 1
+
+
+def _growth_shapes(k):
+    """Growth expressions with k nested groups, and their values at n1 = 1;
+    each level of "chain" is an application around a sum of a product."""
+    return {"parentheses": ("(" * k + "n1" + ")" * k, 1),
+            "applications": ("g0(" * k + "n1" + ")" * k, 2 ** k),
+            "chain": ("g0(1 + 1 * " * k + "n1" + ")" * k, 3 * 2 ** k - 2)}
+
+
+def test_growth_expression_nesting_bound():
+    for name, (text, want) in _growth_shapes(MAX_NESTING).items():
+        argv = ["secpoly-eval", "--poly", text, "--n", "1"]
+        assert cli(*argv) == (0, f"{want}\n", ""), name
+        proc = subprocess.run([sys.executable, "-m", "cantorbet.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"{want}\n", ""), name
+    for name, (text, _) in _growth_shapes(MAX_NESTING + 1).items():
+        code, out, err = cli("secpoly-eval", "--poly", text, "--n", "1")
+        assert (code, out) == (2, ""), name
+        assert err.startswith("secpoly-eval:") and err.count("\n") == 1
+
+
 def test_diagonalize_reports_trajectory(tmp_path):
     nu = uniform()
     table = {"": Dyadic(1, 2),
@@ -361,6 +412,17 @@ def test_too_many_decimal_digits_is_exit_three(good_mg, argv):
     assert (code, out) == (3, "")
     assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
     assert "decimal digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--term", "(pad 8)", "--arg", "01"],
+    ["eval", "--term", "(pad 2)", "--arg", "1" * 5000],
+    ["secpoly-eval", "--poly", "g8(2)"],
+], ids=["pad-level", "pad-length", "growth-level"])
+def test_growth_past_the_cap_is_exit_three(argv):
+    code, out, err = cli(*argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
 
 
 def test_non_ascii_file_is_a_parse_error(tmp_path):
@@ -529,6 +591,150 @@ def test_mutated_files_keep_the_contract(tmp_path_factory, kind, data):
     for argv in verbs:
         code, _, err = _run_on_file(path, text[:i] + patch + text[j:], argv)
         assert code in (0, 1, 2, 3) and "Traceback" not in err, argv
+
+
+# Terms as texts, built by signature (oracle slots, string slots) so that
+# every one is well typed; evaluating one may still break a recursion bound
+# (exit 1) or the magnitude cap (exit 3).
+_LEAF_SIGNATURES = {"const": (0, 0), "s0": (0, 1), "s1": (0, 1),
+                    "succ": (0, 1), "pred": (0, 1), "smash": (0, 2),
+                    "ap": (1, 1)}
+_TERM_WORDS = ["~", "0", "01", "110"]
+
+
+@st.composite
+def _terms(draw, k, l, depth):
+    """A term of signature (k, l) nested at most depth + 2 forms deep."""
+    kinds = ["primitive"]
+    if depth:
+        kinds += ["comp", "expand"] + (["lrn", "br"] if l else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "comp":
+        m = draw(st.integers(1, 2))
+        parts = [draw(_terms(k, m, depth - 1))]
+        parts += [draw(_terms(k, l, depth - 1)) for _ in range(m)]
+        return "(comp " + " ".join(parts) + ")"
+    if kind == "expand":
+        k2, l2 = draw(st.integers(0, k)), draw(st.integers(0, l))
+        return f"(expand {draw(_terms(k2, l2, depth - 1))} {k - k2} {l - l2})"
+    if kind != "primitive":
+        return (f"({kind} " + " ".join(draw(_terms(k, m, depth - 1))
+                                        for m in (l - 1, l + 1, l)) + ")")
+    prims = [(f"(proj {j} {l})", 0) for j in range(l)]
+    prims += [(f"({h})", a) for h, (a, b) in _LEAF_SIGNATURES.items()
+              if b == l and a <= k]
+    if l == 1:
+        prims += [("(pad 0)", 0), ("(pad 1)", 0)]
+        prims += [(f"(oracle {j} {k})", k) for j in range(k)]
+    text, slots = draw(st.sampled_from(prims))
+    return text if slots == k else f"(expand {text} {k - slots} 0)"
+
+
+@st.composite
+def _term_calls(draw):
+    """A term text and the --oracle/--arg flags that fit its signature."""
+    k, l = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    flags = ["--oracle", "ORACLE"] * k
+    for word in draw(st.lists(st.sampled_from(_TERM_WORDS),
+                              min_size=l, max_size=l)):
+        flags += ["--arg", word]
+    return draw(_terms(k, l, 4)), flags
+
+
+_NUMBER_TOKENS = ["0", "2", "99", "-1", "x", "\u00b2", "\u0663", "1" * 5000]
+_FORM_TOKENS = ["(", ")", "proj", "pad", "oracle", "expand", "comp", "lrn",
+                "br", "smash", "(const)", "(proj 0)"]
+
+
+def _term_verbs(tmp_path_factory, text, flags):
+    """Run the text through eval --term, eval --term-file and check-bound;
+    return each (status, stdout, stderr)."""
+    base = tmp_path_factory.getbasetemp()
+    oracle = base / "term-calls.orc"
+    oracle.write_text("~ 11\n0 10110\n01 1\ndefault 0\n")
+    term_file = base / "term-calls.term"
+    term_file.write_text(text, encoding="utf-8")
+    flags = [str(oracle) if f == "ORACLE" else f for f in flags]
+    return [cli("eval", "--term", text, *flags),
+            cli("eval", "--term-file", str(term_file), *flags),
+            cli("check-bound", "--term", text, "--poly",
+                f"g1(n1 + L1(n1)) + {EVALUATOR_MARGIN}", *flags)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(call=_term_calls())
+def test_generated_terms_keep_the_contract(tmp_path_factory, call):
+    text, flags = call
+    code, out, err = cli("eval", "--term", text, "--print-term")
+    assert (code, err) == (0, "")
+    assert parse_term(out) == parse_term(text)
+    by_text, by_file, bound = _term_verbs(tmp_path_factory, text, flags)
+    assert by_text == by_file
+    for code, _, err in (by_text, bound):
+        assert code in (0, 1, 3) and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(call=_term_calls(), data=st.data())
+def test_mutated_terms_keep_the_contract(tmp_path_factory, call, data):
+    """Replace one number of the text, then cut a run of its tokens and
+    insert a few others."""
+    text, flags = call
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    numbers = [n for n, tok in enumerate(tokens) if tok.isdigit()]
+    if numbers:
+        n = data.draw(st.sampled_from(numbers), label="number at")
+        tokens[n] = data.draw(st.sampled_from(_NUMBER_TOKENS), label="number")
+    i = data.draw(st.integers(0, len(tokens)), label="cut from")
+    j = data.draw(st.integers(i, len(tokens)), label="cut to")
+    patch = data.draw(st.lists(st.sampled_from(_FORM_TOKENS + _NUMBER_TOKENS),
+                               max_size=3), label="patch")
+    text = " ".join(tokens[:i] + patch + tokens[j:])
+    for code, _, err in _term_verbs(tmp_path_factory, text, flags):
+        assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+# Every verb with flags drawn from its own, each given a value from a pool
+# of words, numbers, expressions and paths of valid input files
+_VERB_FLAGS = {
+    "eval": ["--term", "--term-file", "--oracle", "--arg", "--print-term",
+             "--meter"],
+    "check-bound": ["--term", "--term-file", "--poly", "--oracle", "--arg"],
+    "length": ["--oracle", "--x", "--method"],
+    "secpoly-eval": ["--poly", "--n", "--oracle", "--radius"],
+    "verify-martingale": ["--file", "--measure", "--depth"],
+    "regularize": ["--file", "--measure", "--w", "--precision"],
+    "rh": ["--alpha", "--s", "--t", "--precision"],
+    "measure-cylinder": ["--w", "--measure", "--precision"],
+    "combine": ["--file", "--measure", "--w", "--precision"],
+    "measure-value": ["--expr", "--measure", "--precision"],
+    "diagonalize": ["--file", "--measure", "--w", "--margin", "--depth"],
+    "enumerate": ["--index", "--word", "--next", "--prev", "--first"],
+}
+_ARGV_TOKENS = ["~", "0", "01", "110", "1/2", "-1", "3", "99", "\u00b2",
+                "\u0663", "1" * 5000, "", "(", "auto", "term", "brute",
+                "uniform", "biased:3/8", "(pad 2)", "(succ (proj 0))", "(ap)",
+                "(cyl 0)", "(cup (cyl 0) (cyl 1))", "n1 + 1", "L1(n1)",
+                "g1(n1)", "ORACLE", "MARTINGALE", "MEASURE", "TERM"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(verb=st.sampled_from(sorted(_VERB_FLAGS)), data=st.data())
+def test_generated_argv_keeps_the_contract(tmp_path_factory, verb, data):
+    base = tmp_path_factory.getbasetemp()
+    paths = {}
+    for kind, text in [("ORACLE", _FILE_INPUTS["oracle"][0]),
+                       ("MARTINGALE", _FILE_INPUTS["martingale"][0]),
+                       ("MEASURE", _FILE_INPUTS["measure"][0]),
+                       ("TERM", "(succ (proj 0))\n")]:
+        paths[kind] = base / f"argv-{kind.lower()}"
+        paths[kind].write_text(text)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(_VERB_FLAGS[verb]),
+                                         st.sampled_from(_ARGV_TOKENS)),
+                               max_size=5), label="flags")
+    argv = [verb] + [str(paths.get(a, a)) for pair in pairs for a in pair]
+    code, _, err = cli(*argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
 def test_unknown_verb_is_usage_error():

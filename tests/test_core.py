@@ -12,9 +12,10 @@ from cantorbet import config
 from cantorbet.core import (
     Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at,
     bton, ntob, succ, pred, smash, growth, strings_of_length, read_word,
-    show_word,
+    show_word, read_natural, read_sexpr,
 )
-from cantorbet.errors import DomainError, ResourceError
+from cantorbet.config import MAX_NESTING
+from cantorbet.errors import DomainError, ParseError, ResourceError
 
 from helpers import bton_oracle, random_dyadic
 
@@ -302,6 +303,16 @@ def test_growth_resource_cap():
                         // 1))  # log2 -> 2^20, squared overflows the cap fast
 
 
+def test_growth_high_levels_hit_the_cap():
+    # once log2 bottoms out at 0, each level is one more exponential:
+    # levels 3 to 7 at n = 2 are 2, 4, 16, 2^16 and 2^(2^16)
+    assert [growth(i, 2) for i in range(3, 8)] == [2, 4, 16, 2 ** 16,
+                                                   2 ** 2 ** 16]
+    for i in (8, 5000, 10 ** 100):
+        with pytest.raises(ResourceError):
+            growth(i, 2)
+
+
 def test_cap_env_override(monkeypatch):
     monkeypatch.setenv(config.ENV_VAR, "50")
     config.set_magnitude_cap(None)   # drop cache so the env var is re-read
@@ -320,3 +331,52 @@ def test_random_dyadic_helper_sane():
         d = random_dyadic(rng)
         assert isinstance(d, Dyadic)
         assert abs(d.to_fraction()) <= 64
+
+
+# ---------------------------------------------------------------------------
+# s-expressions
+# ---------------------------------------------------------------------------
+
+def test_read_sexpr_builds_inner_forms_first():
+    built = []
+
+    def build(items):
+        built.append(items)
+        return len(built)
+
+    assert read_sexpr("(a (b x) (c))", build) == 3
+    assert built == [["b", "x"], ["c"], ["a", 1, 2]]
+
+
+def test_read_sexpr_errors():
+    def build(items):
+        if items[0] == "bad":
+            raise ParseError("bad form")
+        return items[0]
+
+    for text in ["", "  ", "x", ")", "(a", "(a))", "(a) (b)", "(a) x"]:
+        with pytest.raises(ParseError):
+            read_sexpr(text, build)
+    with pytest.raises(ParseError, match=r"bad form \(position 3\)"):
+        read_sexpr("(a (bad))", build)
+
+
+def test_read_sexpr_nesting_bound_counts_deep_heads():
+    def nest(head, k):
+        return f"({head} " * k + "(x)" + ")" * k
+
+    def head(items):
+        return items[0]
+
+    assert read_sexpr(nest("d", MAX_NESTING), head, ("d",)) == "d"
+    with pytest.raises(ParseError, match="nested deeper"):
+        read_sexpr(nest("d", MAX_NESTING + 1), head, ("d",))
+    # other heads do not count, and nesting costs no recursion
+    assert read_sexpr(nest("e", 100_000), head, ("d",)) == "e"
+
+
+def test_read_natural():
+    assert read_natural("007", "n") == 7
+    for tok in ["", "-1", "+1", "1.0", "x", "\u00b2", "\u0663", "1" * 5000]:
+        with pytest.raises(ParseError):
+            read_natural(tok, "n")

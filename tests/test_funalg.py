@@ -63,6 +63,12 @@ def test_pad_growth():
     assert Pad(1).evaluate((), ("",)) == ""
 
 
+def test_pad_respects_magnitude_cap():
+    # growth(2, 64) = 2^36 ones would not fit in memory
+    with pytest.raises(ResourceError):
+        Pad(2).evaluate((), ("1" * 64,))
+
+
 def test_signatures():
     assert Const().signature == (0, 0)
     assert Smash().signature == (0, 2)
@@ -337,6 +343,14 @@ def test_secpoly_round_trip():
         assert parse_secpoly(p.to_text()) == p
 
 
+def test_secpoly_chains_are_flat():
+    assert parse_secpoly("1 + (2 + 3) + 4") == parse_secpoly("1 + 2 + 3 + 4")
+    assert parse_secpoly("(n1 * n2) * 3").to_text() == "n1 * n2 * 3"
+    assert parse_secpoly("(n1 + 1) * 2").to_text() == "(n1 + 1) * 2"
+    assert eval_secpoly(parse_secpoly(" + ".join(["n1"] * 5000)), [], [2]) \
+        == 10000
+
+
 def test_secpoly_monotone_in_lengths():
     rng = random.Random(5)
 
@@ -429,6 +443,8 @@ def test_restricted_length():
     assert ln(9) == 5  # frozen beyond the radius
     with pytest.raises(DomainError):
         ln(-1)
+    with pytest.raises(DomainError):
+        restricted_length(f, -1)
 
 
 def test_calibration_margin_still_covers():
