@@ -35,8 +35,8 @@ def _length_space_slack(sizes=(0, 2, 4, 6)) -> int:
     one with long answers.
     """
     oracles = [
-        Oracle.from_function(lambda w: ""),
-        Oracle.from_function(lambda w: w + w + "1"),
+        Oracle(lambda w: ""),
+        Oracle(lambda w: w + w + "1"),
     ]
     term = length_term()
     worst = 0

@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .config import check_magnitude
 from .core import (
     Dyadic, bton, frac_round_at, ntob, pred, read_word, show_int, show_word,
     succ,
@@ -22,11 +23,11 @@ from .core import (
 from .diagonal import capital_margin, conservation_check
 from .errors import CantorbetError, DomainError, ParseError, ResourceError
 from .funalg import (
-    Meter, check_bound, eval_secpoly, length_functional, load_oracle,
-    parse_secpoly, parse_term, restricted_length,
+    Meter, check_bound, length_functional, load_oracle, parse_secpoly,
+    parse_term, restricted_length,
 )
 from .martingale import (
-    add, default_measure_resolver, load_martingale, regularize,
+    SumMartingale, default_measure_resolver, load_martingale, regularize,
 )
 from .measure import load_measure
 from .realfun import robin_hood_exact
@@ -137,9 +138,11 @@ def _cmd_length(ns) -> int:
 
 def _cmd_secpoly_eval(ns) -> int:
     poly = parse_secpoly(ns.poly)
+    if any(n < 0 for n in ns.n):
+        raise DomainError("the n values are lengths and must be >= 0")
     lengths = [restricted_length(f, ns.radius)
                for f in _load_oracles(ns.oracle)]
-    print(show_int(eval_secpoly(poly, lengths, ns.n)))
+    print(show_int(poly.evaluate(lengths, ns.n)))
     return 0
 
 
@@ -185,7 +188,7 @@ def _cmd_combine(ns) -> int:
     d1 = _load_martingale_file(ns.file[0], ns.measure)
     d2 = _load_martingale_file(ns.file[1], ns.measure)
     r = ns.precision
-    print(add(d1, d2).approx(r, read_word(ns.w)).render(r))
+    print(SumMartingale(d1, d2).approx(r, read_word(ns.w)).render(r))
     return 0
 
 
@@ -378,6 +381,10 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # precisions and margins are sizes: refuse one past the cap before
+        # any 2**size is built
+        for flag in ("precision", "margin"):
+            check_magnitude(getattr(ns, flag, None) or 0, f"--{flag}")
         return ns.handler(ns)
     except ParseError as exc:
         print(f"{ns.verb}: {exc}", file=sys.stderr)

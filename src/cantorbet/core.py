@@ -44,7 +44,6 @@ __all__ = [
     "validate_string",
     "read_word",
     "show_word",
-    "is_prefix",
     "strings_of_length",
     "read_natural",
     "read_sexpr",
@@ -55,9 +54,9 @@ class Dyadic:
     """An exact dyadic rational mantissa / 2**precision.
 
     Instances are immutable and normalized on construction.  Arithmetic
-    (+, -, *, comparisons) is closed and exact.  Comparisons also accept
-    ints.  Division is deliberately absent: quotients of dyadics need not
-    be dyadic — go through Fraction for that.
+    (+, -, *, comparisons) is closed and exact, and also accepts ints.
+    Division is the one operation off the grid: a quotient of dyadics need
+    not be dyadic, so `/` returns the exact Fraction.
     """
 
     __slots__ = ("mantissa", "precision")
@@ -129,6 +128,13 @@ class Dyadic:
                       self.precision + other.precision)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> Fraction:
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return Fraction(self.mantissa << other.precision,
+                        other.mantissa << self.precision)
 
     def __neg__(self):
         return Dyadic(-self.mantissa, self.precision)
@@ -260,14 +266,13 @@ def parse_dyadic(text: str) -> Dyadic:
         raise DomainError(f"cannot parse dyadic {text!r}: {exc}") from None
 
 
-def frac_round_at(q: Fraction | Dyadic | int, r: int) -> Dyadic:
-    """Canonical rounding of an arbitrary rational onto the 2**-r grid.
+def frac_round_at(q: Fraction | int, r: int) -> Dyadic:
+    """Canonical rounding of an exact rational onto the 2**-r grid.
 
-    Same convention as Dyadic.round_at (half toward +infinity); exact when
-    q already lies on the grid.
+    Same convention as Dyadic.round_at (half toward +infinity), which
+    rounds a value that is already a Dyadic; exact when q already lies on
+    the 2**-r grid.
     """
-    if isinstance(q, Dyadic):
-        return q.round_at(r)
     q = Fraction(q)
     n, d = q.numerator, q.denominator
     # floor((n * 2^r) / d + 1/2) computed in integers
@@ -302,10 +307,6 @@ def read_word(tok: str) -> str:
 def show_word(w: str) -> str:
     """The inverse of read_word: the empty string is written ``~``."""
     return w if w else "~"
-
-
-def is_prefix(u: str, w: str) -> bool:
-    return w.startswith(u)
 
 
 def strings_of_length(n: int):

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Dyadic, is_prefix, show_int, validate_string
+from .core import Dyadic, show_int, validate_string
 from .errors import DomainError, MeasureMismatchError, PreconditionError
 from .martingale import Martingale
 from .measure import ProbabilityMeasure
+from .realfun import ceil_log2
 
 
 class Constructor:
@@ -35,7 +36,7 @@ class Constructor:
         validate_string(x)
         y = self._step(x)
         validate_string(y)
-        if len(y) <= len(x) or not is_prefix(x, y):
+        if len(y) <= len(x) or not y.startswith(x):
             raise DomainError(
                 f"constructor step must strictly extend its input; "
                 f"{x!r} -> {y!r}")
@@ -69,7 +70,7 @@ def diagonalize(d: Martingale, m: int, w: str) -> Constructor:
         raise DomainError("margin index must be >= 0")
 
     def step(x: str) -> str:
-        if is_prefix(x, w) and len(x) < len(w):
+        if w.startswith(x) and len(x) < len(w):
             return w
         return x + _cheaper_child(d, m, x)[0]
 
@@ -84,17 +85,18 @@ def _cheaper_child(d: Martingale, m: int, x: str) -> tuple[str, Dyadic]:
 
 
 def capital_margin(d: Martingale, w: str) -> int:
-    """Least m with d(w') <= 1 - 2**(1-m) on every prefix w' of w."""
+    """Least m with d(w') <= 1 - 2**(1-m) on every prefix w' of w.
+
+    With worst the largest such d(w'), that is the least m >= 1 with
+    2**(m-1) >= 1 / (1 - worst), as capital is never negative.
+    """
     validate_string(w)
     worst = max(d.value(w[:k]) for k in range(len(w) + 1))
     if worst >= 1:
         raise PreconditionError(
             "no margin exists: capital reaches 1 on a prefix of "
             f"{w or 'the root'!r}")
-    m = 0
-    while Fraction(2, 2 ** m) > 1 - worst:
-        m += 1
-    return m
+    return 1 + ceil_log2(1 / (1 - worst))
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,8 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
     validate_string(w)
     if depth < 0:
         raise DomainError("depth must be >= 0")
+    if m < 0:
+        raise DomainError("margin index must be >= 0")
     if d.measure is not None and not (d.measure is nu or d.measure == nu):
         raise MeasureMismatchError(
             "martingale was built against a different measure")

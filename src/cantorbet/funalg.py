@@ -18,13 +18,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .config import MAX_NESTING, check_magnitude
+from .config import MAX_NESTING, check_magnitude, magnitude_cap
 from .core import (
     bton, growth, ntob, pred, read_natural, read_sexpr, read_word, show_int,
     show_word, smash, strings_of_length, succ, validate_string,
 )
 from .errors import (
     BoundViolationError, DomainError, ParseError, PreconditionError,
+    ResourceError,
 )
 
 # ---------------------------------------------------------------------------
@@ -90,10 +91,6 @@ class Oracle:
             clean[q] = a
         return cls(lambda w: clean.get(w, default), table=clean,
                    default=default)
-
-    @classmethod
-    def from_function(cls, fn) -> "Oracle":
-        return cls(fn)
 
     def __call__(self, query: str) -> str:
         validate_string(query)
@@ -478,10 +475,6 @@ class Br(Term):
             if bton(val) > bton(limit):
                 raise BoundViolationError("br", t, bton(val), bton(limit))
         return val
-
-
-def evaluate(term: Term, oracles=(), args=(), meter: Meter | None = None):
-    return term.evaluate(oracles, args, meter)
 
 
 # ---------------------------------------------------------------------------
@@ -923,10 +916,6 @@ def parse_secpoly(text: str) -> SecPoly:
     return p
 
 
-def eval_secpoly(poly: SecPoly, lengths=(), nvals=()) -> int:
-    return poly.evaluate(tuple(lengths), tuple(nvals))
-
-
 # ---------------------------------------------------------------------------
 # metered bound checking
 # ---------------------------------------------------------------------------
@@ -957,7 +946,10 @@ def restricted_length(f: Oracle, radius: int):
     """|f| by brute force, frozen outside the queried radius."""
     if radius < 0:
         raise DomainError("radius must be >= 0")
-    check_magnitude(2 ** (radius + 1), "brute-force search space")
+    cap = magnitude_cap()
+    if radius + 1 >= cap.bit_length():  # 2**(radius+1) > cap, unbuilt
+        raise ResourceError(f"brute-force search space of size "
+                            f"2^{radius + 1} exceeds magnitude cap {cap}")
     best = [0] * (radius + 1)
     seen = 0
     for n in range(radius + 1):
@@ -986,7 +978,7 @@ def check_bound(term: Term, poly: SecPoly, oracles=(), args=()) -> BoundReport:
     radius = meter.queried_radius
     lengths = [restricted_length(f, radius) for f in oracles]
     nvals = [len(x) for x in args]
-    allowed = eval_secpoly(poly, lengths, nvals)
+    allowed = poly.evaluate(lengths, nvals)
     return BoundReport(
         result=result,
         steps=meter.steps,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .config import check_magnitude
 from .core import (
     Dyadic, ZERO, frac_round_at, read_word, show_word, strings_of_length,
     validate_string,
@@ -34,7 +35,6 @@ __all__ = [
     "SumMartingale",
     "RegularizedMartingale",
     "unit",
-    "add",
     "covers",
     "is_regular",
     "regularize",
@@ -138,9 +138,14 @@ class TableMartingale(Martingale):
 
     def value(self, w: str) -> Fraction:
         validate_string(w)
-        if len(w) > self.depth:
-            w = w[:self.depth]
-        return self.table[w].to_fraction()
+        return self.table[w[:self.depth]].to_fraction()
+
+    def approx(self, r: int, w: str) -> Dyadic:
+        """The table entry, a Dyadic, rounded onto the 2**-r grid."""
+        if r < 0:
+            raise DomainError("precision must be >= 0")
+        validate_string(w)
+        return self.table[w[:self.depth]].round_at(r)
 
 
 class SumMartingale(Martingale):
@@ -169,10 +174,6 @@ class SumMartingale(Martingale):
             raise DomainError("precision must be >= 0")
         q = r + 1 + (len(self.terms) - 1).bit_length()
         return sum(t.approx(q, w) for t in self.terms).round_at(r)
-
-
-def add(d1: Martingale, d2: Martingale) -> SumMartingale:
-    return SumMartingale(d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def _weight(mp: Dyadic, m0: Dyadic) -> Fraction | None:
     degenerate: a null node, or a 0-child with none or all of the mass."""
     if mp == ZERO or m0 == ZERO or m0 == mp:
         return None
-    return m0.to_fraction() / mp.to_fraction()
+    return m0 / mp
 
 
 class RegularizedMartingale(Martingale):
@@ -295,7 +296,7 @@ class RegularizedMartingale(Martingale):
             raise DomainError("precision must be >= 0")
         validate_string(w)
         if not w:  # the base's root value at q = r + 3 + (3 * 2).bit_length()
-            return frac_round_at(self.base.approx(r + 6, "").to_fraction(), r)
+            return self.base.approx(r + 6, "").round_at(r)
         return self._scan(r, w[:-1])[int(w[-1])]
 
     def approx_children(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
@@ -331,8 +332,10 @@ class RegularizedMartingale(Martingale):
                 mp = m0 if x[i] == "0" else m1
         q = r + 3 + slope + (3 * (len(x) + 3)).bit_length()
         # `dp` is the base at the current node, or None where the level
-        # above was degenerate and so did not ask the base for it.
-        dp = cur = self.base.approx(q, "").to_fraction()
+        # above was degenerate and so did not ask the base for it.  `cur`,
+        # `dp`, `b0` and `b1` lie on the 2**-q grid; only the pair handed
+        # to the transfer leaves it.
+        dp = cur = self.base.approx(q, "")
         for i, alpha in enumerate(weights):
             if alpha is None:
                 # degenerate: the children inherit the parent value
@@ -341,10 +344,10 @@ class RegularizedMartingale(Martingale):
                 continue
             p = x[:i]
             if dp is None:
-                dp = self.base.approx(q, p).to_fraction()
-            b0, b1 = (v.to_fraction() for v in self.base.approx_children(q, p))
-            g0 = cur - dp + b0
-            g1 = cur - dp + b1
+                dp = self.base.approx(q, p)
+            b0, b1 = self.base.approx_children(q, p)
+            g0 = (cur - dp + b0).to_fraction()
+            g1 = (cur - dp + b1).to_fraction()
             if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:
                 # Rounding can push the pair out of the transfer domain,
                 # the quadrant g >= 0 joined with the half-plane mean >= 1.
@@ -363,13 +366,13 @@ class RegularizedMartingale(Martingale):
                     g0 = g1 = Fraction(1)
             pair = robin_hood_exact(alpha, g0, g1)
             if i == len(x):
-                pair = [frac_round_at(v, q).to_fraction() for v in pair]
+                pair = [frac_round_at(v, q) for v in pair]
             else:
                 # The base at the child taken is the next level's parent.
                 bit = int(x[i])
-                cur = frac_round_at(pair[bit], q).to_fraction()
+                cur = frac_round_at(pair[bit], q)
                 dp = (b0, b1)[bit]
-        return frac_round_at(pair[0], r), frac_round_at(pair[1], r)
+        return pair[0].round_at(r), pair[1].round_at(r)
 
 
 def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:
@@ -428,7 +431,9 @@ def load_martingale(text: str, resolver=None,
             raise ParseError(f"bad martingale line: {ln!r}")
         try:
             w = read_word(parts[0])
-            table[w] = Dyadic(int(parts[1]), int(parts[2]))
+            precision = int(parts[2])
+            check_magnitude(precision, "table precision")
+            table[w] = Dyadic(int(parts[1]), precision)
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad martingale line {ln!r}: {exc}") from None
     d = TableMartingale(table, depth, nu, validate=validate)

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import check_magnitude
 from .core import (
-    Dyadic, ZERO, ONE, HALF, strings_of_length, validate_string,
-    is_prefix, read_word, show_word,
+    Dyadic, ZERO, ONE, HALF, strings_of_length, validate_string, read_word,
+    show_word,
 )
 from .errors import DomainError, ParseError, PreconditionError
 
@@ -112,8 +113,7 @@ class ProbabilityMeasure:
             if self.table[u] == ZERO:
                 continue
             p = u[:-1]
-            q = Fraction(self.table[p + "0"].to_fraction(),
-                         self.table[p].to_fraction())
+            q = self.table[p + "0"] / self.table[p]
             d = q.denominator
             if d & (d - 1):
                 raise DomainError(
@@ -149,7 +149,7 @@ class ProbabilityMeasure:
         m = self.mass(w)
         if m == ZERO:
             raise DomainError(f"conditional undefined below null cylinder {w!r}")
-        return self.mass(w + b).to_fraction() / m.to_fraction()
+        return self.mass(w + b) / m
 
     def weakly_positive(self, depth: int) -> bool:
         for n in range(depth + 1):
@@ -198,9 +198,9 @@ def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str) -> Fraction:
     validate_string(v)
     mw = nu.mass(w)
     above = mw >= nu.witness.threshold(len(w))
-    if is_prefix(v, w) and above:
-        return mw.to_fraction() / nu.mass(v).to_fraction()
-    if is_prefix(w, v) and above:
+    if w.startswith(v) and above:
+        return mw / nu.mass(v)
+    if v.startswith(w) and above:
         return Fraction(1)
     return Fraction(0)
 
@@ -257,7 +257,9 @@ def load_measure(text: str) -> ProbabilityMeasure:
             raise ParseError(f"bad table line: {ln!r}")
         try:
             w = read_word(parts[0])
-            table[w] = Dyadic(int(parts[1]), int(parts[2]))
+            precision = int(parts[2])
+            check_magnitude(precision, "table precision")
+            table[w] = Dyadic(int(parts[1]), precision)
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad table line {ln!r}: {exc}") from None
     if witness is None:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from .core import Dyadic, frac_round_at, as_fraction
+from .core import as_fraction, frac_round_at
 from .errors import DomainError
 
 __all__ = [
@@ -39,14 +39,15 @@ Exact = Callable[[tuple], tuple]
 
 
 def ceil_log2(q) -> int:
-    """Least k >= 0 with q <= 2**k (q a positive rational)."""
+    """Least k >= 0 with q <= 2**k (q a positive rational).
+
+    With q = n/d, q <= 2**k exactly when (n - 1) // d < 2**k, so k is the
+    bit length of (n - 1) // d.
+    """
     q = as_fraction(q)
     if q <= 0:
         raise DomainError("ceil_log2 needs a positive argument")
-    k = 0
-    while (q.denominator << k) < q.numerator:
-        k += 1
-    return k
+    return ((q.numerator - 1) // q.denominator).bit_length()
 
 
 @dataclass
@@ -55,14 +56,14 @@ class RealFunction:
 
     approx(n, xs) is within 2**-n of the true value componentwise; moving
     every input by at most 2**-modulus(n) moves the value by at most 2**-n.
-    exact_fn, when present, evaluates the function precisely on rationals.
+    exact_fn evaluates the function precisely on rationals.
     """
 
     arity: int
     coarity: int
     modulus: Callable[[int], int]
     approx_fn: Callable[[int, Point], Point]
-    exact_fn: Optional[Exact] = None
+    exact_fn: Exact
 
     def approx(self, n: int, xs: Point) -> Point:
         if n < 0:
@@ -72,8 +73,6 @@ class RealFunction:
         return self.approx_fn(n, tuple(xs))
 
     def exact(self, xs: Point) -> tuple:
-        if self.exact_fn is None:
-            raise DomainError("no exact evaluator for this function")
         if len(xs) != self.arity:
             raise DomainError(f"expected {self.arity} arguments, got {len(xs)}")
         return self.exact_fn(tuple(as_fraction(x) for x in xs))
@@ -141,10 +140,8 @@ def paste(f: RealFunction, g: RealFunction, k: RealFunction) -> RealFunction:
         branch = f if sign >= 0 else g
         return branch.approx(p, xs)
 
-    exact_fn = None
-    if f.exact_fn and g.exact_fn and k.exact_fn:
-        def exact_fn(xs):
-            return f.exact_fn(xs) if k.exact_fn(xs)[0] >= 0 else g.exact_fn(xs)
+    def exact_fn(xs):
+        return f.exact_fn(xs) if k.exact_fn(xs)[0] >= 0 else g.exact_fn(xs)
 
     return RealFunction(f.arity, f.coarity, modulus, approx_fn, exact_fn)
 
@@ -157,10 +154,6 @@ def absolute_value() -> RealFunction:
 # ---------------------------------------------------------------------------
 # Robin Hood
 # ---------------------------------------------------------------------------
-
-def _in_domain(a: Fraction, s: Fraction, t: Fraction) -> bool:
-    return (s >= 0 and t >= 0) or a * s + (1 - a) * t >= 1
-
 
 def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
     """Four-case transfer: average-preserving, floors winners at 1.
@@ -176,9 +169,9 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
         raise DomainError("transfer weight must lie strictly in (0,1)")
     s = as_fraction(s)
     t = as_fraction(t)
-    if not _in_domain(a, s, t):
-        raise DomainError(f"({s}, {t}) outside the transfer domain for {a}")
     m = a * s + (1 - a) * t
+    if not ((s >= 0 and t >= 0) or m >= 1):
+        raise DomainError(f"({s}, {t}) outside the transfer domain for {a}")
     if 0 <= s <= 1 and 0 <= t <= 1:
         return (s, t)
     if m >= 1:
@@ -192,7 +185,7 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
 
 def transfer_bits(a: Fraction) -> int:
     """ceil(log2) of the transfer's slope max(1, 1/a, 1/(1-a)), 0 < a < 1."""
-    return ceil_log2(max(Fraction(1), 1 / a, 1 / (1 - a)))
+    return ceil_log2(1 / min(a, 1 - a))
 
 
 def robin_hood(alpha) -> RealFunction:
@@ -236,9 +229,9 @@ def robin_hood_pipeline(alpha) -> RealFunction:
     ident = fn2(lambda xs: xs, lambda n: n)
     both_mean = fn2(lambda xs: (mean(xs), mean(xs)), lambda n: n)
     give_right = fn2(lambda xs: (Fraction(1), (mean(xs) - a) / (1 - a)),
-                     lambda n: n + ceil_log2(max(Fraction(1), 1 / (1 - a))))
+                     lambda n: n + ceil_log2(1 / (1 - a)))
     give_left = fn2(lambda xs: ((mean(xs) - (1 - a)) / a, Fraction(1)),
-                    lambda n: n + ceil_log2(max(Fraction(1), 1 / a)))
+                    lambda n: n + ceil_log2(1 / a))
     corner = fn2(lambda xs: (Fraction(1), Fraction(1)), lambda n: n)
 
     inside = guard(lambda xs: (min((1 - xs[0]) * xs[0], (1 - xs[1]) * xs[1]),),

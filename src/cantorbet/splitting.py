@@ -27,22 +27,21 @@ from fractions import Fraction
 from functools import partial, reduce
 
 from .core import (
-    Dyadic, ZERO, is_prefix, read_natural, read_sexpr, read_word,
-    validate_string,
+    Dyadic, ZERO, read_natural, read_sexpr, read_word, validate_string,
 )
 from .errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
 )
 from .measure import ProbabilityMeasure
-from .martingale import Martingale, add, unit, regularize
+from .martingale import Martingale, SumMartingale, unit, regularize
 
 __all__ = [
     "SplittingOperator",
     "ModulatedSequence",
     "cylinder",
     "complement",
-    "intersect_union",
+    "IntersectUnion",
     "complete_null",
     "union_sequence",
     "modulated",
@@ -103,7 +102,7 @@ class IndicatorMartingale(Martingale):
 
     def value(self, v: str) -> Fraction:
         validate_string(v)
-        return Fraction(1 if is_prefix(self.w, v) else 0)
+        return Fraction(1 if v.startswith(self.w) else 0)
 
 
 class SliceMartingale(Martingale):
@@ -119,18 +118,16 @@ class SliceMartingale(Martingale):
         self.w = validate_string(w)
         self.measure = nu
         self.inner = inner
-        mw = nu.mass(w)
-        self._above = mw >= nu.witness.threshold(len(w))
-        self._mw = mw.to_fraction()
+        self._mw = nu.mass(w)
+        self._above = self._mw >= nu.witness.threshold(len(w))
 
     def value(self, v: str) -> Fraction:
         validate_string(v)
-        if is_prefix(v, self.w):        # on the way down (or at the root w)
+        if self.w.startswith(v):        # on the way down (or at the root w)
             if not self._above:
                 return Fraction(0)
-            return (self.inner.value(self.w) * self._mw
-                    / self.measure.mass(v).to_fraction())
-        if is_prefix(self.w, v):        # strictly inside the cylinder
+            return self.inner.value(self.w) * (self._mw / self.measure.mass(v))
+        if v.startswith(self.w):        # strictly inside the cylinder
             return self.inner.value(v)
         return Fraction(0)
 
@@ -242,14 +239,9 @@ class IntersectUnion(SplittingOperator):
         a, b = self.phi.split(r + 1, d)
         if self.which == "cap":
             plus, minus = self.psi.split(r + 2, a)
-            return plus, add(b, minus)
+            return plus, SumMartingale(b, minus)
         plus, minus = self.psi.split(r + 2, b)
-        return add(a, plus), minus
-
-
-def intersect_union(phi: SplittingOperator, psi: SplittingOperator,
-                    which: str) -> IntersectUnion:
-    return IntersectUnion(phi, psi, which)
+        return SumMartingale(a, plus), minus
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +283,9 @@ class NullUnion(SplittingOperator):
         self.measure = self.members[0].measure
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        return reduce(add, [op.split(j + r + 1, unit(self.measure))[0]
-                            for j, op in enumerate(self.members)]), d
+        return reduce(SumMartingale,
+                      [op.split(j + r + 1, unit(self.measure))[0]
+                       for j, op in enumerate(self.members)]), d
 
 
 class ModulatedSequence:
@@ -356,10 +349,10 @@ class LimitPlusMartingale(Martingale):
         if t < 0:
             raise DomainError("precision must be >= 0")
         got = self.halves[0].approx(t + 1, w)
-        envelope = Fraction(2, 2 ** t)  # 4 * 2^-(t+1)
+        envelope = Dyadic(2, t)  # 4 * 2^-(t+1)
         for j, half in enumerate(self.halves[1:], self.k + 1):
             probe = half.approx(t + 1, w)
-            if abs(probe.to_fraction() - got.to_fraction()) > envelope:
+            if abs(probe - got) > envelope:
                 raise ModulusViolationError(
                     f"stage {j} at {w!r} is {probe}, "
                     f"outside the 2^-{t} envelope around {got}")
@@ -405,7 +398,8 @@ def capital_sum_check(phi: SplittingOperator, psi: SplittingOperator,
     """Two measurements of one set can't both start below half a unit:
     the sum of their restarted plus-capitals at the root reaches 1, up to
     the precision slack of the smaller index."""
-    d = add(phi.plus(j, unit(phi.measure)), psi.plus(k, unit(psi.measure)))
+    d = SumMartingale(phi.plus(j, unit(phi.measure)),
+                      psi.plus(k, unit(psi.measure)))
     return d.value("") >= 1 - Fraction(1, 2 ** min(j, k))
 
 
@@ -449,7 +443,7 @@ def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
     if head in ("cap", "cup"):
         if len(items) != 3:
             raise ParseError(f"({head} E F) takes exactly two operators")
-        return intersect_union(*_operands(items[1:]), head)
+        return IntersectUnion(*_operands(items[1:]), head)
     if head == "limit":
         if len(items) < 3 or not isinstance(items[-1], str):
             raise ParseError("(limit E0 E1 ... K) needs stages and an index")

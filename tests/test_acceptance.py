@@ -19,11 +19,13 @@ from cantorbet.funalg import (
     Comp, Oracle, Pad, Proj, Smash, check_bound, length_functional,
     length_term, parse_secpoly,
 )
-from cantorbet.martingale import TableMartingale, add, is_regular, regularize, unit
+from cantorbet.martingale import (
+    SumMartingale, TableMartingale, is_regular, regularize, unit,
+)
 from cantorbet.measure import biased, uniform
 from cantorbet.realfun import absolute_value, robin_hood_exact
 from cantorbet.splitting import (
-    LimitMeasurement, complement, cylinder, intersect_union, measure_value,
+    IntersectUnion, LimitMeasurement, complement, cylinder, measure_value,
     modulated,
 )
 
@@ -176,7 +178,7 @@ def _operator_pools():
     w3, w4 = words_up_to(3), words_up_to(4)
     pool_uni = [cylinder(w, uni) for w in w4]
     pool_uni += [complement(cylinder(w, uni)) for w in w3]
-    pool_uni += [intersect_union(cylinder(u, uni), cylinder(v, uni), which)
+    pool_uni += [IntersectUnion(cylinder(u, uni), cylinder(v, uni), which)
                  for u in w3 for v in w3 for which in ("cap", "cup")]
     pool_bia = [cylinder(w, bia) for w in w4]
     return (uni, pool_uni), (bia, pool_bia)
@@ -211,9 +213,9 @@ def test_criterion_06_inclusion_exclusion():
         for u in w3:
             for v in w3:
                 cup = measure_value(
-                    intersect_union(cylinder(u, nu), cylinder(v, nu), "cup"), r)
+                    IntersectUnion(cylinder(u, nu), cylinder(v, nu), "cup"), r)
                 cap = measure_value(
-                    intersect_union(cylinder(u, nu), cylinder(v, nu), "cap"), r)
+                    IntersectUnion(cylinder(u, nu), cylinder(v, nu), "cap"), r)
                 both = cup.to_fraction() + cap.to_fraction()
                 want = (nu.mass(u) + nu.mass(v)).to_fraction()
                 checked += 1
@@ -275,7 +277,7 @@ def test_criterion_08_sum_accuracy():
                           for _ in range(4)]))
     for _ in range(1000):
         nu, ds = pool[rng.randrange(len(pool))]
-        s = add(ds[rng.randrange(4)], ds[rng.randrange(4)])
+        s = SumMartingale(ds[rng.randrange(4)], ds[rng.randrange(4)])
         n = rng.randrange(8)
         w = "".join(rng.choice("01") for _ in range(n))
         r = rng.randrange(13)
@@ -353,8 +355,8 @@ def test_criterion_11_growth_closed_forms():
 def test_criterion_12_limit_of_union():
     nu = uniform()
     stages = [cylinder("000", nu)]
-    stages.append(intersect_union(stages[0], cylinder("001", nu), "cup"))
-    stages.append(intersect_union(stages[1], cylinder("01", nu), "cup"))
+    stages.append(IntersectUnion(stages[0], cylinder("001", nu), "cup"))
+    stages.append(IntersectUnion(stages[1], cylinder("01", nu), "cup"))
     lim = LimitMeasurement(modulated(stages))
     failures, checked = [], 0
     for r in range(9):

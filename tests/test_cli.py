@@ -3,9 +3,11 @@
 import contextlib
 import io
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from cantorbet.cli import run
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.core import Dyadic
 from cantorbet.funalg import parse_term
-from cantorbet.martingale import TableMartingale, add, dump_martingale
+from cantorbet.martingale import SumMartingale, TableMartingale, dump_martingale
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
 )
@@ -55,6 +57,14 @@ def bad_mg(tmp_path):
 
 
 @pytest.fixture
+def poor_mg(tmp_path):
+    """Capital 1/4 everywhere, so a walk has room below 1."""
+    path = tmp_path / "poor.mg"
+    path.write_text("martingale measure=uniform depth=0\n~ 1 2\n")
+    return str(path)
+
+
+@pytest.fixture
 def small_oracle(tmp_path):
     path = tmp_path / "table.orc"
     path.write_text("~ 11\n0 10110\n01 1\ndefault 0\n")
@@ -71,6 +81,32 @@ def test_measure_cylinder_uniform():
 
 def test_rh_balanced_pair():
     assert cli("rh", "--alpha", "1/2", "--s", "3", "--t", "1") == (0, "2 2\n", "")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, printed lines) for each `$ cantorbet ...` line of the README:
+    the lines after it, up to the next command or the end of the block."""
+    examples, current = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ cantorbet "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif line.startswith("```"):
+            current = None
+        elif current is not None:
+            current[1].append(line)
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows():
+    examples = _readme_examples()
+    assert len(examples) >= 5
+    for argv, lines in examples:
+        code, out, _ = cli(*argv)
+        assert (code, out.splitlines()) == (0, lines), argv
 
 
 def test_verify_martingale_names_offender(bad_mg):
@@ -180,7 +216,7 @@ def test_combine_is_the_canonical_sum(good_mg):
     code, out, _ = cli("combine", "--file", good_mg, "--file", good_mg,
                        "--w", "0", "--precision", "5")
     d = TableMartingale(doubling_table(), 2, uniform())
-    expect = add(d, d).approx(5, "0").render(5)
+    expect = SumMartingale(d, d).approx(5, "0").render(5)
     assert (code, out) == (0, expect + "\n")
 
 
@@ -385,6 +421,61 @@ def test_magnitude_cap_is_exit_three(small_oracle):
         assert "secpoly-eval:" in err
     finally:
         set_magnitude_cap(None)
+
+
+# A precision or margin is a size: each is checked against the magnitude cap
+# where it enters, before any 2**size is built.  Under a cap of 64 each of
+# these is cheap to run without the check; above the default cap they would
+# ask for integers of gigabytes.
+@pytest.mark.parametrize("argv", [
+    ["measure-cylinder", "--w", "0", "--measure", "uniform"],
+    ["measure-value", "--expr", "(cyl 0)", "--measure", "uniform"],
+    ["regularize", "--file", "MG", "--w", "01"],
+    ["combine", "--file", "MG", "--file", "MG", "--w", "0"],
+    ["rh", "--alpha", "1/2", "--s", "0", "--t", "0"],
+    ["diagonalize", "--file", "POOR", "--margin"],
+], ids=lambda argv: argv[0])
+def test_sizes_past_the_cap_are_exit_three(good_mg, poor_mg, argv):
+    argv = [{"MG": good_mg, "POOR": poor_mg}.get(a, a) for a in argv]
+    flag = [] if argv[0] == "diagonalize" else ["--precision"]
+    set_magnitude_cap(64)
+    try:
+        assert cli(*argv, *flag, "64")[0] == 0
+        code, out, err = cli(*argv, *flag, "100")
+    finally:
+        set_magnitude_cap(None)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind, text, argv", [
+    ("martingale", "martingale measure=uniform depth=1\n~ 1 0\n0 1 0\n"
+     "1 1 100\n", ["verify-martingale", "--file", "FILE"]),
+    ("measure", "measure depth=1 ext=half\n~ 1 0\n0 1 100\n1 1 1\n"
+     "l poly 0 1\n", ["measure-cylinder", "--w", "0", "--measure", "FILE",
+                      "--precision", "4"]),
+], ids=["martingale", "measure"])
+def test_file_precision_past_the_cap_is_exit_three(tmp_path, kind, text,
+                                                     argv):
+    path = tmp_path / kind
+    path.write_text(text)
+    set_magnitude_cap(64)
+    try:
+        code, out, err = cli(*[str(path) if a == "FILE" else a for a in argv])
+    finally:
+        set_magnitude_cap(None)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagonalize", "--file", "POOR", "--margin", "-1"],
+    ["secpoly-eval", "--poly", "n1 * 2", "--n", "-5"],
+], ids=["negative-margin", "negative-length"])
+def test_negative_sizes_are_exit_one(poor_mg, argv):
+    code, out, err = cli(*[poor_mg if a == "POOR" else a for a in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
 
 
 # Python refuses to write an integer of more than sys.get_int_max_str_digits()

@@ -160,6 +160,33 @@ def test_capital_margin_values():
     assert capital_margin(d, "000") == 5
 
 
+def test_capital_margin_is_the_least_margin():
+    """Brute force over the definition: the least m with every prefix's
+    capital at most 1 - 2**(1-m)."""
+    mu = uniform()
+
+    def least(d, w):
+        m = 0
+        while any(d.value(w[:k]) > 1 - Fraction(2, 2 ** m)
+                  for k in range(len(w) + 1)):
+            m += 1
+        return m
+
+    rng = random.Random(9)
+    worsts = [Fraction(0), 1 - Fraction(1, 2 ** 500),
+              1 - Fraction(1, 2 ** 500) - Fraction(1, 2 ** 900)]
+    worsts += [Fraction(rng.randrange(den), den)
+               for den in (rng.randrange(1, 1 << 40) for _ in range(300))]
+    for worst in worsts:
+        d = ConstantMartingale(worst, mu)
+        assert capital_margin(d, "") == least(d, "")
+    assert capital_margin(ConstantMartingale(1 - Fraction(1, 2 ** 500), mu),
+                          "") == 501
+    d = spike_martingale()
+    for w in ("", "0", "00", "000", "01", "1", "0110"):
+        assert capital_margin(d, w) == least(d, w)
+
+
 def test_capital_margin_requires_room():
     with pytest.raises(PreconditionError):
         capital_margin(unit(uniform()), "")

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from cantorbet import funalg
 from cantorbet.config import set_magnitude_cap
 from cantorbet.errors import (
     BoundViolationError, DomainError, ParseError, PreconditionError,
@@ -15,7 +16,7 @@ from cantorbet.errors import (
 from cantorbet.funalg import (
     Ap, Br, BoundReport, Comp, Const, Expand, Lrn, Meter, Oracle, OracleRef,
     Pad, Pred, Proj, S0, S1, Smash, Succ, binary_length_term, check_bound,
-    dump_oracle, eval_secpoly, evaluate, if_zero_term, length_functional,
+    dump_oracle, if_zero_term, length_functional,
     length_term, load_oracle, monus_term, ones_term, parse_secpoly,
     parse_term, closure_construct, restricted_length,
 )
@@ -23,9 +24,9 @@ from cantorbet.calibration import EVALUATOR_MARGIN, recalibrate
 from cantorbet.core import bton, ntob
 
 
-IDENT = Oracle.from_function(lambda w: w)
-DOUBLE = Oracle.from_function(lambda w: w + w)
-EMPTY = Oracle.from_function(lambda w: "")
+IDENT = Oracle(lambda w: w)
+DOUBLE = Oracle(lambda w: w + w)
+EMPTY = Oracle(lambda w: "")
 
 
 def random_oracle(rng, radius=4, answer_len=8):
@@ -184,7 +185,7 @@ def test_lrn_peels_last_bit():
     t = Lrn(Expand(Const(), 1, 0),
             Comp(OracleRef(0), (Expand(Proj(0, 2), 1, 0),)),
             Expand(Proj(0), 1, 0))
-    t.evaluate((Oracle.from_function(spy),), ("0110",))
+    t.evaluate((Oracle(spy),), ("0110",))
     assert log == ["0", "01", "011", "0110"]
 
 
@@ -316,18 +317,18 @@ def test_brute_force_respects_cap():
 # ---------------------------------------------------------------------------
 
 def test_secpoly_examples():
-    assert eval_secpoly(parse_secpoly("L1(n1) + 3"), [lambda m: 2 * m], [5]) == 13
-    assert eval_secpoly(parse_secpoly("g1(n1)"), [], [4]) == 16
-    assert eval_secpoly(parse_secpoly("L1(L1(n1))"), [lambda m: m + 1], [0]) == 2
-    assert eval_secpoly(parse_secpoly("2 * n1 + n2 * n2"), [], [3, 4]) == 22
-    assert eval_secpoly(parse_secpoly("(n1 + 1) * (n1 + 2)"), [], [2]) == 12
+    assert parse_secpoly("L1(n1) + 3").evaluate([lambda m: 2 * m], [5]) == 13
+    assert parse_secpoly("g1(n1)").evaluate([], [4]) == 16
+    assert parse_secpoly("L1(L1(n1))").evaluate([lambda m: m + 1], [0]) == 2
+    assert parse_secpoly("2 * n1 + n2 * n2").evaluate([], [3, 4]) == 22
+    assert parse_secpoly("(n1 + 1) * (n1 + 2)").evaluate([], [2]) == 12
 
 
 def test_secpoly_unbound():
     with pytest.raises(DomainError):
-        eval_secpoly(parse_secpoly("n2"), [], [5])
+        parse_secpoly("n2").evaluate([], [5])
     with pytest.raises(DomainError):
-        eval_secpoly(parse_secpoly("L1(3)"), [], [])
+        parse_secpoly("L1(3)").evaluate([], [])
 
 
 def test_secpoly_parse_errors():
@@ -347,7 +348,7 @@ def test_secpoly_chains_are_flat():
     assert parse_secpoly("1 + (2 + 3) + 4") == parse_secpoly("1 + 2 + 3 + 4")
     assert parse_secpoly("(n1 * n2) * 3").to_text() == "n1 * n2 * 3"
     assert parse_secpoly("(n1 + 1) * 2").to_text() == "(n1 + 1) * 2"
-    assert eval_secpoly(parse_secpoly(" + ".join(["n1"] * 5000)), [], [2]) \
+    assert parse_secpoly(" + ".join(["n1"] * 5000)).evaluate([], [2]) \
         == 10000
 
 
@@ -373,8 +374,7 @@ def test_secpoly_monotone_in_lengths():
     for _ in range(40):
         p = rand_poly(3)
         for n in (0, 2, 5):
-            assert (eval_secpoly(p, [lo], [n])
-                    <= eval_secpoly(p, [hi], [n]))
+            assert p.evaluate([lo], [n]) <= p.evaluate([hi], [n])
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +445,30 @@ def test_restricted_length():
         ln(-1)
     with pytest.raises(DomainError):
         restricted_length(f, -1)
+
+
+def test_restricted_length_refuses_without_building_the_space(monkeypatch):
+    """2**(radius+1) > cap exactly when radius + 1 >= cap.bit_length(), so
+    a refusal needs no power of two.  A spy on check_magnitude sees every
+    size handed to it; at radius 10**6 a built 2**(radius+1) is cheap to
+    make and plain to see."""
+    sizes = []
+    check = funalg.check_magnitude
+
+    def spy(size, what="value"):
+        sizes.append(size)
+        check(size, what)
+
+    monkeypatch.setattr(funalg, "check_magnitude", spy)
+    set_magnitude_cap(64)
+    try:
+        assert restricted_length(DOUBLE, 5)(5) == 10  # 2**6 is the cap
+        for radius in (6, 10 ** 6):
+            with pytest.raises(ResourceError):
+                restricted_length(DOUBLE, radius)
+    finally:
+        set_magnitude_cap(None)
+    assert all(size.bit_length() <= 64 for size in sizes)
 
 
 def test_calibration_margin_still_covers():
@@ -553,7 +577,7 @@ def test_oracle_parse_errors():
 
 
 def test_oracle_totality_checked():
-    junk = Oracle.from_function(lambda w: "2")
+    junk = Oracle(lambda w: "2")
     with pytest.raises(DomainError):
         junk("0")
     with pytest.raises(DomainError):

@@ -13,7 +13,8 @@ from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
 )
 from cantorbet.martingale import (
-    Martingale, TableMartingale, unit, add, covers, is_regular, regularize,
+    Martingale, SumMartingale, TableMartingale, unit, covers, is_regular,
+    regularize,
     max_capital, min_tail_capital, load_martingale, dump_martingale,
 )
 
@@ -72,10 +73,10 @@ def test_constant_extension():
 
 def test_add_values():
     one = unit()
-    two = add(one, one)
+    two = SumMartingale(one, one)
     assert two.value("010") == 2
     d = table_d(COVER_FIXTURE, 2)
-    s = add(d, one)
+    s = SumMartingale(d, one)
     assert s.value("0") == Fraction(7, 4)
     assert s.measure is d.measure
 
@@ -84,9 +85,9 @@ def test_add_measure_mismatch():
     d1 = table_d(COVER_FIXTURE, 2, uniform())
     d2 = unit(biased(Dyadic(3, 2)))
     with pytest.raises(MeasureMismatchError):
-        add(d1, d2)
+        SumMartingale(d1, d2)
     # unit with no pinned measure mixes with anything
-    assert add(d1, unit()).value("") == Fraction(3, 2)
+    assert SumMartingale(d1, unit()).value("") == Fraction(3, 2)
 
 
 def test_add_approx_formula():
@@ -95,7 +96,7 @@ def test_add_approx_formula():
     nu = build_measure(cond, 5)
     d1 = build_table_martingale(rng, nu, cond, 5)
     d2 = build_table_martingale(rng, nu, cond, 5)
-    s = add(d1, d2)
+    s = SumMartingale(d1, d2)
     for _ in range(200):
         n = rng.randrange(7)
         w = "".join(rng.choice("01") for _ in range(n))

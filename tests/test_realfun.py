@@ -12,7 +12,7 @@ from cantorbet.core import Dyadic, HALF, frac_round_at
 from cantorbet.errors import DomainError
 from cantorbet.realfun import (
     weighted_avg, paste, robin_hood_exact, robin_hood, robin_hood_pipeline,
-    identity1, negate1, constant, absolute_value, ceil_log2,
+    identity1, negate1, constant, absolute_value, ceil_log2, transfer_bits,
 )
 
 from helpers import random_transfer_point
@@ -24,12 +24,40 @@ def mean(a, s, t):
     return a * s + (1 - a) * t
 
 
+def _least_power_at_least(q):
+    """Least k >= 0 with q <= 2**k, by search."""
+    k = 0
+    while q > 2 ** k:
+        k += 1
+    return k
+
+
 def test_ceil_log2():
     assert ceil_log2(1) == 0
     assert ceil_log2(2) == 1
     assert ceil_log2(Fraction(4, 3)) == 1
     assert ceil_log2(Fraction(1, 3)) == 0
     assert ceil_log2(9) == 4
+    for j in range(200):
+        assert ceil_log2(Fraction(2 ** j)) == j
+        assert ceil_log2(Fraction(2 ** j) + Fraction(1, 2 ** 300)) == j + 1
+        assert ceil_log2(Fraction(1, 2 ** j)) == 0
+    rng = random.Random(3)
+    for _ in range(3000):
+        q = Fraction(rng.randrange(1, 1 << rng.randrange(1, 90)),
+                     rng.randrange(1, 1 << rng.randrange(1, 90)))
+        assert ceil_log2(q) == _least_power_at_least(q)
+    with pytest.raises(DomainError):
+        ceil_log2(0)
+
+
+def test_transfer_bits_is_log2_of_the_slope():
+    rng = random.Random(4)
+    for _ in range(1000):
+        den = rng.randrange(2, 1 << rng.randrange(2, 60))
+        a = Fraction(rng.randrange(1, den), den)
+        assert transfer_bits(a) == _least_power_at_least(
+            max(Fraction(1), 1 / a, 1 / (1 - a)))
 
 
 def test_weighted_avg_examples():

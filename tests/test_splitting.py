@@ -18,10 +18,10 @@ from cantorbet.errors import (
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
 )
-from cantorbet.martingale import unit, add, covers, regularize
+from cantorbet.martingale import unit, covers, regularize
 from cantorbet.splitting import (
     Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
-    cylinder, complement, intersect_union, complete_null, union_sequence,
+    cylinder, complement, complete_null, union_sequence,
     modulated, measure_value, capital_sum_check,
     initial_capital_surplus, parse_operator, IndicatorMartingale,
     SplittingOperator,
@@ -162,11 +162,11 @@ def test_theta_values():
     c0 = CylinderPos("0", mu)
     c1 = CylinderPos("1", mu)
     for r in (2, 5, 8):
-        both = intersect_union(c0, c0, "cap").plus(r, unit(mu))
+        both = IntersectUnion(c0, c0, "cap").plus(r, unit(mu))
         assert both.value("") == Fraction(1, 2)
-        neither = intersect_union(c0, c1, "cup").minus(r, unit(mu))
+        neither = IntersectUnion(c0, c1, "cup").minus(r, unit(mu))
         assert neither.value("") == 0
-        rest = intersect_union(c0, c1, "cap").minus(r, unit(mu))
+        rest = IntersectUnion(c0, c1, "cap").minus(r, unit(mu))
         assert rest.value("") == 1
 
 
@@ -174,7 +174,7 @@ def test_theta_outputs_satisfy_identity():
     d, nu = random_d(7)
     c = CylinderPos("01", nu)
     for which in ("cap", "cup"):
-        op = intersect_union(c, c, which)
+        op = IntersectUnion(c, c, which)
         for out in (op.plus(3, d), op.minus(3, d)):
             for n in range(3):
                 for i in range(1 << n):
@@ -189,9 +189,9 @@ def test_intersect_union_validation():
     mu = uniform()
     c = CylinderPos("0", mu)
     with pytest.raises(DomainError):
-        intersect_union(c, c, "both")
+        IntersectUnion(c, c, "both")
     with pytest.raises(MeasureMismatchError):
-        intersect_union(c, CylinderPos("0", biased(Dyadic(3, 2))), "cap")
+        IntersectUnion(c, CylinderPos("0", biased(Dyadic(3, 2))), "cap")
 
 
 class CountingOperator(SplittingOperator):
@@ -226,7 +226,7 @@ def test_intersect_union_applies_phi_once_per_sign():
     for which in ("cap", "cup"):
         for side in ("plus", "minus"):
             phi, psi = CountingOperator(mu), CountingOperator(mu)
-            getattr(intersect_union(phi, psi, which), side)(3, unit(mu))
+            getattr(IntersectUnion(phi, psi, which), side)(3, unit(mu))
             assert (phi.calls, psi.calls) == (1, 1), (which, side)
 
 
@@ -291,10 +291,10 @@ def test_cap_cup_cylinder_values():
     c1 = CylinderPos("1", mu)
     r = 8
     tol = Fraction(1, 2 ** r)
-    assert measure_value(intersect_union(c0, c1, "cap"), r).to_fraction() <= tol
-    assert abs(measure_value(intersect_union(c0, c1, "cup"), r).to_fraction()
+    assert measure_value(IntersectUnion(c0, c1, "cap"), r).to_fraction() <= tol
+    assert abs(measure_value(IntersectUnion(c0, c1, "cup"), r).to_fraction()
                - 1) <= tol
-    assert abs(measure_value(intersect_union(c0, c0, "cap"), r).to_fraction()
+    assert abs(measure_value(IntersectUnion(c0, c0, "cap"), r).to_fraction()
                - Fraction(1, 2)) <= tol
 
 
@@ -306,8 +306,8 @@ def test_inclusion_exclusion_sample():
         v = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
         cu, cv = CylinderPos(u, mu), CylinderPos(v, mu)
         r = 7
-        cap = measure_value(intersect_union(cu, cv, "cap"), r).to_fraction()
-        cup = measure_value(intersect_union(cu, cv, "cup"), r).to_fraction()
+        cap = measure_value(IntersectUnion(cu, cv, "cap"), r).to_fraction()
+        cup = measure_value(IntersectUnion(cu, cv, "cup"), r).to_fraction()
         lhs = cap + cup
         rhs = mu.mass(u).to_fraction() + mu.mass(v).to_fraction()
         assert abs(lhs - rhs) <= Fraction(2, 2 ** r)
@@ -318,7 +318,7 @@ def test_cap_cup_axiom_iii():
     c0 = CylinderPos("0", nu)
     c01 = CylinderPos("01", nu)
     for which in ("cap", "cup"):
-        op = intersect_union(c0, c01, which)
+        op = IntersectUnion(c0, c01, which)
         for r in range(1, 8):
             assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
 
@@ -412,9 +412,9 @@ def test_limit_constant_sequence():
 def test_limit_increasing_union():
     mu = uniform()
     e0 = CylinderPos("000", mu)
-    e1 = intersect_union(CylinderPos("000", mu), CylinderPos("001", mu),
+    e1 = IntersectUnion(CylinderPos("000", mu), CylinderPos("001", mu),
                          "cup")
-    e2 = intersect_union(e1, CylinderPos("01", mu), "cup")
+    e2 = IntersectUnion(e1, CylinderPos("01", mu), "cup")
     op = LimitMeasurement(modulated([e0, e1, e2]))
     for r in range(2, 9):
         v = measure_value(op, r)
@@ -455,7 +455,7 @@ def test_modulated_negative_index_rejected():
 
 def test_measure_value_examples():
     mu = uniform()
-    disjoint = intersect_union(CylinderPos("0", mu), CylinderPos("10", mu),
+    disjoint = IntersectUnion(CylinderPos("0", mu), CylinderPos("10", mu),
                                "cup")
     v = measure_value(disjoint, 8)
     assert v.precision <= 8
@@ -468,7 +468,7 @@ def test_capital_sum_check():
     assert capital_sum_check(whole, whole, 4, 6)
     c0 = CylinderPos("0", mu)
     assert capital_sum_check(c0, complement(c0), 5, 5)
-    u = intersect_union(CylinderPos("0", mu), CylinderPos("1", mu), "cup")
+    u = IntersectUnion(CylinderPos("0", mu), CylinderPos("1", mu), "cup")
     assert capital_sum_check(u, CylinderPos("", mu), 3, 3)
 
 
@@ -478,7 +478,7 @@ def test_axiom_iii_across_operators():
         CylinderPos("0", nu),
         CylinderPos("", nu),
         complement(CylinderPos("11", nu)),
-        intersect_union(CylinderPos("0", nu), CylinderPos("01", nu), "cap"),
+        IntersectUnion(CylinderPos("0", nu), CylinderPos("01", nu), "cap"),
     ]
     for op in ops:
         for r in range(1, 11):
