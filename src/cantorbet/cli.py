@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -245,8 +246,22 @@ def _add_call_flags(p):
                    help="string argument, ~ for the empty word; repeatable")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a token such as -8/3 for a value.
+
+    argparse reads a token that starts with '-' as a flag unless it looks
+    like -3 or -0.5, so `--s -8/3` would lack its value.  Subparsers are
+    built from the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cantorbet",
         description="Exact-arithmetic toolkit for betting strategies, "
                     "measured sets and resource-bounded functionals.")

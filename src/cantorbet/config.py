@@ -16,8 +16,9 @@ from .errors import ResourceError
 DEFAULT_MAGNITUDE_CAP = 2 ** 20
 ENV_VAR = "CANTORBET_MAGNITUDE_CAP"
 
-# deepest nesting the term and set-expression parsers accept: evaluation
-# recurses a few frames per level, so deeper input is refused up front
+# deepest nesting the term and set-expression parsers accept: compiling and
+# evaluating recurse a frame or two per level, so deeper input is refused
+# up front
 MAX_NESTING = 256
 
 _cap = None  # resolved lazily so the env var is honored at first use

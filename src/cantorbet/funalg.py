@@ -5,7 +5,8 @@ Terms denote functionals over bit strings.  A term's signature is a pair
 are passed positionally at evaluation time.  The combinators are
 functional composition, expansion (adding ignored slots), recursion on
 notation limited by a length bound, and numeric recursion limited by a
-value bound.  Evaluation is metered: step count, largest intermediate
+value bound.  A term is evaluated by compiling it, once per call, into
+nested closures.  Evaluation is metered: step count, largest intermediate
 string, and the oracle query log.
 
 The growth-padding primitive (`pad`) and the two recursion schemata are
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .config import MAX_NESTING, check_magnitude, magnitude_cap
 from .core import (
-    bton, growth, ntob, pred, read_natural, read_sexpr, read_word, show_int,
-    show_word, smash, strings_of_length, succ, validate_string,
+    bton, growth, read_natural, read_sexpr, read_word, show_int, show_word,
+    strings_of_length, validate_string,
 )
 from .errors import (
     BoundViolationError, DomainError, ParseError, PreconditionError,
@@ -33,7 +34,7 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Meter:
     """Evaluation cost ledger: a stand-in for machine time and space.
 
@@ -46,22 +47,9 @@ class Meter:
     max_len: int = 0
     oracle_log: list = field(default_factory=list)
 
-    def charge(self, produced: str) -> None:
-        self.steps += 1 + len(produced)
-        if len(produced) > self.max_len:
-            self.max_len = len(produced)
-
-    def tick(self) -> None:
-        self.steps += 1
-
     def saw(self, s: str) -> None:
         if len(s) > self.max_len:
             self.max_len = len(s)
-
-    def record_query(self, query: str, answer: str) -> None:
-        self.oracle_log.append((query, len(answer)))
-        self.saw(query)
-        self.saw(answer)
 
     @property
     def queried_radius(self) -> int:
@@ -71,32 +59,35 @@ class Meter:
 class Oracle:
     """A total function on bit strings.
 
-    Finitely presented as a table with a default answer, or wrapped
-    around a callable for builtins; either way every answer is checked
-    to be a bit string.
+    Wrapped around a callable, whose answers are checked on every call,
+    or finitely presented as a table with a default answer, whose words
+    are checked once when the table is built.  `answer(query)` skips the
+    check on the query, which the caller vouches is a bit string.
     """
 
-    def __init__(self, fn, *, table=None, default=None):
-        self._fn = fn
-        self.table = table
-        self.default = default
+    table = None
+    default = None
+
+    def __init__(self, fn):
+        self.answer = lambda w: validate_string(fn(w))
 
     @classmethod
     def from_table(cls, table: dict, default: str = "") -> "Oracle":
         validate_string(default)
-        clean = {}
         for q, a in table.items():
             validate_string(q)
             validate_string(a)
-            clean[q] = a
-        return cls(lambda w: clean.get(w, default), table=clean,
-                   default=default)
+        return cls._of_checked_table(dict(table), default)
+
+    @classmethod
+    def _of_checked_table(cls, table: dict, default: str) -> "Oracle":
+        oracle = cls.__new__(cls)
+        oracle.table, oracle.default = table, default
+        oracle.answer = lambda w: table.get(w, default)
+        return oracle
 
     def __call__(self, query: str) -> str:
-        validate_string(query)
-        answer = self._fn(query)
-        validate_string(answer)
-        return answer
+        return self.answer(validate_string(query))
 
 
 def load_oracle(text: str) -> Oracle:
@@ -123,7 +114,7 @@ def load_oracle(text: str) -> Oracle:
             raise ParseError(f"oracle line {lineno}: {e}") from e
     if default is None:
         raise ParseError("oracle table needs a final 'default' line")
-    return Oracle.from_table(table, default)
+    return Oracle._of_checked_table(table, default)
 
 
 def dump_oracle(oracle: Oracle) -> str:
@@ -138,6 +129,31 @@ def dump_oracle(oracle: Oracle) -> str:
 # ---------------------------------------------------------------------------
 # terms
 # ---------------------------------------------------------------------------
+#
+# A term is evaluated by compiling it into nested closures
+# (fs, xs, meter) -> str, where fs holds the oracles' `answer` functions
+# and xs the string arguments, and running the result.  A term of
+# signature (k, l) reads only fs[:k] and xs[:l], and every combinator
+# indexes slots from the front, so trailing slots are never read and need
+# not be cut off.
+#
+# Every string in xs is an argument that `evaluate` checked and counted in
+# max_len, a value some closure made and counted, or a prefix of one of
+# those or a numeral no longer than one.  So the closures check no string,
+# and the meter is charged inline: every leaf charges 1 plus the length
+# of its output and raises max_len to it (a projection or an oracle query
+# never raises it by its input), and a composition, or a recursion stage
+# after the first, charges 1 more.
+
+
+def _successor(w: str) -> str:
+    """The next numeral in length-then-lexicographic order."""
+    return bin(int("1" + w, 2) + 1)[3:]
+
+
+def _predecessor(w: str) -> str:
+    """The previous numeral; the empty string is its own predecessor."""
+    return bin(int("1" + w, 2) - 1)[3:]
 
 
 class Term:
@@ -145,7 +161,8 @@ class Term:
 
     signature: tuple[int, int]
 
-    def run(self, fs, xs, meter: Meter) -> str:
+    def compile(self):
+        """A closure (fs, xs, meter) -> str that evaluates this term."""
         raise NotImplementedError
 
     def to_sexpr(self) -> str:
@@ -168,11 +185,12 @@ class Term:
             meter = Meter()
         for x in args:
             meter.saw(x)
-        return self.run(tuple(oracles), tuple(args), meter)
+        run = self.compile()
+        return run(tuple(f.answer for f in oracles), tuple(args), meter)
 
 
 class _Leaf(Term):
-    """Primitive with a fixed signature; subclasses fill in apply()."""
+    """Primitive with a fixed signature; subclasses fill in compile()."""
 
     __slots__ = ()
     head = ""
@@ -186,58 +204,102 @@ class _Leaf(Term):
     def __hash__(self):
         return hash(type(self))
 
-    def run(self, fs, xs, meter):
-        out = self.apply(fs, xs, meter)
-        meter.charge(out)
-        return out
-
 
 class Const(_Leaf):
     head = "const"
     signature = (0, 0)
 
-    def apply(self, fs, xs, meter):
-        return ""
+    def compile(self):
+        def const(fs, xs, meter):
+            meter.steps += 1
+            return ""
+        return const
 
 
-class S0(_Leaf):
+class _Unary(_Leaf):
+    """A primitive of one string whose output is fn(input)."""
+
+    signature = (0, 1)
+    fn = None
+
+    def compile(self):
+        fn = self.fn
+
+        def unary(fs, xs, meter):
+            out = fn(xs[0])
+            n = len(out)
+            meter.steps += 1 + n
+            if n > meter.max_len:
+                meter.max_len = n
+            return out
+        return unary
+
+    def compile_of_proj(self, j: int):
+        """(head (proj j ...)) as one closure, charged as the projection,
+        the composition and this leaf would be."""
+        fn = self.fn
+
+        def unary_of_proj(fs, xs, meter):
+            u = xs[j]
+            out = fn(u)
+            n = len(out)
+            meter.steps += 3 + len(u) + n
+            if n > meter.max_len:
+                meter.max_len = n
+            return out
+        return unary_of_proj
+
+
+class S0(_Unary):
     head = "s0"
-    signature = (0, 1)
-
-    def apply(self, fs, xs, meter):
-        return xs[0] + "0"
+    fn = staticmethod(lambda w: w + "0")
 
 
-class S1(_Leaf):
+class S1(_Unary):
     head = "s1"
-    signature = (0, 1)
-
-    def apply(self, fs, xs, meter):
-        return xs[0] + "1"
+    fn = staticmethod(lambda w: w + "1")
 
 
-class Succ(_Leaf):
+class Succ(_Unary):
     head = "succ"
-    signature = (0, 1)
-
-    def apply(self, fs, xs, meter):
-        return succ(xs[0])
+    fn = staticmethod(_successor)
 
 
-class Pred(_Leaf):
+class Pred(_Unary):
     head = "pred"
-    signature = (0, 1)
-
-    def apply(self, fs, xs, meter):
-        return pred(xs[0])
+    fn = staticmethod(_predecessor)
 
 
 class Smash(_Leaf):
     head = "smash"
     signature = (0, 2)
 
-    def apply(self, fs, xs, meter):
-        return smash(xs[0], xs[1])
+    def compile(self):
+        cap = magnitude_cap()
+
+        def smash(fs, xs, meter):
+            n = len(xs[0]) * len(xs[1])
+            if n > cap:
+                check_magnitude(n, "smash output")
+            meter.steps += 1 + n
+            if n > meter.max_len:
+                meter.max_len = n
+            return "1" * n
+        return smash
+
+
+def _query(j: int):
+    """The closure that feeds its single string to the j-th oracle."""
+    def query(fs, xs, meter):
+        q = xs[0]
+        answer = fs[j](q)
+        n = len(answer)
+        meter.oracle_log.append((q, n))
+        meter.steps += 1 + n
+        if n > meter.max_len:
+            meter.max_len = n
+        return answer
+    return query
 
 
 class Ap(_Leaf):
@@ -246,10 +308,8 @@ class Ap(_Leaf):
     head = "ap"
     signature = (1, 1)
 
-    def apply(self, fs, xs, meter):
-        answer = fs[0](xs[0])
-        meter.record_query(xs[0], answer)
-        return answer
+    def compile(self):
+        return _query(0)
 
 
 @dataclass(frozen=True)
@@ -272,10 +332,14 @@ class Proj(Term):
             return f"(proj {self.j})"
         return f"(proj {self.j} {self.arity})"
 
-    def run(self, fs, xs, meter):
-        out = xs[self.j]
-        meter.charge(out)
-        return out
+    def compile(self):
+        j = self.j
+
+        def proj(fs, xs, meter):
+            out = xs[j]
+            meter.steps += 1 + len(out)
+            return out
+        return proj
 
 
 @dataclass(frozen=True)
@@ -292,12 +356,17 @@ class Pad(Term):
     def to_sexpr(self):
         return f"(pad {self.i})"
 
-    def run(self, fs, xs, meter):
-        n = growth(self.i, len(xs[0]))
-        check_magnitude(n, "pad output")
-        out = "1" * n
-        meter.charge(out)
-        return out
+    def compile(self):
+        i = self.i
+
+        def pad(fs, xs, meter):
+            n = growth(i, len(xs[0]))
+            check_magnitude(n, "pad output")
+            meter.steps += 1 + n
+            if n > meter.max_len:
+                meter.max_len = n
+            return "1" * n
+        return pad
 
 
 @dataclass(frozen=True)
@@ -320,11 +389,8 @@ class OracleRef(Term):
             return f"(oracle {self.j})"
         return f"(oracle {self.j} {self.slots})"
 
-    def run(self, fs, xs, meter):
-        answer = fs[self.j](xs[0])
-        meter.record_query(xs[0], answer)
-        meter.charge(answer)
-        return answer
+    def compile(self):
+        return _query(self.j)
 
 
 @dataclass(frozen=True)
@@ -361,10 +427,33 @@ class Comp(Term):
             return f"({self.outer.head} {parts})"
         return f"(comp {self.outer.to_sexpr()} {parts})"
 
-    def run(self, fs, xs, meter):
-        vals = tuple(t.run(fs, xs, meter) for t in self.inners)
-        meter.tick()
-        return self.outer.run(fs, vals, meter)
+    def compile(self):
+        inner = self.inners[0]
+        if isinstance(self.outer, _Unary) and isinstance(inner, Proj):
+            return self.outer.compile_of_proj(inner.j)
+        outer = self.outer.compile()
+        inners = [t.compile() for t in self.inners]
+        if len(inners) == 1:
+            (a,) = inners
+
+            def comp(fs, xs, meter):
+                u = a(fs, xs, meter)
+                meter.steps += 1
+                return outer(fs, (u,), meter)
+        elif len(inners) == 2:
+            a, b = inners
+
+            def comp(fs, xs, meter):
+                u = a(fs, xs, meter)
+                v = b(fs, xs, meter)
+                meter.steps += 1
+                return outer(fs, (u, v), meter)
+        else:
+            def comp(fs, xs, meter):
+                vals = tuple([t(fs, xs, meter) for t in inners])
+                meter.steps += 1
+                return outer(fs, vals, meter)
+        return comp
 
 
 @dataclass(frozen=True)
@@ -387,9 +476,9 @@ class Expand(Term):
         return (f"(expand {self.inner.to_sexpr()} "
                 f"{self.extra_oracles} {self.extra_args})")
 
-    def run(self, fs, xs, meter):
-        k, l = self.inner.signature
-        return self.inner.run(fs[:k], xs[:l], meter)
+    def compile(self):
+        # the inner term never reads the trailing slots
+        return self.inner.compile()
 
 
 def _check_schema(name, base: Term, step: Term, bound: Term):
@@ -427,18 +516,25 @@ class Lrn(Term):
         return (f"(lrn {self.base.to_sexpr()} {self.step.to_sexpr()} "
                 f"{self.bound.to_sexpr()})")
 
-    def run(self, fs, xs, meter):
-        front, w = xs[:-1], xs[-1]
-        val = self.base.run(fs, front, meter)
-        for stop in range(len(w) + 1):
-            prefix = w[:stop]
-            if stop > 0:
-                meter.tick()
-                val = self.step.run(fs, front + (prefix, val), meter)
-            limit = self.bound.run(fs, front + (prefix,), meter)
-            if len(val) > len(limit):
-                raise BoundViolationError("lrn", prefix, len(val), len(limit))
-        return val
+    def compile(self):
+        base, step, bound = (self.base.compile(), self.step.compile(),
+                             self.bound.compile())
+        l = self.base.signature[1]
+
+        def lrn(fs, xs, meter):
+            front, w = xs[:l], xs[l]
+            val = base(fs, front, meter)
+            for stop in range(len(w) + 1):
+                prefix = w[:stop]
+                if stop:
+                    meter.steps += 1
+                    val = step(fs, front + (prefix, val), meter)
+                limit = bound(fs, front + (prefix,), meter)
+                if len(val) > len(limit):
+                    raise BoundViolationError("lrn", prefix, len(val),
+                                              len(limit))
+            return val
+        return lrn
 
 
 @dataclass(frozen=True)
@@ -463,18 +559,33 @@ class Br(Term):
         return (f"(br {self.base.to_sexpr()} {self.step.to_sexpr()} "
                 f"{self.bound.to_sexpr()})")
 
-    def run(self, fs, xs, meter):
-        front, n = xs[:-1], bton(xs[-1])
-        check_magnitude(n, "bounded recursion counter")
-        val = self.base.run(fs, front, meter)
-        for t in range(n + 1):
-            if t > 0:
-                meter.tick()
-                val = self.step.run(fs, front + (ntob(t - 1), val), meter)
-            limit = self.bound.run(fs, front + (ntob(t),), meter)
-            if bton(val) > bton(limit):
-                raise BoundViolationError("br", t, bton(val), bton(limit))
-        return val
+    def compile(self):
+        base, step, bound = (self.base.compile(), self.step.compile(),
+                             self.bound.compile())
+        l = self.base.signature[1]
+        cap = magnitude_cap()
+
+        def br(fs, xs, meter):
+            front = xs[:l]
+            n = int("1" + xs[l], 2) - 1     # bton, on a checked string
+            if n > cap:
+                check_magnitude(n, "bounded recursion counter")
+            val = base(fs, front, meter)
+            t = ""                          # the numeral of the stage
+            for stage in range(n + 1):
+                if stage:
+                    meter.steps += 1
+                    val = step(fs, front + (t, val), meter)
+                    t = bin(stage + 1)[3:]
+                limit = bound(fs, front + (t,), meter)
+                # numerals compare by length, then lexicographically,
+                # which is the order of their numbers
+                a, b = len(val), len(limit)
+                if a > b or (a == b and val > limit):
+                    raise BoundViolationError("br", stage, bton(val),
+                                              bton(limit))
+            return val
+        return br
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,7 @@ class RegularizedMartingale(Martingale):
         down to x and the last transfer; only the final pick differs.
         """
         nu = self._nu
+        witness = nu.witness
         # One scan reads each split once: the slope budget counts the splits
         # the exact test finds nondegenerate, and `weights` holds alpha, or
         # None where the threshold test finds the split degenerate.
@@ -325,8 +326,8 @@ class RegularizedMartingale(Martingale):
             alpha = _weight(mp, m0)
             if alpha is not None:
                 slope += transfer_bits(alpha)
-            thr = nu.witness.threshold(i + 1)
-            live = mp >= nu.witness.threshold(i) and m0 >= thr and m1 >= thr
+            live = (witness.clears(mp, i) and witness.clears(m0, i + 1)
+                    and witness.clears(m1, i + 1))
             weights.append(alpha if live else None)
             if i < len(x):
                 mp = m0 if x[i] == "0" else m1

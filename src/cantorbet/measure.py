@@ -47,9 +47,18 @@ class PositivityWitness:
     def __call__(self, n: int) -> int:
         return self.c0 + self.c1 * n
 
-    def threshold(self, n: int) -> Dyadic:
-        """2**-l(n) as an exact dyadic."""
-        return Dyadic(1, self(n))
+    def clears(self, mass: Dyadic, n: int) -> bool:
+        """Whether mass >= 2**-l(n).
+
+        Read off the mass's mantissa m and precision p: for m >= 1,
+        m / 2**p >= 2**-l exactly when p <= l or m >= 2**(p - l).  The
+        threshold itself is never built; l(n) may run to billions of bits.
+        """
+        m, p = mass.mantissa, mass.precision
+        if m <= 0:
+            return False
+        l = self(n)
+        return p <= l or m.bit_length() > p - l
 
 
 class ProbabilityMeasure:
@@ -153,10 +162,9 @@ class ProbabilityMeasure:
 
     def weakly_positive(self, depth: int) -> bool:
         for n in range(depth + 1):
-            t = self.witness.threshold(n)
             for w in strings_of_length(n):
                 m = self.mass(w)
-                if m != ZERO and m < t:
+                if m and not self.witness.clears(m, n):
                     return False
         return True
 
@@ -197,7 +205,7 @@ def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str) -> Fraction:
     validate_string(w)
     validate_string(v)
     mw = nu.mass(w)
-    above = mw >= nu.witness.threshold(len(w))
+    above = nu.witness.clears(mw, len(w))
     if w.startswith(v) and above:
         return mw / nu.mass(v)
     if v.startswith(w) and above:

@@ -119,7 +119,7 @@ class SliceMartingale(Martingale):
         self.measure = nu
         self.inner = inner
         self._mw = nu.mass(w)
-        self._above = self._mw >= nu.witness.threshold(len(w))
+        self._above = nu.witness.clears(self._mw, len(w))
 
     def value(self, v: str) -> Fraction:
         validate_string(v)

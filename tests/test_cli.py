@@ -412,6 +412,35 @@ def test_out_of_domain_transfer_is_exit_one():
     assert "rh:" in err
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--s", "--t"])
+def test_negative_fraction_is_a_value(flag):
+    """`--s -8/3` reads as `--s=-8/3`, as `--s -3` reads as `--s=-3`."""
+    flags = {"--alpha": "1/2", "--s": "3", "--t": "1"}
+    spaced, joined = ["rh"], ["rh"]
+    for name, value in flags.items():
+        value = "-8/3" if name == flag else value
+        spaced += [name, value]
+        joined.append(f"{name}={value}")
+    code, out, err = cli(*spaced)
+    assert (code, out, err) == cli(*joined)
+    assert code == 1 and err.startswith("rh: ")
+
+
+def test_huge_positivity_witness_is_not_built(tmp_path):
+    """A witness exponent of 4e10 bits reads like a small one: no mass
+    is compared with 2^-l(n) by building it."""
+    table = ("measure depth=2 ext=copy\n~ 1 0\n0 3 2\n1 1 2\n"
+             "00 3 3\n01 3 3\n10 1 4\n11 3 4\n")
+    outs = []
+    for c1 in ("40", "40000000000"):
+        path = tmp_path / f"witness-{c1}.measure"
+        path.write_text(table + f"l poly 0 {c1}\n")
+        outs.append([cli("measure-cylinder", "--w", w, "--measure", str(path),
+                         "--precision", "4") for w in ("0", "011", "1101")])
+    assert outs[0] == outs[1]
+    assert all(code == 0 and err == "" for code, _, err in outs[1])
+
+
 def test_magnitude_cap_is_exit_three(small_oracle):
     set_magnitude_cap(1 << 10)
     try:

@@ -118,6 +118,20 @@ def test_conditional_below_threshold_is_zero():
     assert conditional_scaled(nu, "1", "") == Fraction(3, 4)
 
 
+def test_witness_clears_by_brute_force():
+    """The closed form agrees with comparing the mass with Dyadic(1, l)."""
+    for c0 in range(8):
+        for c1 in range(3):
+            witness = PositivityWitness(c0, c1)
+            for n in range(4):
+                t = Dyadic(1, witness(n))
+                for p in range(14):
+                    for m in range(70):
+                        mass = Dyadic(m, p)
+                        assert witness.clears(mass, n) == (mass >= t), \
+                            (c0, c1, n, m, p)
+
+
 def test_conditional_non_dyadic_quotient():
     nu = ProbabilityMeasure({"": ONE, "0": Dyadic(5, 3), "1": Dyadic(3, 3),
                              "00": Dyadic(1, 3), "01": Dyadic(1, 1),
@@ -140,7 +154,7 @@ def test_conditional_identity_randomized():
             w = "".join(rng.choice("01") for _ in range(n))
             v = w[:rng.randrange(n + 1)]
             val = conditional_scaled(nu, w, v)
-            if nu.mass(w) >= nu.witness.threshold(len(w)):
+            if nu.witness.clears(nu.mass(w), len(w)):
                 assert val * nu.mass(v).to_fraction() == nu.mass(w).to_fraction()
             else:
                 assert val == 0
