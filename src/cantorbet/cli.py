@@ -202,6 +202,8 @@ def _cmd_measure_value(ns) -> int:
 
 
 def _cmd_diagonalize(ns) -> int:
+    # the walk's prefix is a string of --depth bits
+    check_magnitude(ns.depth, "--depth")
     d = _load_martingale_file(ns.file, ns.measure)
     w = read_word(ns.w)
     m = capital_margin(d, w) if ns.margin is None else ns.margin

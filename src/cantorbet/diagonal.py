@@ -6,7 +6,9 @@ iterating it from the empty string pins down a single infinite sequence.
 through a designated cylinder and afterwards always walks into the child
 the (approximated) martingale values less — dodging the bettor's capital.
 Each such step asks for both children at once (`approx_children`), which
-a regularized martingale answers from one path scan.
+a regularized martingale answers from one path scan; the scan resumes
+where the last step's stopped, so each step extends it by one level and a
+walk of D steps costs O(D) base queries, not O(D^2).
 `conservation_check` runs that walk for finitely many steps and reports
 the capital it compared at each step, witnessing that it never climbs
 back to 1.

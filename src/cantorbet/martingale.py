@@ -17,6 +17,7 @@ resource-bounded evaluator would take.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from .config import check_magnitude
@@ -253,6 +254,14 @@ class RegularizedMartingale(Martingale):
         self.measure = _compatible(base.measure, nu) or nu
         self._nu = nu
         self._memo: dict[str, Fraction] = {"": base.value("")}
+        # The path cursor of the finite-precision route (see `_scan`): the
+        # last path scanned, each level's split data along it, and the
+        # working precision with the root's and each node's fork at it.
+        self._path = ""
+        self._splits: list[tuple[Dyadic, Dyadic, Fraction | None, int]] = []
+        self._q = 0
+        self._root: Dyadic | None = None
+        self._forks: list[tuple[tuple[Dyadic, Dyadic | None], ...]] = []
 
     # -- exact route ---------------------------------------------------
 
@@ -309,18 +318,44 @@ class RegularizedMartingale(Martingale):
         """approx(r, x + "0") and approx(r, x + "1") from one path scan.
 
         The two children read the same splits, x's own included, so they
-        share the slope budget, the working precision q, the rounding pass
+        share the slope budget, the working precision, the rounding pass
         down to x and the last transfer; only the final pick differs.
+
+        The working precision is q = r + 3 + slope + (3(|x| + 3)).bit_length()
+        rounded up to a power of two, Q.  More precision only shrinks the
+        per-level rounding error, so the 2**-r bound holds at Q as at q;
+        and as a walk goes down and q grows, Q changes only O(log D) times
+        in D steps.
+
+        The scan resumes from the path cursor the last query left.  A
+        level's split data (the masses, the weight the threshold test
+        keeps, the running slope) depends only on the path down to it, and
+        a node's fork (both children's rounded values and base values)
+        only on that path and Q.  So the cursor keeps the levels and forks
+        on the longest common prefix of the old and new paths, drops the
+        forks when Q changes, and extends both level by level with the
+        same loop body a scan from the root runs: the answer is byte for
+        byte that of a fresh scan at Q, whatever the queries before it.
+        A walk that extends its path by one bit per step thus reads one
+        new split per step, and rescans from the root only when Q changes.
         """
         nu = self._nu
         witness = nu.witness
-        # One scan reads each split once: the slope budget counts the splits
-        # the exact test finds nondegenerate, and `weights` holds alpha, or
-        # None where the threshold test finds the split degenerate.
-        weights = []
-        slope = 0
-        mp = nu.mass("")
-        for i in range(len(x) + 1):
+        path, splits, forks = self._path, self._splits, self._forks
+        k = len(path) if x.startswith(path) else \
+            len(os.path.commonprefix((path, x)))
+        del splits[k + 1:], forks[k + 1:]
+        self._path = x
+        # Each level reads its split once: the slope budget counts the
+        # splits the exact test finds nondegenerate, and the weight is
+        # alpha, or None where the threshold test finds the split
+        # degenerate.
+        for i in range(len(splits), len(x) + 1):
+            if i:
+                mp, m0, _, slope = splits[i - 1]
+                mp = m0 if x[i - 1] == "0" else mp - m0
+            else:
+                mp, slope = nu.mass(""), 0
             m0 = nu.mass(x[:i] + "0")
             m1 = mp - m0           # masses are additive
             alpha = _weight(mp, m0)
@@ -328,52 +363,56 @@ class RegularizedMartingale(Martingale):
                 slope += transfer_bits(alpha)
             live = (witness.clears(mp, i) and witness.clears(m0, i + 1)
                     and witness.clears(m1, i + 1))
-            weights.append(alpha if live else None)
-            if i < len(x):
-                mp = m0 if x[i] == "0" else m1
-        q = r + 3 + slope + (3 * (len(x) + 3)).bit_length()
-        # `dp` is the base at the current node, or None where the level
-        # above was degenerate and so did not ask the base for it.  `cur`,
-        # `dp`, `b0` and `b1` lie on the 2**-q grid; only the pair handed
-        # to the transfer leaves it.
-        dp = cur = self.base.approx(q, "")
-        for i, alpha in enumerate(weights):
-            if alpha is None:
-                # degenerate: the children inherit the parent value
-                dp = None
-                pair = (cur, cur)
-                continue
-            p = x[:i]
-            if dp is None:
-                dp = self.base.approx(q, p)
-            b0, b1 = self.base.approx_children(q, p)
-            g0 = (cur - dp + b0).to_fraction()
-            g1 = (cur - dp + b1).to_fraction()
-            if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:
-                # Rounding can push the pair out of the transfer domain,
-                # the quadrant g >= 0 joined with the half-plane mean >= 1.
-                # Clamp the negative coordinates to 0 unless that lifts the
-                # mean to 1; then raise the mean to 1 instead, so both
-                # children get 1.  When the exact pair is within e of this
-                # one in each coordinate, and e < min(alpha, 1-alpha) (q
-                # keeps e below an eighth of that), the move lands within
-                # L*e of the exact transfer, L = max(1/alpha, 1/(1-alpha)),
-                # whichever part of the domain the exact pair is in: the
-                # slope budget in q already covers this level.
-                c0, c1 = max(g0, Fraction(0)), max(g1, Fraction(0))
-                if alpha * c0 + (1 - alpha) * c1 < 1:
-                    g0, g1 = c0, c1
-                else:
-                    g0 = g1 = Fraction(1)
-            pair = robin_hood_exact(alpha, g0, g1)
-            if i == len(x):
-                pair = [frac_round_at(v, q) for v in pair]
+            splits.append((mp, m0, alpha if live else None, slope))
+        q = r + 3 + splits[-1][3] + (3 * (len(x) + 3)).bit_length()
+        q = 1 << (q - 1).bit_length()
+        if q != self._q:
+            self._root = self.base.approx(q, "")
+            self._q = q
+            forks.clear()
+        # A node's state is (cur, dp): its rounded value and the base at
+        # it, or None where the level above was degenerate and so did not
+        # ask the base for it.
+        for i in range(len(forks), len(x) + 1):
+            cur, dp = forks[i - 1][int(x[i - 1])] if i else \
+                (self._root, self._root)
+            forks.append(self._fork(q, x[:i], cur, dp, splits[i][2]))
+        (c0, _), (c1, _) = forks[-1]
+        return c0.round_at(r), c1.round_at(r)
+
+    def _fork(self, q: int, p: str, cur: Dyadic, dp: Dyadic | None,
+              alpha: Fraction | None):
+        """Both children's states below node p, at working precision q.
+
+        `cur`, `dp`, `b0` and `b1` lie on the 2**-q grid; only the pair
+        handed to the transfer leaves it.
+        """
+        if alpha is None:
+            # degenerate: the children inherit the parent value
+            return (cur, None), (cur, None)
+        if dp is None:
+            dp = self.base.approx(q, p)
+        b0, b1 = self.base.approx_children(q, p)
+        g0 = (cur - dp + b0).to_fraction()
+        g1 = (cur - dp + b1).to_fraction()
+        if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:
+            # Rounding can push the pair out of the transfer domain,
+            # the quadrant g >= 0 joined with the half-plane mean >= 1.
+            # Clamp the negative coordinates to 0 unless that lifts the
+            # mean to 1; then raise the mean to 1 instead, so both
+            # children get 1.  When the exact pair is within e of this
+            # one in each coordinate, and e < min(alpha, 1-alpha) (q
+            # keeps e below an eighth of that), the move lands within
+            # L*e of the exact transfer, L = max(1/alpha, 1/(1-alpha)),
+            # whichever part of the domain the exact pair is in: the
+            # slope budget in q already covers this level.
+            c0, c1 = max(g0, Fraction(0)), max(g1, Fraction(0))
+            if alpha * c0 + (1 - alpha) * c1 < 1:
+                g0, g1 = c0, c1
             else:
-                # The base at the child taken is the next level's parent.
-                bit = int(x[i])
-                cur = frac_round_at(pair[bit], q)
-                dp = (b0, b1)[bit]
-        return pair[0].round_at(r), pair[1].round_at(r)
+                g0 = g1 = Fraction(1)
+        out0, out1 = robin_hood_exact(alpha, g0, g1)
+        return (frac_round_at(out0, q), b0), (frac_round_at(out1, q), b1)
 
 
 def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:

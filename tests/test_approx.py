@@ -1,18 +1,23 @@
 """Every martingale's canonical approximation: approx(r, w) lies on the
-2**-r grid and within 2**-r of value(w), for every Martingale subclass."""
+2**-r grid and within 2**-r of value(w), for every Martingale subclass,
+and a martingale that keeps state between queries answers each one as a
+fresh object would."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantorbet
 from cantorbet.core import Dyadic
 from cantorbet.measure import biased, uniform
 from cantorbet.martingale import (
-    ConstantMartingale, RegularizedMartingale, SumMartingale,
+    ConstantMartingale, Martingale, RegularizedMartingale, SumMartingale,
 )
 from cantorbet.splitting import (
     DiffMartingale, IndicatorMartingale, LimitMeasurement,
@@ -84,6 +89,21 @@ KINDS = ["Table", "Constant", "Sum", "Regularized", "Slice", "Diff",
          "Indicator", "LimitPlus"]
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_kinds_name_every_martingale_subclass():
+    # a subclass added to the package without a builder above fails here
+    for mod in pkgutil.iter_modules(cantorbet.__path__):
+        importlib.import_module(f"cantorbet.{mod.name}")
+    names = {c.__name__ for c in _subclasses(Martingale)
+             if c.__module__.startswith("cantorbet.")}
+    assert names == {kind + "Martingale" for kind in KINDS}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -122,3 +142,43 @@ def test_nested_sum_approx_within_2_to_minus_r():
         r = rng.randrange(20)
         got = d.approx(r, w)
         assert abs(got.to_fraction() - d.value(w)) <= Fraction(1, 2 ** r)
+
+
+def _queries(rng: random.Random, n: int):
+    """A seeded mix of queries: the path extends by one bit, backtracks,
+    jumps to an unrelated word or stays; r goes up or down; approx and
+    approx_children interleave."""
+    path, r = "", rng.randrange(4, 20)
+    for _ in range(n):
+        move = rng.randrange(6)
+        if move < 3:
+            path += rng.choice("01")
+        elif move == 3:
+            path = path[:rng.randrange(len(path) + 1)]
+        elif move == 4:
+            path = _word(rng, rng.randrange(14))
+        r = max(0, r + rng.choice((-5, -1, 0, 1, 2, 6)))
+        yield rng.choice(("approx", "approx_children")), r, path
+
+
+def _grid(answer):
+    pair = answer if isinstance(answer, tuple) else (answer,)
+    return [(c.mantissa, c.precision) for c in pair]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_long_lived_martingale_answers_like_fresh_ones(kind):
+    # A regularized martingale resumes each scan from the last one; its
+    # answers must not depend on the queries it has seen before.
+    rng = random.Random(41 + KINDS.index(kind))
+    for _ in range(6):
+        seed = rng.randrange(2 ** 32)
+        d = _build(kind, random.Random(seed))
+        for method, r, path in _queries(rng, 40):
+            fresh = _build(kind, random.Random(seed))
+            assert _grid(getattr(d, method)(r, path)) == \
+                _grid(getattr(fresh, method)(r, path)), (method, r, path)
+            if kind == "Regularized" and (path or method != "approx"):
+                # below the final rounding too: every node's fork on the
+                # path scanned is the one a scan from the root finds
+                assert d._forks == fresh._forks, (method, r, path)

@@ -477,6 +477,20 @@ def test_sizes_past_the_cap_are_exit_three(good_mg, poor_mg, argv):
     assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
 
 
+def test_walk_depth_past_the_cap_is_exit_three(poor_mg):
+    # --depth is the length of the walk's prefix, a string
+    code, out, err = cli("diagonalize", "--file", poor_mg,
+                         "--depth", "5000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("diagonalize:") and err.count("\n") == 1
+    set_magnitude_cap(64)
+    try:
+        assert cli("diagonalize", "--file", poor_mg, "--depth", "64")[0] == 0
+        assert cli("diagonalize", "--file", poor_mg, "--depth", "65")[0] == 3
+    finally:
+        set_magnitude_cap(None)
+
+
 @pytest.mark.parametrize("kind, text, argv", [
     ("martingale", "martingale measure=uniform depth=1\n~ 1 0\n0 1 0\n"
      "1 1 100\n", ["verify-martingale", "--file", "FILE"]),
@@ -838,9 +852,9 @@ _ARGV_TOKENS = ["~", "0", "01", "110", "1/2", "-1", "3", "99", "\u00b2",
                 "g1(n1)", "ORACLE", "MARTINGALE", "MEASURE", "TERM"]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(verb=st.sampled_from(sorted(_VERB_FLAGS)), data=st.data())
-def test_generated_argv_keeps_the_contract(tmp_path_factory, verb, data):
+def _argv_files(tmp_path_factory):
+    """Valid oracle, martingale, measure and term files, by the placeholder
+    an argv names them with."""
     base = tmp_path_factory.getbasetemp()
     paths = {}
     for kind, text in [("ORACLE", _FILE_INPUTS["oracle"][0]),
@@ -849,12 +863,79 @@ def test_generated_argv_keeps_the_contract(tmp_path_factory, verb, data):
                        ("TERM", "(succ (proj 0))\n")]:
         paths[kind] = base / f"argv-{kind.lower()}"
         paths[kind].write_text(text)
+    return paths
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(verb=st.sampled_from(sorted(_VERB_FLAGS)), data=st.data())
+def test_generated_argv_keeps_the_contract(tmp_path_factory, verb, data):
+    paths = _argv_files(tmp_path_factory)
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(_VERB_FLAGS[verb]),
                                          st.sampled_from(_ARGV_TOKENS)),
                                max_size=5), label="flags")
     argv = [verb] + [str(paths.get(a, a)) for pair in pairs for a in pair]
     code, _, err = cli(*argv)
     assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@st.composite
+def _growth(draw, k, m, depth):
+    """A growth expression over L1..Lk and n1..nm, at most depth + 1 deep."""
+    kinds = ["atom"]
+    if depth:
+        kinds += ["g", "+", "*"] + (["L"] if k else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(st.sampled_from(
+            [str(draw(st.integers(0, 9)))] + [f"n{j}" for j in range(1, m + 1)]))
+    if kind in "+*":
+        parts = [draw(_growth(k, m, depth - 1)) for _ in range(2)]
+        return f"({f' {kind} '.join(parts)})"
+    head = f"L{draw(st.integers(1, k))}" if kind == "L" else \
+        f"g{draw(st.integers(0, 2))}"
+    return f"{head}({draw(_growth(k, m, depth - 1))})"
+
+
+_DIAGONALIZE_WORDS = ["~", "0", "1", "00", "01", "10", "11", "011"]
+
+
+@st.composite
+def _fitting_argv(draw):
+    """A call whose flags fit each other: a growth expression with as many
+    --oracle and --n flags as its L and n variables need, a term with the
+    --oracle and --arg counts its signature wants, or a walk over a valid
+    martingale file with a small --depth."""
+    verb = draw(st.sampled_from(["secpoly-eval", "eval", "check-bound",
+                                 "diagonalize"]))
+    if verb == "secpoly-eval":
+        k, m = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        argv = [verb, "--poly", draw(_growth(k, m, 3))]
+        argv += ["--oracle", "ORACLE"] * k
+        for _ in range(m):
+            argv += ["--n", str(draw(st.integers(0, 20)))]
+        return argv + ["--radius", str(draw(st.integers(0, 8)))]
+    if verb == "diagonalize":
+        argv = [verb, "--file", "MARTINGALE",
+                "--w", draw(st.sampled_from(_DIAGONALIZE_WORDS)),
+                "--depth", str(draw(st.integers(0, 12)))]
+        if draw(st.booleans()):
+            argv += ["--margin", str(draw(st.integers(0, 8)))]
+        return argv
+    text, flags = draw(_term_calls())
+    argv = [verb, "--term", text, *flags]
+    if verb == "check-bound":
+        return argv + ["--poly", draw(_growth(flags.count("--oracle"),
+                                              flags.count("--arg"), 2))]
+    return argv + (["--meter"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=_fitting_argv())
+def test_fitting_argv_reaches_evaluation(tmp_path_factory, argv):
+    # well-formed calls pass argument parsing: none is a usage error
+    paths = _argv_files(tmp_path_factory)
+    code, _, err = cli(*[str(paths.get(a, a)) for a in argv])
+    assert code in (0, 1, 3) and "Traceback" not in err, (argv, err)
 
 
 def test_unknown_verb_is_usage_error():

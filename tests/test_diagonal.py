@@ -284,32 +284,59 @@ def test_conservation_random_martingales():
             assert caps[k + 1] <= caps[k] + Fraction(1, 2 ** (k + m + 1))
 
 
-def test_conservation_scans_once_per_step():
-    # Each step asks the regularized martingale for one scan, and every
-    # scan asks the base for the root once: inside w for the child taken,
-    # past w for both children.
-    rng = random.Random(31)
-    for _ in range(8):
+def _conservation_walks(seed: int, n: int):
+    """n seeded (base, measure, w) for walks that keep capital below 1."""
+    rng = random.Random(seed)
+    for _ in range(n):
         depth = rng.randrange(2, 5)
         cond = random_conditionals(rng, depth)
         nu = build_measure(cond, depth)
         raw = build_table_martingale(rng, nu, cond, depth)
         table = {w: v * Dyadic(1, 2) for w, v in raw.table.items()}
-        base = TableMartingale(table, depth, nu)
         heavy = max(["0", "1"], key=lambda b: nu.mass(b).to_fraction())
-        w = heavy[:rng.randrange(2)]
-        rec = RecordingMartingale(base)
-        lam = regularize(rec, nu)
-        m = capital_margin(lam, w)
-        steps = 12
-        rep = conservation_check(lam, nu, w, m, steps)
-        assert sum(1 for _, v in rec.calls if v == "") == steps
+        yield TableMartingale(table, depth, nu), nu, heavy[:rng.randrange(2)]
+
+
+def _walk_queries(base, nu, w, steps):
+    """The base's approximation calls during one conservation walk of a
+    fresh regularization, and the walk's report and margin."""
+    rec = RecordingMartingale(base)
+    lam = regularize(rec, nu)
+    m = capital_margin(lam, w)
+    return rec.calls, conservation_check(lam, nu, w, m, steps), m
+
+
+def test_conservation_scans_once_per_step():
+    # Each step asks the regularized martingale for one scan, which resumes
+    # from where the last one stopped: all of a walk's base queries are at
+    # power-of-two working precisions, and the base is asked for the root
+    # once per precision, not once per step.  Inside w the walk asks for
+    # the child taken, past w for both children.
+    for base, nu, w in _conservation_walks(31, 8):
+        calls, rep, m = _walk_queries(base, nu, w, 12)
+        used = {q for q, _ in calls}
+        assert all(q & (q - 1) == 0 for q in used)
+        assert sum(1 for _, v in calls if v == "") <= len(used)
         fresh = regularize(base, nu)
         for s in rep.steps:
             prefix = rep.prefix[: s.index + 1]
             want = fresh.approx(query_precision(prefix[:-1], m), prefix)
             assert (s.capital.mantissa, s.capital.precision) == \
                 (want.mantissa, want.precision)
+
+
+def test_conservation_base_queries_grow_linearly():
+    # A scan from the root at every step would make D(D+2) base queries in
+    # D steps (3.9x per doubling).  Resumed, a step reads one new level,
+    # and the rescans at each new working precision add up to O(D).
+    # Counted over eight seeded walks, so that where one walk's precision
+    # steps fall relative to D averages out.
+    walks = list(_conservation_walks(31, 8))
+    counts = [sum(len(_walk_queries(base, nu, w, steps)[0])
+                  for base, nu, w in walks)
+              for steps in (24, 48, 96, 192)]
+    for short, long in zip(counts, counts[1:]):
+        assert long <= 2.3 * short, counts
 
 
 def test_conservation_stops_at_the_first_step_reaching_one():
