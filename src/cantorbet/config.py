@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ResourceError
+from .errors import ParseError, ResourceError
 
 DEFAULT_MAGNITUDE_CAP = 2 ** 20
 ENV_VAR = "CANTORBET_MAGNITUDE_CAP"
@@ -27,8 +27,12 @@ _cap = None  # resolved lazily so the env var is honored at first use
 def magnitude_cap() -> int:
     global _cap
     if _cap is None:
+        from .core import read_natural  # core imports this module
         raw = os.environ.get(ENV_VAR)
-        _cap = int(raw) if raw else DEFAULT_MAGNITUDE_CAP
+        cap = read_natural(raw, ENV_VAR) if raw else DEFAULT_MAGNITUDE_CAP
+        if cap == 0:
+            raise ParseError(f"{ENV_VAR} must be positive, got {raw!r}")
+        _cap = cap
     return _cap
 
 

@@ -263,7 +263,7 @@ def parse_dyadic(text: str) -> Dyadic:
             return Dyadic.from_fraction(Fraction(int(num), int(den)))
         return Dyadic(int(text), 0)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse dyadic {text!r}: {exc}") from None
+        raise ParseError(f"cannot parse dyadic {text!r}: {exc}") from None
 
 
 def frac_round_at(q: Fraction | int, r: int) -> Dyadic:

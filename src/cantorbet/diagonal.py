@@ -5,10 +5,10 @@ iterating it from the empty string pins down a single infinite sequence.
 `diagonalize` turns a martingale into the constructor that first rushes
 through a designated cylinder and afterwards always walks into the child
 the (approximated) martingale values less — dodging the bettor's capital.
-Each such step asks for both children at once (`approx_children`), which
-a regularized martingale answers from one path scan; the scan resumes
-where the last step's stopped, so each step extends it by one level and a
-walk of D steps costs O(D) base queries, not O(D^2).
+Each such step asks `approx` for one child, then the other; a regularized
+martingale answers both from one path scan, which resumes where the last
+step's stopped, so each step extends it by one level and a walk of D steps
+costs O(D) base queries, not O(D^2).
 `conservation_check` runs that walk for finitely many steps and reports
 the capital it compared at each step, witnessing that it never climbs
 back to 1.
@@ -82,7 +82,8 @@ def diagonalize(d: Martingale, m: int, w: str) -> Constructor:
 def _cheaper_child(d: Martingale, m: int, x: str) -> tuple[str, Dyadic]:
     """The bit of the child of x that d values less at the step's
     precision, and that approximation; ties go to 0."""
-    c0, c1 = d.approx_children(query_precision(x, m), x)
+    r = query_precision(x, m)
+    c0, c1 = d.approx(r, x + "0"), d.approx(r, x + "1")
     return ("0", c0) if c0 <= c1 else ("1", c1)
 
 
@@ -129,7 +130,7 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
     Requires d(root) < nu(w) exactly; that is the regime in which the
     walk provably escapes the bettor.  The walk runs once: inside w each
     step takes w's next bit and asks for that child's approximation;
-    past w it compares both children from one `approx_children` query.
+    past w it compares both children, one `approx` query each.
     Each report line shows the bit taken and the approximation the walk
     itself compared (or asked for), at the step's precision.  The walk
     stops at the first step whose exact capital reaches 1.

@@ -61,12 +61,6 @@ class Martingale:
             raise DomainError("precision must be >= 0")
         return frac_round_at(self.value(w), r)
 
-    def approx_children(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
-        """Both children's approximations, ``(approx(r, x + "0"),
-        approx(r, x + "1"))``; a subclass that can share the work between
-        the two overrides this."""
-        return self.approx(r, x + "0"), self.approx(r, x + "1")
-
 
 def _compatible(a: ProbabilityMeasure | None, b: ProbabilityMeasure | None):
     if a is None:
@@ -299,23 +293,19 @@ class RegularizedMartingale(Martingale):
         per-level rounding, so the final answer is within 2**-r.  Masses
         are compared against the witness threshold exactly — for a weakly
         positive measure that test recognizes null and degenerate splits
-        precisely.  A non-empty w is one child of the scan of its parent.
+        precisely.  A non-empty w is one child of the scan of its parent;
+        its sibling, asked next at the same r, is read from the cursor.
         """
         if r < 0:
             raise DomainError("precision must be >= 0")
         validate_string(w)
         if not w:  # the base's root value at q = r + 3 + (3 * 2).bit_length()
             return self.base.approx(r + 6, "").round_at(r)
-        return self._scan(r, w[:-1])[int(w[-1])]
+        return self._scan(r, w[:-1])[int(w[-1])][0].round_at(r)
 
-    def approx_children(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
-        if r < 0:
-            raise DomainError("precision must be >= 0")
-        validate_string(x)
-        return self._scan(r, x)
-
-    def _scan(self, r: int, x: str) -> tuple[Dyadic, Dyadic]:
-        """approx(r, x + "0") and approx(r, x + "1") from one path scan.
+    def _scan(self, r: int, x: str):
+        """The fork below x: both children's states at the working
+        precision, from one path scan.
 
         The two children read the same splits, x's own included, so they
         share the slope budget, the working precision, the rounding pass
@@ -377,8 +367,7 @@ class RegularizedMartingale(Martingale):
             cur, dp = forks[i - 1][int(x[i - 1])] if i else \
                 (self._root, self._root)
             forks.append(self._fork(q, x[:i], cur, dp, splits[i][2]))
-        (c0, _), (c1, _) = forks[-1]
-        return c0.round_at(r), c1.round_at(r)
+        return forks[-1]
 
     def _fork(self, q: int, p: str, cur: Dyadic, dp: Dyadic | None,
               alpha: Fraction | None):
@@ -392,7 +381,7 @@ class RegularizedMartingale(Martingale):
             return (cur, None), (cur, None)
         if dp is None:
             dp = self.base.approx(q, p)
-        b0, b1 = self.base.approx_children(q, p)
+        b0, b1 = self.base.approx(q, p + "0"), self.base.approx(q, p + "1")
         g0 = (cur - dp + b0).to_fraction()
         g1 = (cur - dp + b1).to_fraction()
         if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:

@@ -116,20 +116,6 @@ def test_approx_on_grid_and_within_2_to_minus_r(kind, seed, path, r):
     assert abs(got.to_fraction() - d.value(path)) <= Fraction(1, 2 ** r)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       path=st.text(alphabet="01", max_size=12),
-       r=st.integers(0, 24))
-def test_approx_children_equals_two_single_queries(kind, seed, path, r):
-    # table measures have degenerate splits, and paths run below the table
-    d = _build(kind, random.Random(seed))
-    pair = d.approx_children(r, path)
-    singles = (d.approx(r, path + "0"), d.approx(r, path + "1"))
-    assert [(c.mantissa, c.precision) for c in pair] == \
-        [(c.mantissa, c.precision) for c in singles]
-
-
 def test_nested_sum_approx_within_2_to_minus_r():
     rng = random.Random(5)
     for _ in range(300):
@@ -146,11 +132,16 @@ def test_nested_sum_approx_within_2_to_minus_r():
 
 def _queries(rng: random.Random, n: int):
     """A seeded mix of queries: the path extends by one bit, backtracks,
-    jumps to an unrelated word or stays; r goes up or down; approx and
-    approx_children interleave."""
+    jumps to an unrelated word, stays or turns to its sibling; r goes up
+    or down, except for a sibling, which is asked at the same r, as a
+    diagonalization step asks for both children."""
     path, r = "", rng.randrange(4, 20)
     for _ in range(n):
-        move = rng.randrange(6)
+        move = rng.randrange(7)
+        if move == 6 and path:
+            path = path[:-1] + "10"[int(path[-1])]
+            yield r, path
+            continue
         if move < 3:
             path += rng.choice("01")
         elif move == 3:
@@ -158,12 +149,11 @@ def _queries(rng: random.Random, n: int):
         elif move == 4:
             path = _word(rng, rng.randrange(14))
         r = max(0, r + rng.choice((-5, -1, 0, 1, 2, 6)))
-        yield rng.choice(("approx", "approx_children")), r, path
+        yield r, path
 
 
-def _grid(answer):
-    pair = answer if isinstance(answer, tuple) else (answer,)
-    return [(c.mantissa, c.precision) for c in pair]
+def _grid(c: Dyadic):
+    return c.mantissa, c.precision
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -174,11 +164,11 @@ def test_long_lived_martingale_answers_like_fresh_ones(kind):
     for _ in range(6):
         seed = rng.randrange(2 ** 32)
         d = _build(kind, random.Random(seed))
-        for method, r, path in _queries(rng, 40):
+        for r, path in _queries(rng, 40):
             fresh = _build(kind, random.Random(seed))
-            assert _grid(getattr(d, method)(r, path)) == \
-                _grid(getattr(fresh, method)(r, path)), (method, r, path)
-            if kind == "Regularized" and (path or method != "approx"):
+            assert _grid(d.approx(r, path)) == _grid(fresh.approx(r, path)), \
+                (r, path)
+            if kind == "Regularized" and path:
                 # below the final rounding too: every node's fork on the
                 # path scanned is the one a scan from the root finds
-                assert d._forks == fresh._forks, (method, r, path)
+                assert d._forks == fresh._forks, (r, path)

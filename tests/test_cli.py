@@ -370,6 +370,30 @@ def test_missing_measure_file_is_a_parse_error():
     assert "no-such-spec" in err
 
 
+@pytest.mark.parametrize("where", ["flag", "header"])
+def test_bias_that_is_not_a_number_is_a_parse_error(tmp_path, where):
+    if where == "flag":
+        argv = ["measure-cylinder", "--w", "0", "--measure", "biased:abc",
+                "--precision", "4"]
+    else:
+        path = tmp_path / "zz.mg"
+        path.write_text("martingale measure=biased:zz depth=0\n~ 1 0\n")
+        argv = ["verify-martingale", "--file", str(path)]
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{argv[0]}: cannot parse dyadic")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bias", ["1/3", "3/2"])
+def test_bias_that_is_a_number_but_no_measure_is_exit_one(bias):
+    # not dyadic, or outside (0, 1): the text parses, the value is refused
+    code, out, err = cli("measure-cylinder", "--w", "0",
+                         "--measure", f"biased:{bias}", "--precision", "4")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+
+
 # -- enumeration -----------------------------------------------------------
 
 
@@ -448,6 +472,22 @@ def test_magnitude_cap_is_exit_three(small_oracle):
                            "--oracle", small_oracle, "--radius", "20")
         assert code == 3
         assert "secpoly-eval:" in err
+    finally:
+        set_magnitude_cap(None)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_bad_magnitude_cap_env_is_a_parse_error(monkeypatch, raw):
+    monkeypatch.setenv("CANTORBET_MAGNITUDE_CAP", raw)
+    set_magnitude_cap(None)            # drop the cache so the env is read
+    try:
+        for argv in (["enumerate", "--first", "2"],
+                     ["measure-cylinder", "--w", "0", "--measure",
+                      "uniform", "--precision", "4"]):
+            code, out, err = cli(*argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"{argv[0]}: CANTORBET_MAGNITUDE_CAP")
+            assert err.count("\n") == 1
     finally:
         set_magnitude_cap(None)
 

@@ -339,6 +339,28 @@ def test_conservation_base_queries_grow_linearly():
         assert long <= 2.3 * short, counts
 
 
+def test_sibling_query_makes_no_base_query():
+    # approx(r, x + b) right after approx(r, x + (1 - b)) reads the fork
+    # the first query's scan left on the path cursor: the base is not
+    # asked again, and the answer is a fresh object's.
+    rng = random.Random(23)
+    for base, nu, _ in _conservation_walks(23, 6):
+        rec = RecordingMartingale(base)
+        lam = regularize(rec, nu)
+        for _ in range(12):
+            x = "".join(rng.choice("01") for _ in range(rng.randrange(12)))
+            r = rng.randrange(24)
+            first, second = rng.sample("01", 2)
+            lam.approx(r, x + first)
+            before = len(rec.calls)
+            got = lam.approx(r, x + second)
+            assert len(rec.calls) == before, (r, x)
+            want = regularize(base, nu).approx(r, x + second)
+            assert (got.mantissa, got.precision) == \
+                (want.mantissa, want.precision), (r, x)
+        assert rec.calls                 # the first queries did ask
+
+
 def test_conservation_stops_at_the_first_step_reaching_one():
     # At margin 0 the walk's roundings tie at every step, so it takes the
     # 0 side; capital 63/64 at 00 still fits, and 000 reaches 1 at step 2.
