@@ -253,17 +253,26 @@ def show_int(n: int) -> str:
 
 
 def parse_dyadic(text: str) -> Dyadic:
-    """Parse `m/2^p`, `p/q` with q a power of two, or a plain integer."""
+    """Parse `m/2^p`, `p/q` with q a power of two, or a plain integer.
+
+    The exponent of the power of two is a size, like a file's precision:
+    past the magnitude cap it is a ResourceError.
+    """
     text = text.strip()
     try:
         if "/" in text:
             num, den = text.split("/", 1)
             if den.startswith("2^"):
-                return Dyadic(int(num), int(den[2:]))
-            return Dyadic.from_fraction(Fraction(int(num), int(den)))
-        return Dyadic(int(text), 0)
+                m, p = int(num), int(den[2:])
+            else:
+                d = Dyadic.from_fraction(Fraction(int(num), int(den)))
+                m, p = d.mantissa, d.precision
+        else:
+            m, p = int(text), 0
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse dyadic {text!r}: {exc}") from None
+    check_magnitude(p, "dyadic precision")
+    return Dyadic(m, p)
 
 
 def frac_round_at(q: Fraction | int, r: int) -> Dyadic:

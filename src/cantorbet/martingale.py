@@ -22,12 +22,12 @@ from fractions import Fraction
 
 from .config import check_magnitude
 from .core import (
-    Dyadic, ZERO, frac_round_at, read_word, show_word, strings_of_length,
+    Dyadic, frac_round_at, read_word, show_word, strings_of_length,
     validate_string,
 )
 from .errors import DomainError, MeasureMismatchError, ParseError
 from .measure import ProbabilityMeasure, uniform, biased
-from .realfun import robin_hood_exact, transfer_bits
+from .realfun import transfer_cases, transfer_exact, weight_bits
 
 __all__ = [
     "Martingale",
@@ -223,12 +223,18 @@ def min_tail_capital(d: Martingale, prefix: str, horizon: int) -> Fraction:
 # regularization
 # ---------------------------------------------------------------------------
 
-def _weight(mp: Dyadic, m0: Dyadic) -> Fraction | None:
-    """A split's weight on its 0-child, m0/mp, or None when the split is
+def _weight(mp: Dyadic, m0: Dyadic) -> tuple[int, int] | None:
+    """A split's weight on its 0-child, m0/mp, as the pair (A, B) of their
+    mantissas on one grid (no gcd is taken), or None when the split is
     degenerate: a null node, or a 0-child with none or all of the mass."""
-    if mp == ZERO or m0 == ZERO or m0 == mp:
+    d = mp.precision - m0.precision
+    if d >= 0:
+        A, B = m0.mantissa << d, mp.mantissa
+    else:
+        A, B = m0.mantissa, mp.mantissa << -d
+    if A == 0 or A == B:    # a null node's 0-child is null too
         return None
-    return m0 / mp
+    return A, B
 
 
 class RegularizedMartingale(Martingale):
@@ -247,15 +253,18 @@ class RegularizedMartingale(Martingale):
         self.base = base
         self.measure = _compatible(base.measure, nu) or nu
         self._nu = nu
-        self._memo: dict[str, Fraction] = {"": base.value("")}
+        # a Fraction root keeps every transfer of the exact route on
+        # Fractions, whatever number type the base answers in
+        self._memo: dict[str, Fraction] = {"": Fraction(base.value(""))}
         # The path cursor of the finite-precision route (see `_scan`): the
         # last path scanned, each level's split data along it, and the
         # working precision with the root's and each node's fork at it.
         self._path = ""
-        self._splits: list[tuple[Dyadic, Dyadic, Fraction | None, int]] = []
+        self._splits: list[tuple[Dyadic, Dyadic, tuple[int, int] | None,
+                                 int]] = []
         self._q = 0
-        self._root: Dyadic | None = None
-        self._forks: list[tuple[tuple[Dyadic, Dyadic | None], ...]] = []
+        self._root = 0
+        self._forks: list[tuple[tuple[int, int | None], ...]] = []
 
     # -- exact route ---------------------------------------------------
 
@@ -271,18 +280,21 @@ class RegularizedMartingale(Martingale):
         return memo[w]
 
     def _children(self, w: str) -> None:
-        cur = self._memo[w]   # value() fills the memo from the root down
-        alpha = _weight(self._nu.mass(w), self._nu.mass(w + "0"))
-        if alpha is None:
-            self._memo[w + "0"] = cur
-            self._memo[w + "1"] = cur
+        memo = self._memo
+        cur = memo[w]   # value() fills the memo from the root down
+        ab = _weight(self._nu.mass(w), self._nu.mass(w + "0"))
+        if ab is None:
+            memo[w + "0"] = memo[w + "1"] = cur
             return
+        A, B = ab
         dw = self.base.value(w)
         g0 = cur - dw + self.base.value(w + "0")
         g1 = cur - dw + self.base.value(w + "1")
-        out0, out1 = robin_hood_exact(alpha, g0, g1)
-        self._memo[w + "0"] = out0
-        self._memo[w + "1"] = out1
+        # a base that breaks the averaging identity can leave the domain
+        if (g0 < 0 or g1 < 0) and A * g0 + (B - A) * g1 < B:
+            raise DomainError(f"({g0}, {g1}) outside the transfer domain "
+                              f"for {Fraction(A, B)}")
+        memo[w + "0"], memo[w + "1"] = transfer_exact(A, B, g0, g1)
 
     # -- finite-precision route ----------------------------------------
 
@@ -301,7 +313,8 @@ class RegularizedMartingale(Martingale):
         validate_string(w)
         if not w:  # the base's root value at q = r + 3 + (3 * 2).bit_length()
             return self.base.approx(r + 6, "").round_at(r)
-        return self._scan(r, w[:-1])[int(w[-1])][0].round_at(r)
+        fork = self._scan(r, w[:-1])
+        return Dyadic(fork[int(w[-1])][0], self._q).round_at(r)
 
     def _scan(self, r: int, x: str):
         """The fork below x: both children's states at the working
@@ -338,7 +351,7 @@ class RegularizedMartingale(Martingale):
         self._path = x
         # Each level reads its split once: the slope budget counts the
         # splits the exact test finds nondegenerate, and the weight is
-        # alpha, or None where the threshold test finds the split
+        # (A, B), or None where the threshold test finds the split
         # degenerate.
         for i in range(len(splits), len(x) + 1):
             if i:
@@ -348,60 +361,73 @@ class RegularizedMartingale(Martingale):
                 mp, slope = nu.mass(""), 0
             m0 = nu.mass(x[:i] + "0")
             m1 = mp - m0           # masses are additive
-            alpha = _weight(mp, m0)
-            if alpha is not None:
-                slope += transfer_bits(alpha)
+            ab = _weight(mp, m0)
+            if ab is not None:
+                slope += weight_bits(*ab)
             live = (witness.clears(mp, i) and witness.clears(m0, i + 1)
                     and witness.clears(m1, i + 1))
-            splits.append((mp, m0, alpha if live else None, slope))
+            splits.append((mp, m0, ab if live else None, slope))
         q = r + 3 + splits[-1][3] + (3 * (len(x) + 3)).bit_length()
         q = 1 << (q - 1).bit_length()
         if q != self._q:
-            self._root = self.base.approx(q, "")
+            self._root = self.base.approx(q, "").mantissa_at(q)
             self._q = q
             forks.clear()
-        # A node's state is (cur, dp): its rounded value and the base at
-        # it, or None where the level above was degenerate and so did not
-        # ask the base for it.
+        # A node's state is (cur, dp): the mantissas on the 2**-q grid of
+        # its rounded value and of the base at it, dp None where the level
+        # above was degenerate and so did not ask the base for it.
         for i in range(len(forks), len(x) + 1):
             cur, dp = forks[i - 1][int(x[i - 1])] if i else \
                 (self._root, self._root)
             forks.append(self._fork(q, x[:i], cur, dp, splits[i][2]))
         return forks[-1]
 
-    def _fork(self, q: int, p: str, cur: Dyadic, dp: Dyadic | None,
-              alpha: Fraction | None):
+    def _fork(self, q: int, p: str, cur: int, dp: int | None,
+              ab: tuple[int, int] | None):
         """Both children's states below node p, at working precision q.
 
-        `cur`, `dp`, `b0` and `b1` lie on the 2**-q grid; only the pair
-        handed to the transfer leaves it.
+        Everything is a mantissa on the 2**-q grid, one = 2**q: `cur`,
+        `dp`, the base's `b0` and `b1`, and the pair g = cur - dp + b
+        handed to the transfer.  The transfer's outputs n/d leave the grid
+        and are rounded back, half up, by (2n + d) // (2d): the rule of
+        `frac_round_at`, on the same rational.
+
+        Rounding can push g out of the transfer domain, the quadrant
+        g >= 0 joined with the half-plane mean >= 1, so the clamp below
+        moves it back, and no domain test is needed after it.  Proof: if
+        neither coordinate is negative, or the mean is >= 1, the pair is
+        in the domain and the clamp leaves it.  Otherwise the clamp sets
+        the negative coordinates to 0, or sets both to one; either way
+        both coordinates are >= 0.  The weight (A, B) comes from a
+        nondegenerate split, 0 < m0 < mp, so 0 < A < B.
+
+        The clamp moves the negative coordinates to 0 unless that lifts
+        the mean to 1; then it raises the mean to 1 instead, so both
+        children get 1.  When the exact pair is within e of this one in
+        each coordinate, and e < min(a, 1-a) for a = A/B (q keeps e below
+        an eighth of that), the move lands within L*e of the exact
+        transfer, L = max(1/a, 1/(1-a)), whichever part of the domain the
+        exact pair is in: the slope budget in q already covers this level.
         """
-        if alpha is None:
+        if ab is None:
             # degenerate: the children inherit the parent value
             return (cur, None), (cur, None)
+        A, B = ab
+        base = self.base
         if dp is None:
-            dp = self.base.approx(q, p)
-        b0, b1 = self.base.approx(q, p + "0"), self.base.approx(q, p + "1")
-        g0 = (cur - dp + b0).to_fraction()
-        g1 = (cur - dp + b1).to_fraction()
-        if (g0 < 0 or g1 < 0) and alpha * g0 + (1 - alpha) * g1 < 1:
-            # Rounding can push the pair out of the transfer domain,
-            # the quadrant g >= 0 joined with the half-plane mean >= 1.
-            # Clamp the negative coordinates to 0 unless that lifts the
-            # mean to 1; then raise the mean to 1 instead, so both
-            # children get 1.  When the exact pair is within e of this
-            # one in each coordinate, and e < min(alpha, 1-alpha) (q
-            # keeps e below an eighth of that), the move lands within
-            # L*e of the exact transfer, L = max(1/alpha, 1/(1-alpha)),
-            # whichever part of the domain the exact pair is in: the
-            # slope budget in q already covers this level.
-            c0, c1 = max(g0, Fraction(0)), max(g1, Fraction(0))
-            if alpha * c0 + (1 - alpha) * c1 < 1:
+            dp = base.approx(q, p).mantissa_at(q)
+        b0 = base.approx(q, p + "0").mantissa_at(q)
+        b1 = base.approx(q, p + "1").mantissa_at(q)
+        g0, g1 = cur - dp + b0, cur - dp + b1
+        one = 1 << q
+        if (g0 < 0 or g1 < 0) and A * g0 + (B - A) * g1 < B * one:
+            c0, c1 = max(g0, 0), max(g1, 0)
+            if A * c0 + (B - A) * c1 < B * one:
                 g0, g1 = c0, c1
             else:
-                g0 = g1 = Fraction(1)
-        out0, out1 = robin_hood_exact(alpha, g0, g1)
-        return (frac_round_at(out0, q), b0), (frac_round_at(out1, q), b1)
+                g0 = g1 = one
+        (n0, d0), (n1, d1) = transfer_cases(A, B, g0, g1, one)
+        return ((2 * n0 + d0) // (2 * d0), b0), ((2 * n1 + d1) // (2 * d1), b1)
 
 
 def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:

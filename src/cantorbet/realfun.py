@@ -4,9 +4,12 @@ combinator, weighted averages, and the Robin Hood transfer function.
 Functions carry an `approx(n, point)` evaluator accurate to 2**-n, a modulus
 of uniform continuity, and (for every function built here) an exact rational
 evaluator used by the kernel and by cross-tests.  The Robin Hood function has
-two routes: a direct four-case evaluation used by the regularization kernel,
-and a reference route assembled from nested pastes; the two agree on the
-function's domain and the test suite holds them together.
+two routes: a direct four-case evaluation, and a reference route assembled
+from nested pastes; the two agree on the function's domain and the test
+suite holds them together.  The four cases are one body, `transfer_cases`,
+on an integer weight and a scaled pair: `robin_hood_exact` and the exact
+regularization route run it on Fractions, the finite-precision route on
+2**-q mantissas.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ __all__ = [
     "absolute_value",
     "ceil_log2",
     "transfer_bits",
+    "transfer_cases",
+    "transfer_exact",
+    "weight_bits",
 ]
 
 Point = tuple
@@ -155,6 +161,38 @@ def absolute_value() -> RealFunction:
 # Robin Hood
 # ---------------------------------------------------------------------------
 
+_ONE = Fraction(1)
+
+
+def transfer_cases(A: int, B: int, s, t, one):
+    """The four cases of the Robin Hood transfer, on a scaled pair.
+
+    The weight is a = A/B with integers 0 < A < B, in any common scale
+    (no gcd is taken), and the pair is (s/one, t/one), with s, t and one
+    all ints or all Fractions.  The pair must lie in the domain; nothing
+    here tests it.  Each output comes back as (n, d), an integer d > 0
+    with output = n / (d * one), so a caller on the 2**-q grid (one =
+    2**q) rounds n/d to a mantissa and a caller at one = 1 divides.  With
+    S = A*s + (B-A)*t, the mean is S / (B * one), and the cases are those
+    of `robin_hood_exact`:
+      * both coordinates in [0, one]: (s, 1) and (t, 1);
+      * S >= B * one: both get the mean, (S, B);
+      * s >= one: (one, 1), and (S - A*one, B - A) for the other;
+      * otherwise t >= one: (S - (B-A)*one, A), and (one, 1).
+    """
+    if 0 <= s <= one and 0 <= t <= one:
+        return (s, 1), (t, 1)
+    S = A * s + (B - A) * t
+    if S >= B * one:
+        return (S, B), (S, B)
+    if s >= one:
+        return (one, 1), (S - A * one, B - A)
+    # S < B*one inside the quadrant and not in the unit square forces
+    # t >= one here
+    assert t >= one
+    return (S - (B - A) * one, A), (one, 1)
+
+
 def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
     """Four-case transfer: average-preserving, floors winners at 1.
 
@@ -163,29 +201,39 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
       * mean >= 1: both get the mean;
       * mean < 1 and s >= 1: s gives its excess, pinned to 1;
       * mean < 1 and t >= 1: symmetric.
+    The cases are `transfer_cases`, at one = 1 (`transfer_exact`).
     """
     a = as_fraction(alpha)
     if not (0 < a < 1):
         raise DomainError("transfer weight must lie strictly in (0,1)")
     s = as_fraction(s)
     t = as_fraction(t)
-    m = a * s + (1 - a) * t
-    if not ((s >= 0 and t >= 0) or m >= 1):
+    A, B = a.numerator, a.denominator
+    if not ((s >= 0 and t >= 0) or A * s + (B - A) * t >= B):
         raise DomainError(f"({s}, {t}) outside the transfer domain for {a}")
-    if 0 <= s <= 1 and 0 <= t <= 1:
-        return (s, t)
-    if m >= 1:
-        return (m, m)
-    if s >= 1:
-        return (Fraction(1), (m - a) / (1 - a))
-    # m < 1 inside the quadrant and not in the unit square forces t >= 1 here
-    assert t >= 1
-    return ((m - (1 - a)) / a, Fraction(1))
+    return transfer_exact(A, B, s, t)
+
+
+def transfer_exact(A: int, B: int, s: Fraction, t: Fraction):
+    """`robin_hood_exact` at the weight A/B on a Fraction pair already
+    known to lie in the domain: no coercion and no domain test."""
+    (n0, d0), (n1, d1) = transfer_cases(A, B, s, t, _ONE)
+    return (n0 if d0 == 1 else n0 / d0), (n1 if d1 == 1 else n1 / d1)
 
 
 def transfer_bits(a: Fraction) -> int:
     """ceil(log2) of the transfer's slope max(1, 1/a, 1/(1-a)), 0 < a < 1."""
     return ceil_log2(1 / min(a, 1 - a))
+
+
+def weight_bits(A: int, B: int) -> int:
+    """`transfer_bits` of the weight A/B, 0 < A < B, on integers.
+
+    The slope is B / min(A, B - A), and ceil_log2's closed form
+    ((n - 1) // d).bit_length() gives the same k for n/d in any scale,
+    reduced or not.
+    """
+    return ((B - 1) // min(A, B - A)).bit_length()
 
 
 def robin_hood(alpha) -> RealFunction:

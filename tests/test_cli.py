@@ -551,6 +551,32 @@ def test_file_precision_past_the_cap_is_exit_three(tmp_path, kind, text,
     assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
 
 
+def test_bias_precision_past_the_cap_is_exit_three(tmp_path):
+    # the exponent of a bias is a precision, checked where it is read as a
+    # file's precision is; past the cap the measure is never built
+    argv = ["measure-cylinder", "--w", "11111111", "--precision", "4",
+            "--measure"]
+    code, out, err = cli(*argv, "biased:1/2^100000000")
+    assert (code, out) == (3, "")
+    assert err.startswith("measure-cylinder: dyadic precision")
+    assert err.count("\n") == 1
+    assert cli(*argv, "biased:1/2^1000") == (0, "16/2^4\n", "")
+    path = tmp_path / "deep.mg"
+    path.write_text("martingale measure=biased:1/2^100000000 depth=0\n"
+                    "~ 1 0\n")
+    code, out, err = cli("verify-martingale", "--file", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("verify-martingale: dyadic precision")
+    set_magnitude_cap(64)
+    try:
+        assert cli(*argv, "biased:1/2^64")[0] == 0
+        assert cli(*argv, "biased:1/2^65")[0] == 3
+        assert cli(*argv, f"biased:1/{2 ** 64}")[0] == 0
+        assert cli(*argv, f"biased:1/{2 ** 65}")[0] == 3
+    finally:
+        set_magnitude_cap(None)
+
+
 @pytest.mark.parametrize("argv", [
     ["diagonalize", "--file", "POOR", "--margin", "-1"],
     ["secpoly-eval", "--poly", "n1 * 2", "--n", "-5"],

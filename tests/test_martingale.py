@@ -7,16 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from cantorbet.core import Dyadic, ONE
+from cantorbet.core import Dyadic, ONE, frac_round_at
 from cantorbet.errors import DomainError, MeasureMismatchError, ParseError
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
 )
 from cantorbet.martingale import (
     Martingale, SumMartingale, TableMartingale, unit, covers, is_regular,
-    regularize,
+    regularize, RegularizedMartingale, _weight,
     max_capital, min_tail_capital, load_martingale, dump_martingale,
 )
+from cantorbet.realfun import robin_hood_exact, transfer_bits, weight_bits
 
 from helpers import (
     random_conditionals, build_measure, random_martingale_table,
@@ -305,6 +306,134 @@ def test_regularize_approx_tracks_exact_past_capital_one():
             r = rng.randrange(2, 20)
             got = lam.approx(r, w).to_fraction()
             assert abs(got - lam.value(w)) <= Fraction(1, 2 ** r), (f, w, r)
+
+
+class GridPair(Martingale):
+    """A base whose grid answers at the root's children are a chosen pair
+    of mantissas, so that the root's fork at (cur, dp) = (0, 0) hands
+    exactly (g0, g1) / 2**q to the transfer."""
+
+    def __init__(self, g0, g1):
+        self.grid = {"": 0, "0": g0, "1": g1}
+
+    def value(self, w):
+        return Fraction(0)
+
+    def approx(self, r, w):
+        return Dyadic(self.grid[w], r)
+
+
+def grid_transfer(A, B, g0, g1, q):
+    """The finite-precision route's transfer on integer mantissas."""
+    lam = RegularizedMartingale(GridPair(g0, g1), uniform())
+    (m0, _), (m1, _) = lam._fork(q, "", 0, 0, (A, B))
+    return Dyadic(m0, q), Dyadic(m1, q)
+
+
+def fraction_transfer(A, B, g0, g1, q):
+    """The same transfer on Fractions: the clamp, `robin_hood_exact` and
+    `frac_round_at`, as the route computed it before integer mantissas."""
+    a, one = Fraction(A, B), 1 << q
+    s, t = Fraction(g0, one), Fraction(g1, one)
+    if (s < 0 or t < 0) and a * s + (1 - a) * t < 1:
+        c0, c1 = max(s, Fraction(0)), max(t, Fraction(0))
+        s, t = (c0, c1) if a * c0 + (1 - a) * c1 < 1 else (1, 1)
+    return tuple(frac_round_at(v, q) for v in robin_hood_exact(a, s, t))
+
+
+def _transfer_cases(rng):
+    """Seeded (A, B, g0, g1, q), each with the region of the plane it tests.
+
+    The weights are split weights of masses at different precisions, so
+    (A, B) is often unreduced."""
+    cases = []
+    # slopes that are powers of two: weights 1/2, 1/4 and 3/4, unreduced
+    edges = [(Dyadic(3, 2), Dyadic(3, 3)), (Dyadic(5, 1), Dyadic(5, 3)),
+             (Dyadic(1, 0), Dyadic(3, 2))]
+    for j in range(400):
+        q = rng.randrange(1, 80)
+        mp = Dyadic(rng.randrange(1, 1 << 12), rng.randrange(0, 30))
+        m0 = Dyadic(rng.randrange(1, 1 << 12), rng.randrange(0, 30))
+        if m0 >= mp:
+            mp, m0 = m0 + mp, mp
+        if j % 8 == 0:
+            mp, m0 = edges[j // 8 % len(edges)]
+        A, B = _weight(mp, m0)
+        one = 1 << q
+        inner = rng.randrange(one + 1)
+        for g0, g1 in [(0, 0), (0, one), (one, 0), (one, one),
+                       (0, inner), (inner, one), (one, inner), (inner, 0)]:
+            cases.append(("square edge", A, B, g0, g1, q))
+        # the mean is exactly 1 on the line A*g0 + (B-A)*g1 = B*one; far
+        # enough along it one coordinate is negative, and the clamp
+        # leaves the pair, which is in the half-plane
+        k = rng.randrange(1, 4 * one + 2)
+        cases.append(("mean one", A, B, one + (B - A) * k, one - A * k, q))
+        cases.append(("mean one", A, B, one - (B - A) * k, one + A * k, q))
+        # a negative coordinate with the mean below 1: the clamp lifts it
+        # to 0, or where that lifts the mean to 1, raises the pair to (1, 1)
+        g0, g1 = -rng.randrange(1, 4 * one), rng.randrange(0, one + 1)
+        cases.append(("lifted", A, B, g0, g1, q))
+        cases.append(("lifted", A, B, g1, g0, q))
+        g1 = -(-B * one // (B - A)) + rng.randrange(0, one)
+        g0 = (B * one - (B - A) * g1) // A - rng.randrange(1, one + 1)
+        cases.append(("raised", A, B, g0, g1, q))
+        # a negative coordinate with the mean above 1: the clamp leaves it
+        g0 = -rng.randrange(1, 4 * one)
+        g1 = (B * one - A * g0) // (B - A) + rng.randrange(1, 3 * one)
+        cases.append(("left", A, B, g0, g1, q))
+        g1 = -rng.randrange(1, 4 * one)
+        g0 = (B * one - (B - A) * g1) // A + rng.randrange(1, 3 * one)
+        cases.append(("left", A, B, g0, g1, q))
+        g0, g1 = (rng.randrange(-one, 3 * one) for _ in range(2))
+        cases.append(("anywhere", A, B, g0, g1, q))
+    return cases
+
+
+def test_integer_transfer_matches_the_fraction_transfer():
+    seen, unreduced = {}, 0
+    for region, A, B, g0, g1, q in _transfer_cases(random.Random(67)):
+        got = grid_transfer(A, B, g0, g1, q)
+        want = fraction_transfer(A, B, g0, g1, q)
+        assert [(d.mantissa, d.precision) for d in got] == \
+            [(d.mantissa, d.precision) for d in want], (A, B, g0, g1, q)
+        assert weight_bits(A, B) == transfer_bits(Fraction(A, B)), (A, B)
+        if region == "left":
+            assert min(g0, g1) < 0 <= A * g0 + (B - A) * g1 - B * (1 << q)
+        if region in ("lifted", "raised"):
+            assert min(g0, g1) < 0 and A * g0 + (B - A) * g1 < B * (1 << q)
+        if region == "raised":
+            assert got == (Dyadic(1), Dyadic(1))
+        seen[region] = seen.get(region, 0) + 1
+        unreduced += Fraction(A, B).denominator != B
+    assert seen == {"square edge": 3200, "mean one": 800, "lifted": 800,
+                    "raised": 400, "left": 800, "anywhere": 400}
+    assert unreduced > 1000
+
+
+def _breaking_table(top):
+    # biased:3/4, with value 4 at "1" where the identity asks for 2: the
+    # root's transfer gives both children 1, so at "1" the pair handed to
+    # the transfer is (-3, top - 4) at the weight 3/4
+    return load_martingale("martingale measure=biased:3/4 depth=2\n"
+                           "~ 1 1\n0 0 0\n1 4 0\n00 0 0\n01 0 0\n"
+                           f"10 0 0\n11 {top} 0\n", validate=False)
+
+
+def test_exact_route_domain_test_fires_below_a_broken_table():
+    d = _breaking_table(15)       # mean 3/4 with a negative coordinate
+    lam = regularize(d, d.measure)
+    assert [lam.value(w) for w in ("", "0", "1", "01")] == \
+        [Fraction(1, 2), 1, 1, 1]
+    for w in ("10", "11", "110"):
+        with pytest.raises(DomainError) as e:
+            lam.value(w)
+        assert str(e.value) == "(-3, 12) outside the transfer domain for 3/4"
+    assert sorted(lam._memo) == ["", "0", "00", "01", "1"]
+    # mean exactly 1 with a negative coordinate lies in the domain
+    d = _breaking_table(16)
+    lam = regularize(d, d.measure)
+    assert [lam.value(w) for w in ("10", "11", "110")] == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
