@@ -14,7 +14,9 @@ enumeration with bton('') == 0.
 
 Terms and set expressions are both written as s-expressions;
 `read_sexpr` is the one reader for them, and `read_natural` reads the
-numbers they contain.
+numbers they contain.  Measure and martingale files are both dyadic
+tables: `read_table` and `show_table` are the one reader and writer for
+them, and `check_table` checks a table's shape.
 """
 
 from __future__ import annotations
@@ -45,8 +47,12 @@ __all__ = [
     "read_word",
     "show_word",
     "strings_of_length",
+    "strings_shorter_than",
     "read_natural",
     "read_sexpr",
+    "check_table",
+    "read_table",
+    "show_table",
 ]
 
 
@@ -323,6 +329,12 @@ def strings_of_length(n: int):
     return (format(i, f"0{n}b") if n else "" for i in range(1 << n))
 
 
+def strings_shorter_than(n: int):
+    """All binary strings of length < n, in length-then-lexicographic order:
+    the i-th is ntob(i), and its children are the (2i+1)-th and (2i+2)-th."""
+    return map(ntob, range((1 << max(n, 0)) - 1))
+
+
 def bton(w: str) -> int:
     """Index of w in the length-then-lexicographic enumeration ('' -> 0)."""
     validate_string(w)
@@ -426,6 +438,60 @@ def read_sexpr(text: str, build, deep=(), what: str = "expression"):
                         f"(position {_token_position(text, i)})")
             items.append(tok)
     raise ParseError(f"missing ')' in {what}")
+
+
+# ---------------------------------------------------------------------------
+# dyadic tables: the body of measure and martingale files
+# ---------------------------------------------------------------------------
+
+def check_table(table: dict[str, Dyadic], depth: int) -> None:
+    """A depth >= 0, an entry for each string up to it, none negative."""
+    if depth < 0:
+        raise ParseError("depth must be >= 0")
+    for w in strings_shorter_than(depth + 1):
+        if w not in table:
+            raise ParseError(f"table incomplete: missing {w!r}")
+        if table[w].mantissa < 0:
+            raise ParseError(f"negative entry at {w!r}")
+
+
+def read_table(text: str, kind: str, keys: tuple[str, ...], tag=None):
+    """The header `kind key=value ...`, with exactly `keys` and depth read
+    as a natural number; the table of `w mantissa precision` lines; and
+    the lines whose first field is `tag`.  Blank and `#` lines are skipped.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines())
+             if ln and not ln.startswith("#")]
+    if not lines:
+        raise ParseError(f"empty {kind} file")
+    head = lines[0].split()
+    fields = dict(part.partition("=")[::2] for part in head[1:])
+    if (head[0] != kind or len(head) != len(keys) + 1
+            or fields.keys() != set(keys)):
+        raise ParseError(f"bad {kind} header: {lines[0]!r}")
+    fields["depth"] = read_natural(fields["depth"], f"{kind} depth")
+    table, tagged = {}, []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if parts[0] == tag:
+            tagged.append(ln)
+            continue
+        try:
+            w, m, p = parts
+            w, p = read_word(w), int(p)
+            check_magnitude(p, "table precision")
+            table[w] = Dyadic(int(m), p)
+        except (DomainError, ValueError) as exc:
+            raise ParseError(f"bad {kind} line {ln!r}: {exc}") from None
+    return fields, table, tagged
+
+
+def show_table(kind: str, fields: dict, table: dict[str, Dyadic], *tail):
+    """The header, a line per string up to fields["depth"], then `tail`."""
+    head = " ".join([kind, *(f"{k}={v}" for k, v in fields.items())])
+    body = (f"{show_word(w)} {table[w].mantissa} {table[w].precision}"
+            for w in strings_shorter_than(fields["depth"] + 1))
+    return "\n".join([head, *body, *tail]) + "\n"
 
 
 # ---------------------------------------------------------------------------

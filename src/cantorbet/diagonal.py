@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Dyadic, show_int, validate_string
-from .errors import DomainError, MeasureMismatchError, PreconditionError
+from .errors import DomainError, PreconditionError
 from .martingale import Martingale
-from .measure import ProbabilityMeasure
+from .measure import ProbabilityMeasure, same_measure
 from .realfun import ceil_log2
 
 
@@ -140,9 +140,7 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
         raise DomainError("depth must be >= 0")
     if m < 0:
         raise DomainError("margin index must be >= 0")
-    if d.measure is not None and not (d.measure is nu or d.measure == nu):
-        raise MeasureMismatchError(
-            "martingale was built against a different measure")
+    same_measure(d.measure, nu)
     if d.value("") >= nu.mass(w).to_fraction():
         raise PreconditionError(
             "initial capital must be strictly below the cylinder mass")

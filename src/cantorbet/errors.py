@@ -22,7 +22,7 @@ class PreconditionError(DomainError):
 
 
 class ParseError(DomainError):
-    """Malformed textual input: measure files, terms, operator expressions."""
+    """Malformed input: files, terms, expressions, or a table's shape."""
 
 
 class MeasureMismatchError(DomainError):

@@ -20,13 +20,12 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .config import check_magnitude
 from .core import (
-    Dyadic, frac_round_at, read_word, show_word, strings_of_length,
-    validate_string,
+    Dyadic, check_table, frac_round_at, parse_dyadic, read_table,
+    show_table, validate_string,
 )
-from .errors import DomainError, MeasureMismatchError, ParseError
-from .measure import ProbabilityMeasure, uniform, biased
+from .errors import DomainError, ParseError
+from .measure import ProbabilityMeasure, uniform, biased, same_measure
 from .realfun import transfer_cases, transfer_exact, weight_bits
 
 __all__ = [
@@ -62,14 +61,6 @@ class Martingale:
         return frac_round_at(self.value(w), r)
 
 
-def _compatible(a: ProbabilityMeasure | None, b: ProbabilityMeasure | None):
-    if a is None:
-        return b
-    if b is None or a is b or a == b:
-        return a
-    raise MeasureMismatchError("martingales disagree about their measure")
-
-
 class ConstantMartingale(Martingale):
     """The same capital at every node; the unit martingale is the case 1."""
 
@@ -95,17 +86,10 @@ class TableMartingale(Martingale):
 
     def __init__(self, table: dict[str, Dyadic], depth: int,
                  measure: ProbabilityMeasure, validate: bool = True):
-        if depth < 0:
-            raise DomainError("depth must be >= 0")
+        check_table(table, depth)
         self.table = dict(table)
         self.depth = depth
         self.measure = measure
-        for n in range(depth + 1):
-            for w in strings_of_length(n):
-                if w not in self.table:
-                    raise DomainError(f"martingale table missing {w!r}")
-                if self.table[w] < 0:
-                    raise DomainError(f"negative capital at {w!r}")
         if validate:
             bad = self.first_identity_violation()
             if bad is not None:
@@ -118,18 +102,12 @@ class TableMartingale(Martingale):
         `depth` restricts the check to parents of length < depth; by default
         the whole table is examined.
         """
-        nu = self.measure
+        t = self.table
         limit = self.depth if depth is None else min(depth, self.depth)
         if limit < 0:
             raise DomainError("depth must be >= 0")
-        for n in range(limit):
-            for w in strings_of_length(n):
-                lhs = self.table[w] * nu.mass(w)
-                rhs = (self.table[w + "0"] * nu.mass(w + "0")
-                       + self.table[w + "1"] * nu.mass(w + "1"))
-                if lhs != rhs:
-                    return w
-        return None
+        return next((w for w, m, m0, m1 in self.measure.splits(limit)
+                     if t[w] * m != t[w + "0"] * m0 + t[w + "1"] * m1), None)
 
     def value(self, w: str) -> Fraction:
         validate_string(w)
@@ -137,8 +115,6 @@ class TableMartingale(Martingale):
 
     def approx(self, r: int, w: str) -> Dyadic:
         """The table entry, a Dyadic, rounded onto the 2**-r grid."""
-        if r < 0:
-            raise DomainError("precision must be >= 0")
         validate_string(w)
         return self.table[w[:self.depth]].round_at(r)
 
@@ -159,7 +135,7 @@ class SumMartingale(Martingale):
                                      else (t,)))
         self.measure = None
         for t in self.terms:
-            self.measure = _compatible(self.measure, t.measure)
+            self.measure = same_measure(self.measure, t.measure)
 
     def value(self, w: str) -> Fraction:
         return sum(t.value(w) for t in self.terms)
@@ -251,7 +227,7 @@ class RegularizedMartingale(Martingale):
 
     def __init__(self, base: Martingale, nu: ProbabilityMeasure):
         self.base = base
-        self.measure = _compatible(base.measure, nu) or nu
+        self.measure = same_measure(base.measure, nu)
         self._nu = nu
         # a Fraction root keeps every transfer of the exact route on
         # Fractions, whatever number type the base answers in
@@ -435,7 +411,7 @@ def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:
 
 
 # ---------------------------------------------------------------------------
-# file format
+# file format: a table (see core.read_table)
 # ---------------------------------------------------------------------------
 #   martingale measure=SPEC depth=N
 #   w mantissa precision        (λ written as ~)
@@ -443,8 +419,6 @@ def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:
 # resolver understands (the CLI resolves file paths).
 
 def default_measure_resolver(spec: str) -> ProbabilityMeasure:
-    from .core import parse_dyadic
-
     if spec == "uniform":
         return uniform()
     if spec.startswith("biased:"):
@@ -454,43 +428,15 @@ def default_measure_resolver(spec: str) -> ProbabilityMeasure:
 
 
 def dump_martingale(d: TableMartingale, measure_spec: str) -> str:
-    lines = [f"martingale measure={measure_spec} depth={d.depth}"]
-    for n in range(d.depth + 1):
-        for w in strings_of_length(n):
-            v = d.table[w]
-            lines.append(f"{show_word(w)} {v.mantissa} {v.precision}")
-    return "\n".join(lines) + "\n"
+    return show_table("martingale", {"measure": measure_spec,
+                                     "depth": d.depth}, d.table)
 
 
 def load_martingale(text: str, resolver=None,
                     validate: bool = True) -> TableMartingale:
-    resolver = resolver or default_measure_resolver
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ParseError("empty martingale file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "martingale":
-        raise ParseError(f"bad martingale header: {lines[0]!r}")
-    try:
-        kv = dict(part.split("=", 1) for part in head[1:])
-        spec = kv["measure"]
-        depth = int(kv["depth"])
-    except (ValueError, KeyError):
-        raise ParseError(f"bad martingale header: {lines[0]!r}") from None
-    nu = resolver(spec)
-    table: dict[str, Dyadic] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ParseError(f"bad martingale line: {ln!r}")
-        try:
-            w = read_word(parts[0])
-            precision = int(parts[2])
-            check_magnitude(precision, "table precision")
-            table[w] = Dyadic(int(parts[1]), precision)
-        except (DomainError, ValueError) as exc:
-            raise ParseError(f"bad martingale line {ln!r}: {exc}") from None
-    d = TableMartingale(table, depth, nu, validate=validate)
+    fields, table, _ = read_table(text, "martingale", ("measure", "depth"))
+    spec = fields["measure"]
+    nu = (resolver or default_measure_resolver)(spec)
+    d = TableMartingale(table, fields["depth"], nu, validate=validate)
     d.measure_spec = spec
     return d

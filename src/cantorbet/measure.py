@@ -15,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import check_magnitude
 from .core import (
-    Dyadic, ZERO, ONE, HALF, strings_of_length, validate_string, read_word,
-    show_word,
+    Dyadic, ZERO, ONE, HALF, check_table, read_table, show_table,
+    strings_of_length, strings_shorter_than, validate_string,
 )
-from .errors import DomainError, ParseError, PreconditionError
+from .errors import (
+    DomainError, MeasureMismatchError, ParseError, PreconditionError,
+)
 
 __all__ = [
     "PositivityWitness",
@@ -28,6 +29,7 @@ __all__ = [
     "uniform",
     "biased",
     "conditional_scaled",
+    "same_measure",
     "load_measure",
     "dump_measure",
 ]
@@ -72,8 +74,6 @@ class ProbabilityMeasure:
 
     def __init__(self, table: dict[str, Dyadic], depth: int,
                  ext=("const", HALF), witness: PositivityWitness | None = None):
-        if depth < 0:
-            raise DomainError("depth must be >= 0")
         self.depth = depth
         self.table = dict(table)
         self.witness = witness if witness is not None else PositivityWitness(0, 1)
@@ -94,19 +94,12 @@ class ProbabilityMeasure:
     # -- construction-time checks --------------------------------------
 
     def _validate(self):
-        for n in range(self.depth + 1):
-            for w in strings_of_length(n):
-                if w not in self.table:
-                    raise DomainError(f"table incomplete: missing {w!r} "
-                                      f"(depth {self.depth})")
-                if self.table[w] < 0:
-                    raise DomainError(f"negative mass at {w!r}")
+        check_table(self.table, self.depth)
         if self.table[""] != ONE:
             raise DomainError("root mass must be exactly 1")
-        for n in range(self.depth):
-            for w in strings_of_length(n):
-                if self.table[w] != self.table[w + "0"] + self.table[w + "1"]:
-                    raise DomainError(f"additivity fails at {w!r}")
+        for w in strings_shorter_than(self.depth):
+            if self.table[w] != self.table[w + "0"] + self.table[w + "1"]:
+                raise DomainError(f"additivity fails at {w!r}")
 
     def _boundary_conditionals(self) -> dict[str, Dyadic]:
         """Per-boundary-node conditional for the copy rule.
@@ -119,15 +112,13 @@ class ProbabilityMeasure:
             raise DomainError("ext=copy needs a table of depth >= 1")
         out = {}
         for u in strings_of_length(self.depth):
-            if self.table[u] == ZERO:
-                continue
-            p = u[:-1]
-            q = self.table[p + "0"] / self.table[p]
-            d = q.denominator
-            if d & (d - 1):
-                raise DomainError(
-                    f"ext=copy: boundary conditional {q} at {u!r} is not dyadic")
-            out[u] = Dyadic.from_fraction(q)
+            if self.table[u]:
+                p = u[:-1]
+                try:
+                    out[u] = Dyadic.from_fraction(self.table[p + "0"]
+                                                  / self.table[p])
+                except DomainError as exc:
+                    raise DomainError(f"ext=copy at {u!r}: {exc}") from None
         return out
 
     # -- queries -------------------------------------------------------
@@ -160,13 +151,21 @@ class ProbabilityMeasure:
             raise DomainError(f"conditional undefined below null cylinder {w!r}")
         return self.mass(w + b) / m
 
+    def splits(self, depth: int):
+        """(w, m, m0, m1): each string shorter than `depth`, in length-lex
+        order, with the masses of w, w0 and w1.  Masses are additive, so
+        one `mass` call per w gives m0, and m1 is m - m0."""
+        masses = [self.table[""]]   # in the order of strings_shorter_than
+        for i, w in enumerate(strings_shorter_than(depth)):
+            m0 = self.mass(w + "0")
+            masses += (m0, masses[i] - m0)
+            yield w, masses[i], m0, masses[-1]
+
     def weakly_positive(self, depth: int) -> bool:
-        for n in range(depth + 1):
-            for w in strings_of_length(n):
-                m = self.mass(w)
-                if m and not self.witness.clears(m, n):
-                    return False
-        return True
+        # the root's mass, 1, clears every threshold
+        clears = self.witness.clears
+        return all(clears(m, len(w) + 1) for w, _, m0, m1 in self.splits(depth)
+                   for m in (m0, m1) if m)
 
     def __repr__(self):
         return (f"ProbabilityMeasure(depth={self.depth}, ext={self.ext[0]}, "
@@ -213,8 +212,17 @@ def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str) -> Fraction:
     return Fraction(0)
 
 
+def same_measure(a: ProbabilityMeasure | None, b: ProbabilityMeasure | None):
+    """The measure two objects share; None stands for any measure."""
+    if a is None:
+        return b
+    if b is None or a is b or a == b:
+        return a
+    raise MeasureMismatchError("martingales or operators on two measures")
+
+
 # ---------------------------------------------------------------------------
-# file format
+# file format: a table (see core.read_table) and one witness line
 # ---------------------------------------------------------------------------
 #   measure depth=N ext=half|copy
 #   w mantissa precision          (one line per string, λ written as ~)
@@ -224,59 +232,28 @@ def dump_measure(nu: ProbabilityMeasure) -> str:
     if nu.ext[0] == "const" and nu.ext[1] != HALF:
         raise DomainError("file format only covers ext=half and ext=copy")
     ext = "half" if nu.ext[0] == "const" else "copy"
-    lines = [f"measure depth={nu.depth} ext={ext}"]
-    for n in range(nu.depth + 1):
-        for w in strings_of_length(n):
-            m = nu.table[w]
-            lines.append(f"{show_word(w)} {m.mantissa} {m.precision}")
-    lines.append(f"l poly {nu.witness.c0} {nu.witness.c1}")
-    return "\n".join(lines) + "\n"
+    return show_table("measure", {"depth": nu.depth, "ext": ext}, nu.table,
+                      f"l poly {nu.witness.c0} {nu.witness.c1}")
 
 
 def load_measure(text: str) -> ProbabilityMeasure:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise ParseError("empty measure file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "measure":
-        raise ParseError(f"bad measure header: {lines[0]!r}")
+    fields, table, tagged = read_table(text, "measure", ("depth", "ext"), "l")
+    ext = {"half": ("const", HALF), "copy": ("copy",)}.get(fields["ext"])
+    if ext is None:
+        raise ParseError(f"unknown extension {fields['ext']!r}")
+    if len(tagged) != 1:
+        raise ParseError(f"{len(tagged)} witness lines `l poly c0 c1`, not 1")
     try:
-        kv = dict(part.split("=", 1) for part in head[1:])
-        depth = int(kv["depth"])
-        ext_name = kv["ext"]
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad measure header: {lines[0]!r} ({exc})") from None
-    if ext_name not in ("half", "copy"):
-        raise ParseError(f"unknown extension {ext_name!r}")
-    table: dict[str, Dyadic] = {}
-    witness = None
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "l":
-            if len(parts) != 4 or parts[1] != "poly":
-                raise ParseError(f"bad witness line: {ln!r}")
-            try:
-                witness = PositivityWitness(int(parts[2]), int(parts[3]))
-            except (DomainError, ValueError) as exc:
-                raise ParseError(f"bad witness line {ln!r}: {exc}") from None
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"bad table line: {ln!r}")
-        try:
-            w = read_word(parts[0])
-            precision = int(parts[2])
-            check_magnitude(precision, "table precision")
-            table[w] = Dyadic(int(parts[1]), precision)
-        except (DomainError, ValueError) as exc:
-            raise ParseError(f"bad table line {ln!r}: {exc}") from None
-    if witness is None:
-        raise ParseError("missing witness line `l poly c0 c1`")
-    ext = ("const", HALF) if ext_name == "half" else ("copy",)
+        _, poly, c0, c1 = tagged[0].split()
+        if poly != "poly":
+            raise ValueError("expected `l poly c0 c1`")
+        witness = PositivityWitness(int(c0), int(c1))
+    except (DomainError, ValueError) as exc:
+        raise ParseError(f"bad witness line {tagged[0]!r}: {exc}") from None
     try:
-        nu = ProbabilityMeasure(table, depth, ext, witness)
+        nu = ProbabilityMeasure(table, fields["depth"], ext, witness)
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-    if not nu.weakly_positive(depth + 2):
+    if not nu.weakly_positive(nu.depth + 2):
         raise PreconditionError("measure is not weakly positive for its witness")
     return nu

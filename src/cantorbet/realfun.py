@@ -34,7 +34,6 @@ __all__ = [
     "constant",
     "absolute_value",
     "ceil_log2",
-    "transfer_bits",
     "transfer_cases",
     "transfer_exact",
     "weight_bits",
@@ -221,13 +220,9 @@ def transfer_exact(A: int, B: int, s: Fraction, t: Fraction):
     return (n0 if d0 == 1 else n0 / d0), (n1 if d1 == 1 else n1 / d1)
 
 
-def transfer_bits(a: Fraction) -> int:
-    """ceil(log2) of the transfer's slope max(1, 1/a, 1/(1-a)), 0 < a < 1."""
-    return ceil_log2(1 / min(a, 1 - a))
-
-
 def weight_bits(A: int, B: int) -> int:
-    """`transfer_bits` of the weight A/B, 0 < A < B, on integers.
+    """ceil(log2) of the transfer's slope max(1, 1/a, 1/(1-a)) at the
+    weight a = A/B, 0 < A < B.
 
     The slope is B / min(A, B - A), and ceil_log2's closed form
     ((n - 1) // d).bit_length() gives the same k for n/d in any scale,
@@ -241,7 +236,7 @@ def robin_hood(alpha) -> RealFunction:
     a = as_fraction(alpha)
     if not (0 < a < 1):
         raise DomainError("transfer weight must lie strictly in (0,1)")
-    bits = transfer_bits(a)
+    bits = weight_bits(a.numerator, a.denominator)
 
     def exact_fn(xs):
         return robin_hood_exact(a, xs[0], xs[1])

@@ -30,10 +30,9 @@ from .core import (
     Dyadic, ZERO, read_natural, read_sexpr, read_word, validate_string,
 )
 from .errors import (
-    DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
-    PreconditionError,
+    DomainError, ModulusViolationError, ParseError, PreconditionError,
 )
-from .measure import ProbabilityMeasure
+from .measure import ProbabilityMeasure, same_measure
 from .martingale import Martingale, SumMartingale, unit, regularize
 
 __all__ = [
@@ -55,12 +54,6 @@ __all__ = [
 
 # precision at which "measures a null set" preconditions are checked
 NULL_GATE_PRECISION = 10
-
-
-def _same_measure(a: ProbabilityMeasure, b: ProbabilityMeasure):
-    if a is b or a == b:
-        return a
-    raise MeasureMismatchError("operators disagree about their measure")
 
 
 class SplittingOperator:
@@ -230,7 +223,7 @@ class IntersectUnion(SplittingOperator):
                  which: str):
         if which not in ("cap", "cup"):
             raise DomainError("which must be 'cap' or 'cup'")
-        self.measure = _same_measure(phi.measure, psi.measure)
+        self.measure = same_measure(phi.measure, psi.measure)
         self.phi = phi
         self.psi = psi
         self.which = which
@@ -306,8 +299,7 @@ def modulated(operators, gamma: int | None = None) -> ModulatedSequence:
     ops = tuple(operators)
     if not ops:
         raise DomainError("modulated family must have at least one stage")
-    for op in ops[1:]:
-        _same_measure(ops[0].measure, op.measure)
+    reduce(same_measure, (op.measure for op in ops))
     if gamma is not None and gamma < 0:
         raise DomainError("modulus index must be >= 0")
     last = len(ops) - 1

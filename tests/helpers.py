@@ -24,6 +24,14 @@ def bton_oracle(w: str) -> int:
     return shorter + within
 
 
+def normalized(d: Dyadic) -> bool:
+    """Whether d is in canonical form: its precision is the exponent of its
+    reduced denominator, so zero is (0, 0) and a non-integer's mantissa is
+    odd (an integer's may be even, at precision 0)."""
+    return Fraction(d.mantissa, 1 << d.precision).denominator \
+        == 1 << d.precision
+
+
 def random_dyadic(rng: random.Random, max_precision: int = 8,
                   lo: int = -64, hi: int = 64) -> Dyadic:
     p = rng.randrange(max_precision + 1)

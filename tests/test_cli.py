@@ -531,6 +531,45 @@ def test_walk_depth_past_the_cap_is_exit_three(poor_mg):
         set_magnitude_cap(None)
 
 
+# A valid file of each table kind, and a verb that loads it with validation.
+_TABLE_FILES = {
+    "measure": ("measure depth=1 ext=half\n~ 1 0\n0 1 1\n1 1 1\nl poly 0 1\n",
+                ["measure-cylinder", "--w", "0", "--measure", "FILE",
+                 "--precision", "4"]),
+    "martingale": ("martingale measure=uniform depth=1\n~ 1 0\n0 1 1\n1 3 1\n",
+                   ["regularize", "--file", "FILE", "--w", "0",
+                    "--precision", "4"]),
+}
+# Defects as (old, new, exit status): a malformed shape exits 2 for either
+# kind; a broken identity or a failed witness is a failure of meaning.
+_TABLE_DEFECTS = {
+    "negative depth": ("depth=1", "depth=-1", 2),
+    "depth not a number": ("depth=1", "depth=one", 2),
+    "missing string": ("\n1 ", "\n# 1 ", 2),
+    "negative entry": ("\n0 1 1", "\n0 -1 1", 2),
+    "two fields": ("\n0 1 1", "\n0 1", 2),
+    "four fields": ("\n0 1 1", "\n0 1 1 0", 2),
+    "no witness line": ("l poly 0 1\n", "", 2),
+    "two witness lines": ("l poly 0 1\n", "l poly 0 1\nl poly 0 1\n", 2),
+    "additivity": ("\n1 1 1\n", "\n1 1 2\n", 2),
+    "not weakly positive": ("l poly 0 1", "l poly 0 0", 1),
+    "identity": ("\n1 3 1\n", "\n1 1 1\n", 1),
+}
+
+
+@pytest.mark.parametrize("kind, defect", [
+    (kind, defect) for kind, (text, _) in _TABLE_FILES.items()
+    for defect, (old, _, _) in _TABLE_DEFECTS.items() if old in text])
+def test_table_file_defects_have_one_exit_status(tmp_path, kind, defect):
+    text, argv = _TABLE_FILES[kind]
+    old, new, want = _TABLE_DEFECTS[defect]
+    assert _run_on_file(tmp_path / kind, text, argv)[0] == 0
+    code, out, err = _run_on_file(tmp_path / kind, text.replace(old, new),
+                                  argv)
+    assert (code, out) == (want, "")
+    assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind, text, argv", [
     ("martingale", "martingale measure=uniform depth=1\n~ 1 0\n0 1 0\n"
      "1 1 100\n", ["verify-martingale", "--file", "FILE"]),

@@ -17,7 +17,7 @@ from cantorbet.core import (
 from cantorbet.config import MAX_NESTING
 from cantorbet.errors import DomainError, ParseError, ResourceError
 
-from helpers import bton_oracle, random_dyadic
+from helpers import bton_oracle, normalized, random_dyadic
 
 dyadics = st.builds(Dyadic,
                     st.integers(min_value=-(1 << 24), max_value=1 << 24),
@@ -59,6 +59,18 @@ def test_normalized_invariant(d):
         assert d.precision == 0
     elif d.precision > 0:
         assert d.mantissa % 2 == 1
+
+
+@given(dyadics, dyadics, st.integers(min_value=0, max_value=24),
+       st.integers(min_value=0, max_value=8))
+def test_every_result_is_normalized(a, b, r, k):
+    m, p = a.mantissa << k, a.precision + k     # a, written unnormalized
+    results = [a + b, a - b, a * b, -a, abs(a), a + 3, 3 - a, a * 4,
+               a.round_at(r), Dyadic.from_fraction(a.to_fraction()),
+               Dyadic.from_fraction(m), parse_dyadic(f"{m}/2^{p}"),
+               parse_dyadic(f"{m}/{1 << p}"), parse_dyadic(str(m))]
+    for d in results:
+        assert normalized(d), (d.mantissa, d.precision)
 
 
 @given(dyadics, dyadics)

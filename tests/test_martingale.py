@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cantorbet.core import Dyadic, ONE, frac_round_at
+from cantorbet.core import (
+    Dyadic, ZERO, ONE, frac_round_at, ntob, strings_of_length,
+)
 from cantorbet.errors import DomainError, MeasureMismatchError, ParseError
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
@@ -17,7 +19,7 @@ from cantorbet.martingale import (
     regularize, RegularizedMartingale, _weight,
     max_capital, min_tail_capital, load_martingale, dump_martingale,
 )
-from cantorbet.realfun import robin_hood_exact, transfer_bits, weight_bits
+from cantorbet.realfun import ceil_log2, robin_hood_exact, weight_bits
 
 from helpers import (
     random_conditionals, build_measure, random_martingale_table,
@@ -397,7 +399,8 @@ def test_integer_transfer_matches_the_fraction_transfer():
         want = fraction_transfer(A, B, g0, g1, q)
         assert [(d.mantissa, d.precision) for d in got] == \
             [(d.mantissa, d.precision) for d in want], (A, B, g0, g1, q)
-        assert weight_bits(A, B) == transfer_bits(Fraction(A, B)), (A, B)
+        a = Fraction(A, B)
+        assert weight_bits(A, B) == ceil_log2(1 / min(a, 1 - a)), (A, B)
         if region == "left":
             assert min(g0, g1) < 0 <= A * g0 + (B - A) * g1 - B * (1 << q)
         if region in ("lifted", "raised"):
@@ -486,10 +489,64 @@ def test_load_parse_errors():
         load_martingale("martingale measure=uniform depth=0\n~ 1 0 7\n")
 
 
+def seeded_tables(rng: random.Random):
+    """(table, depth, nu, valid): tables over measures with degenerate
+    splits and null subtrees, tables that run below their measure's table
+    (under the half and copy rules, and under all-or-nothing coins), and
+    copies with one entry changed.  valid is None where unknown."""
+    for _ in range(10):
+        depth = rng.randrange(6)
+        cond = random_conditionals(rng, depth, precision=4, zeros=True)
+        table = random_martingale_table(rng, cond, depth)
+        nu = build_measure(cond, depth)
+        yield table, depth, nu, True
+        k = rng.randrange(1, depth + 1) if depth else 0
+        yield table, depth, build_measure(cond, k), None
+        if k:
+            # below depth k, the copy rule repeats the split above depth k
+            copied = {w: cond[w if len(w) < k else w[:k - 1]] for w in cond}
+            copy_nu = ProbabilityMeasure(build_measure(cond, k).table, k,
+                                         ("copy",))
+            yield random_martingale_table(rng, copied, depth), depth, \
+                copy_nu, True
+        w = ntob(rng.randrange((1 << (depth + 1)) - 1))
+        changed = dict(table)
+        changed[w] = table[w] + Dyadic(1, rng.randrange(8))
+        yield changed, depth, nu, None
+    for c in (ZERO, ONE):
+        cond = {w: c for n in range(4) for w in strings_of_length(n)}
+        nu = ProbabilityMeasure({"": ONE}, 0, ("const", c))
+        yield random_martingale_table(rng, cond, 4), 4, nu, True
+
+
+def per_node_violation(d: TableMartingale, depth: int) -> str | None:
+    """The first node breaking the identity, with three `mass` calls."""
+    nu = d.measure
+    for n in range(min(depth, d.depth)):
+        for w in strings_of_length(n):
+            capital = [d.table[x].to_fraction() * nu.mass(x).to_fraction()
+                       for x in (w, w + "0", w + "1")]
+            if capital[0] != capital[1] + capital[2]:
+                return w
+    return None
+
+
 def test_random_tables_validate():
-    rng = random.Random(53)
-    cond = random_conditionals(rng, 4)
-    nu = build_measure(cond, 4)
-    table = random_martingale_table(rng, cond, 4)
-    d = TableMartingale(table, 4, nu)   # validates on construction
-    assert d.first_identity_violation() is None
+    for table, depth, nu, valid in seeded_tables(random.Random(53)):
+        if valid:
+            d = TableMartingale(table, depth, nu)   # validates on construction
+            assert d.first_identity_violation() is None
+
+
+def test_first_identity_violation_matches_the_per_node_check():
+    found = set()
+    for table, depth, nu, _ in seeded_tables(random.Random(71)):
+        d = TableMartingale(table, depth, nu, validate=False)
+        for limit in range(depth + 2):
+            want = per_node_violation(d, limit)
+            assert d.first_identity_violation(limit) == want, (depth, limit)
+            found.add(want is None)
+        assert d.first_identity_violation() == per_node_violation(d, depth)
+        with pytest.raises(DomainError):
+            d.first_identity_violation(-1)
+    assert found == {True, False}

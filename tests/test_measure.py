@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cantorbet.core import Dyadic, ZERO, ONE, HALF, frac_round_at
+from cantorbet.core import (
+    Dyadic, ZERO, ONE, HALF, frac_round_at, strings_of_length,
+)
 from cantorbet.errors import DomainError, ParseError, PreconditionError
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
@@ -17,6 +20,7 @@ from cantorbet.measure import (
 
 from helpers import (
     random_conditionals, measure_from_conditionals, build_measure,
+    normalized, random_unit_dyadic,
 )
 
 
@@ -197,6 +201,63 @@ def test_mass_below_table_is_the_per_bit_product():
             for b in tail:
                 want *= c if b == "0" else 1 - c
             assert nu.mass(u + tail) == Dyadic.from_fraction(want), (nu, u, n)
+
+
+def per_node_weakly_positive(nu: ProbabilityMeasure, depth: int) -> bool:
+    """Every nonzero mass to `depth` against 2**-l(n), node by node."""
+    return all(m == 0 or m >= Fraction(1, 1 << nu.witness(n))
+               for n in range(depth + 1) for w in strings_of_length(n)
+               for m in [nu.mass(w).to_fraction()])
+
+
+def test_weakly_positive_matches_the_per_node_loop():
+    rng = random.Random(73)
+    tables = []
+    for k in (1, 1, 2, 2, 3, 3):
+        cond = random_conditionals(rng, k, precision=3, zeros=True)
+        tables.append((build_measure(cond, k).table, k))
+    outcomes = set()
+    for c0 in range(4):
+        for c1 in range(5):
+            witness = PositivityWitness(c0, c1)
+            measures = [ProbabilityMeasure({"": ONE}, 0, ("const", c), witness)
+                        for c in (HALF, Dyadic(1, 2), Dyadic(3, 3), ZERO, ONE)]
+            measures += [ProbabilityMeasure(t, k, ext, witness)
+                         for t, k in tables
+                         for ext in (("const", HALF), ("copy",))]
+            for nu in measures:
+                for depth in range(6):
+                    got = nu.weakly_positive(depth)
+                    assert got == per_node_weakly_positive(nu, depth), \
+                        (nu, depth)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
+    # witnesses that sit exactly at a mass: 2**-n under the uniform
+    # measure, 4**-n under a 1/4 coin, whose 0-child at depth 1 meets
+    # 2**-(1 + n) and whose 00-child at depth 2 misses it
+    assert uniform().weakly_positive(8)
+    quarter = Dyadic(1, 2)
+    assert ProbabilityMeasure({"": ONE}, 0, ("const", quarter),
+                              PositivityWitness(0, 2)).weakly_positive(8)
+    nu = ProbabilityMeasure({"": ONE}, 0, ("const", quarter),
+                            PositivityWitness(1, 1))
+    assert nu.weakly_positive(1) and not nu.weakly_positive(2)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=0, max_value=(1 << 32) - 1),
+       st.text(alphabet="01", max_size=12))
+def test_masses_are_normalized(seed, w):
+    """The closed-form mass, and each carried-down m1 = m - m0."""
+    rng = random.Random(seed)
+    k = rng.randrange(1, 4)
+    table = build_measure(random_conditionals(rng, k, zeros=True), k).table
+    for nu in (ProbabilityMeasure(table, k),
+               ProbabilityMeasure(table, k, ("copy",)),
+               biased(random_unit_dyadic(rng, 5)), uniform()):
+        assert normalized(nu.mass(w))
+        for _, m, m0, m1 in nu.splits(5):
+            assert normalized(m) and normalized(m0) and normalized(m1)
 
 
 def test_random_tables_match_oracle():

@@ -12,7 +12,7 @@ from cantorbet.core import Dyadic, HALF, frac_round_at
 from cantorbet.errors import DomainError
 from cantorbet.realfun import (
     weighted_avg, paste, robin_hood_exact, robin_hood, robin_hood_pipeline,
-    identity1, negate1, constant, absolute_value, ceil_log2, transfer_bits,
+    identity1, negate1, constant, absolute_value, ceil_log2, weight_bits,
 )
 
 from helpers import random_transfer_point
@@ -51,13 +51,13 @@ def test_ceil_log2():
         ceil_log2(0)
 
 
-def test_transfer_bits_is_log2_of_the_slope():
+def test_weight_bits_is_log2_of_the_slope():
     rng = random.Random(4)
     for _ in range(1000):
         den = rng.randrange(2, 1 << rng.randrange(2, 60))
         a = Fraction(rng.randrange(1, den), den)
-        assert transfer_bits(a) == _least_power_at_least(
-            max(Fraction(1), 1 / a, 1 / (1 - a)))
+        assert weight_bits(a.numerator, a.denominator) == \
+            _least_power_at_least(max(Fraction(1), 1 / a, 1 / (1 - a)))
 
 
 def test_weighted_avg_examples():
