@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .config import MAX_NESTING, check_magnitude
 from .errors import DomainError, ParseError, ResourceError
@@ -331,8 +332,10 @@ def strings_of_length(n: int):
 
 def strings_shorter_than(n: int):
     """All binary strings of length < n, in length-then-lexicographic order:
-    the i-th is ntob(i), and its children are the (2i+1)-th and (2i+2)-th."""
-    return map(ntob, range((1 << max(n, 0)) - 1))
+    the i-th is ntob(i), and its children are the (2i+1)-th and (2i+2)-th.
+    Each length is listed when it is reached: a huge n costs nothing ahead."""
+    return chain.from_iterable(map(ntob, range((1 << k) - 1, (2 << k) - 1))
+                               for k in range(n))
 
 
 def bton(w: str) -> int:
@@ -476,11 +479,13 @@ def read_table(text: str, kind: str, keys: tuple[str, ...], tag=None):
         if parts[0] == tag:
             tagged.append(ln)
             continue
+        if len(parts) != 3:
+            raise ParseError(f"bad {kind} line {ln!r}: expected "
+                             "`w mantissa precision`")
         try:
-            w, m, p = parts
-            w, p = read_word(w), int(p)
+            w, p = read_word(parts[0]), int(parts[2])
             check_magnitude(p, "table precision")
-            table[w] = Dyadic(int(m), p)
+            table[w] = Dyadic(int(parts[1]), p)
         except (DomainError, ValueError) as exc:
             raise ParseError(f"bad {kind} line {ln!r}: {exc}") from None
     return fields, table, tagged

@@ -115,6 +115,8 @@ class TableMartingale(Martingale):
 
     def approx(self, r: int, w: str) -> Dyadic:
         """The table entry, a Dyadic, rounded onto the 2**-r grid."""
+        if r < 0:
+            raise DomainError("precision must be >= 0")
         validate_string(w)
         return self.table[w[:self.depth]].round_at(r)
 

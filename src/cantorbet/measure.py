@@ -112,13 +112,15 @@ class ProbabilityMeasure:
             raise DomainError("ext=copy needs a table of depth >= 1")
         out = {}
         for u in strings_of_length(self.depth):
-            if self.table[u]:
-                p = u[:-1]
-                try:
-                    out[u] = Dyadic.from_fraction(self.table[p + "0"]
-                                                  / self.table[p])
-                except DomainError as exc:
-                    raise DomainError(f"ext=copy at {u!r}: {exc}") from None
+            if self.table[u] == ZERO:
+                continue
+            p = u[:-1]
+            q = self.table[p + "0"] / self.table[p]
+            d = q.denominator
+            if d & (d - 1):
+                raise DomainError(
+                    f"ext=copy: boundary conditional {q} at {u!r} is not dyadic")
+            out[u] = Dyadic.from_fraction(q)
         return out
 
     # -- queries -------------------------------------------------------
@@ -244,10 +246,10 @@ def load_measure(text: str) -> ProbabilityMeasure:
     if len(tagged) != 1:
         raise ParseError(f"{len(tagged)} witness lines `l poly c0 c1`, not 1")
     try:
-        _, poly, c0, c1 = tagged[0].split()
-        if poly != "poly":
+        parts = tagged[0].split()
+        if len(parts) != 4 or parts[1] != "poly":
             raise ValueError("expected `l poly c0 c1`")
-        witness = PositivityWitness(int(c0), int(c1))
+        witness = PositivityWitness(int(parts[2]), int(parts[3]))
     except (DomainError, ValueError) as exc:
         raise ParseError(f"bad witness line {tagged[0]!r}: {exc}") from None
     try:

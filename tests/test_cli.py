@@ -540,34 +540,42 @@ _TABLE_FILES = {
                    ["regularize", "--file", "FILE", "--w", "0",
                     "--precision", "4"]),
 }
-# Defects as (old, new, exit status): a malformed shape exits 2 for either
-# kind; a broken identity or a failed witness is a failure of meaning.
+# Defects as (old, new, exit status, what stderr names): a malformed shape
+# exits 2 for either kind; a broken identity or a failed witness is a
+# failure of meaning.
+_FIELDS, _WITNESS = "expected `w mantissa precision`", "expected `l poly c0 c1`"
 _TABLE_DEFECTS = {
-    "negative depth": ("depth=1", "depth=-1", 2),
-    "depth not a number": ("depth=1", "depth=one", 2),
-    "missing string": ("\n1 ", "\n# 1 ", 2),
-    "negative entry": ("\n0 1 1", "\n0 -1 1", 2),
-    "two fields": ("\n0 1 1", "\n0 1", 2),
-    "four fields": ("\n0 1 1", "\n0 1 1 0", 2),
-    "no witness line": ("l poly 0 1\n", "", 2),
-    "two witness lines": ("l poly 0 1\n", "l poly 0 1\nl poly 0 1\n", 2),
-    "additivity": ("\n1 1 1\n", "\n1 1 2\n", 2),
-    "not weakly positive": ("l poly 0 1", "l poly 0 0", 1),
-    "identity": ("\n1 3 1\n", "\n1 1 1\n", 1),
+    "negative depth": ("depth=1", "depth=-1", 2, "natural number"),
+    "depth not a number": ("depth=1", "depth=one", 2, "natural number"),
+    "missing string": ("\n1 ", "\n# 1 ", 2, "missing '1'"),
+    "negative entry": ("\n0 1 1", "\n0 -1 1", 2, "negative entry at '0'"),
+    "huge depth": ("depth=1", "depth=100000000", 2, "missing '00'"),
+    "two fields": ("\n0 1 1", "\n0 1", 2, _FIELDS),
+    "four fields": ("\n0 1 1", "\n0 1 1 0", 2, _FIELDS),
+    "no witness line": ("l poly 0 1\n", "", 2, "0 witness lines"),
+    "two witness lines": ("l poly 0 1\n", "l poly 0 1\nl poly 0 1\n", 2,
+                          "2 witness lines"),
+    "short witness": ("l poly 0 1", "l poly 0", 2, _WITNESS),
+    "long witness": ("l poly 0 1", "l poly 0 1 2", 2, _WITNESS),
+    "witness not poly": ("l poly 0 1", "l lin 0 1", 2, _WITNESS),
+    "additivity": ("\n1 1 1\n", "\n1 1 2\n", 2, "additivity fails"),
+    "not weakly positive": ("l poly 0 1", "l poly 0 0", 1, "weakly positive"),
+    "identity": ("\n1 3 1\n", "\n1 1 1\n", 1, "identity fails"),
 }
 
 
 @pytest.mark.parametrize("kind, defect", [
     (kind, defect) for kind, (text, _) in _TABLE_FILES.items()
-    for defect, (old, _, _) in _TABLE_DEFECTS.items() if old in text])
+    for defect, (old, *_) in _TABLE_DEFECTS.items() if old in text])
 def test_table_file_defects_have_one_exit_status(tmp_path, kind, defect):
     text, argv = _TABLE_FILES[kind]
-    old, new, want = _TABLE_DEFECTS[defect]
+    old, new, want, says = _TABLE_DEFECTS[defect]
     assert _run_on_file(tmp_path / kind, text, argv)[0] == 0
     code, out, err = _run_on_file(tmp_path / kind, text.replace(old, new),
                                   argv)
     assert (code, out) == (want, "")
     assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
+    assert says in err
 
 
 @pytest.mark.parametrize("kind, text, argv", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from cantorbet import config
 from cantorbet.core import (
     Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at,
     bton, ntob, succ, pred, smash, growth, strings_of_length, read_word,
-    show_word, read_natural, read_sexpr,
+    show_word, read_natural, read_sexpr, strings_shorter_than, check_table,
 )
 from cantorbet.config import MAX_NESTING
 from cantorbet.errors import DomainError, ParseError, ResourceError
@@ -233,6 +234,22 @@ def test_enumeration_is_length_then_lex():
     for length in range(5):
         expected.extend(strings_of_length(length))
     assert seen == expected
+    assert list(strings_shorter_than(5)) == expected
+
+
+def test_a_huge_table_depth_is_never_enumerated_ahead():
+    # counting the 2^(10^8) strings ahead would take a 12.5 MB integer;
+    # only the lengths reached are ever listed
+    tracemalloc.start()
+    try:
+        first = list(zip(strings_shorter_than(10 ** 8), range(4)))
+        with pytest.raises(ParseError, match="missing '0'"):
+            check_table({"": ONE}, 10 ** 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [("", 0), ("0", 1), ("1", 2), ("00", 3)]
+    assert peak < 1 << 20
 
 
 def test_bton_validates():
