@@ -448,9 +448,13 @@ def read_sexpr(text: str, build, deep=(), what: str = "expression"):
 # ---------------------------------------------------------------------------
 
 def check_table(table: dict[str, Dyadic], depth: int) -> None:
-    """A depth >= 0, an entry for each string up to it, none negative."""
+    """A depth >= 0, an entry for each string up to it and none deeper,
+    none negative."""
     if depth < 0:
         raise ParseError("depth must be >= 0")
+    for w in table:
+        if len(w) > depth:
+            raise ParseError(f"entry {w!r} deeper than depth {depth}")
     for w in strings_shorter_than(depth + 1):
         if w not in table:
             raise ParseError(f"table incomplete: missing {w!r}")
@@ -484,6 +488,8 @@ def read_table(text: str, kind: str, keys: tuple[str, ...], tag=None):
                              "`w mantissa precision`")
         try:
             w, p = read_word(parts[0]), int(parts[2])
+            if w in table:
+                raise DomainError(f"{w!r} listed twice")
             check_magnitude(p, "table precision")
             table[w] = Dyadic(int(parts[1]), p)
         except (DomainError, ValueError) as exc:

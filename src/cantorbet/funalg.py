@@ -144,6 +144,14 @@ def dump_oracle(oracle: Oracle) -> str:
 # of its output and raises max_len to it (a projection or an oracle query
 # never raises it by its input), and a composition, or a recursion stage
 # after the first, charges 1 more.
+#
+# Every term lists, in `reads`, the string slots whose contents can change
+# its value or its charge; the closures are deterministic in fs and those
+# slots.  A recursion whose bound does not read the recursion slot runs
+# the bound once, at stage 0, and at every later stage replays that run's
+# charge: the same steps and the same oracle log entries, while max_len
+# already holds the longest string it made.  A recursion whose step and
+# bound both ignore the slot never builds the stage's prefix or numeral.
 
 
 def _successor(w: str) -> str:
@@ -160,6 +168,7 @@ class Term:
     """Immutable, well-typed by construction."""
 
     signature: tuple[int, int]
+    reads: frozenset[int]       # the string slots the closure depends on
 
     def compile(self):
         """A closure (fs, xs, meter) -> str that evaluates this term."""
@@ -208,6 +217,7 @@ class _Leaf(Term):
 class Const(_Leaf):
     head = "const"
     signature = (0, 0)
+    reads = frozenset()
 
     def compile(self):
         def const(fs, xs, meter):
@@ -220,6 +230,7 @@ class _Unary(_Leaf):
     """A primitive of one string whose output is fn(input)."""
 
     signature = (0, 1)
+    reads = frozenset({0})
     fn = None
 
     def compile(self):
@@ -273,6 +284,7 @@ class Pred(_Unary):
 class Smash(_Leaf):
     head = "smash"
     signature = (0, 2)
+    reads = frozenset({0, 1})
 
     def compile(self):
         cap = magnitude_cap()
@@ -307,6 +319,7 @@ class Ap(_Leaf):
 
     head = "ap"
     signature = (1, 1)
+    reads = frozenset({0})
 
     def compile(self):
         return _query(0)
@@ -326,6 +339,7 @@ class Proj(Term):
             raise DomainError(
                 f"projection: index {self.j} outside arity {self.arity}")
         object.__setattr__(self, "signature", (0, self.arity))
+        object.__setattr__(self, "reads", frozenset({self.j}))
 
     def to_sexpr(self):
         if self.arity == self.j + 1:
@@ -348,6 +362,7 @@ class Pad(Term):
 
     i: int
     signature = (0, 1)
+    reads = frozenset({0})
 
     def __post_init__(self):
         if self.i < 0:
@@ -375,6 +390,7 @@ class OracleRef(Term):
 
     j: int
     slots: int = -1
+    reads = frozenset({0})
 
     def __post_init__(self):
         if self.slots == -1:
@@ -420,6 +436,9 @@ class Comp(Term):
                 f"composition: outer term uses {ko} oracle slot(s), "
                 f"inner terms use {ki}")
         object.__setattr__(self, "signature", (ko, li))
+        # every inner runs and is charged, whether the outer reads it or not
+        object.__setattr__(self, "reads",
+                           frozenset().union(*(t.reads for t in self.inners)))
 
     def to_sexpr(self):
         parts = " ".join(t.to_sexpr() for t in self.inners)
@@ -471,6 +490,7 @@ class Expand(Term):
         object.__setattr__(
             self, "signature",
             (k + self.extra_oracles, l + self.extra_args))
+        object.__setattr__(self, "reads", self.inner.reads)
 
     def to_sexpr(self):
         return (f"(expand {self.inner.to_sexpr()} "
@@ -481,7 +501,25 @@ class Expand(Term):
         return self.inner.compile()
 
 
-def _check_schema(name, base: Term, step: Term, bound: Term):
+def _reads(term: Term, slot: int) -> bool:
+    """Whether the term's value or charge can depend on the slot."""
+    return slot in term.reads
+
+
+def _charged(run, fs, xs, meter):
+    """run's value, with the steps it charged and the oracle log entries
+    it appended: what a second run on the same slots would add to the
+    meter, whose max_len that run cannot raise again."""
+    steps, logged = meter.steps, len(meter.oracle_log)
+    out = run(fs, xs, meter)
+    return out, meter.steps - steps, meter.oracle_log[logged:]
+
+
+def _check_schema(name, recursion):
+    """Check the three signatures, then set the recursion's signature and
+    reads: the base's, the front slots the step or bound read, and the
+    recursion slot, whose length or number fixes the stage count."""
+    base, step, bound = recursion.base, recursion.step, recursion.bound
     k, l = base.signature
     if step.signature != (k, l + 2):
         raise DomainError(
@@ -492,7 +530,9 @@ def _check_schema(name, base: Term, step: Term, bound: Term):
         raise DomainError(
             f"{name}: bound term must have signature {(k, l + 1)}, "
             f"got {bound.signature}")
-    return k, l
+    object.__setattr__(recursion, "signature", (k, l + 1))
+    object.__setattr__(recursion, "reads", base.reads | {l} | {
+        j for j in step.reads | bound.reads if j < l})
 
 
 @dataclass(frozen=True)
@@ -508,9 +548,7 @@ class Lrn(Term):
     bound: Term
 
     def __post_init__(self):
-        k, l = _check_schema("recursion on notation", self.base, self.step,
-                             self.bound)
-        object.__setattr__(self, "signature", (k, l + 1))
+        _check_schema("recursion on notation", self)
 
     def to_sexpr(self):
         return (f"(lrn {self.base.to_sexpr()} {self.step.to_sexpr()} "
@@ -520,18 +558,28 @@ class Lrn(Term):
         base, step, bound = (self.base.compile(), self.step.compile(),
                              self.bound.compile())
         l = self.base.signature[1]
+        once = not _reads(self.bound, l)
+        sliced = not once or _reads(self.step, l)
 
         def lrn(fs, xs, meter):
             front, w = xs[:l], xs[l]
             val = base(fs, front, meter)
+            prefix = ""
             for stop in range(len(w) + 1):
-                prefix = w[:stop]
                 if stop:
+                    if sliced:
+                        prefix = w[:stop]
                     meter.steps += 1
                     val = step(fs, front + (prefix, val), meter)
-                limit = bound(fs, front + (prefix,), meter)
+                if stop and once:
+                    meter.steps += charge
+                    if queries:
+                        meter.oracle_log.extend(queries)
+                else:
+                    limit, charge, queries = _charged(
+                        bound, fs, front + (prefix,), meter)
                 if len(val) > len(limit):
-                    raise BoundViolationError("lrn", prefix, len(val),
+                    raise BoundViolationError("lrn", w[:stop], len(val),
                                               len(limit))
             return val
         return lrn
@@ -551,9 +599,7 @@ class Br(Term):
     bound: Term
 
     def __post_init__(self):
-        k, l = _check_schema("bounded recursion", self.base, self.step,
-                             self.bound)
-        object.__setattr__(self, "signature", (k, l + 1))
+        _check_schema("bounded recursion", self)
 
     def to_sexpr(self):
         return (f"(br {self.base.to_sexpr()} {self.step.to_sexpr()} "
@@ -564,6 +610,8 @@ class Br(Term):
                              self.bound.compile())
         l = self.base.signature[1]
         cap = magnitude_cap()
+        once = not _reads(self.bound, l)
+        counted = not once or _reads(self.step, l)
 
         def br(fs, xs, meter):
             front = xs[:l]
@@ -576,8 +624,15 @@ class Br(Term):
                 if stage:
                     meter.steps += 1
                     val = step(fs, front + (t, val), meter)
-                    t = bin(stage + 1)[3:]
-                limit = bound(fs, front + (t,), meter)
+                    if counted:
+                        t = bin(stage + 1)[3:]
+                if stage and once:
+                    meter.steps += charge
+                    if queries:
+                        meter.oracle_log.extend(queries)
+                else:
+                    limit, charge, queries = _charged(bound, fs, front + (t,),
+                                                      meter)
                 # numerals compare by length, then lexicographically,
                 # which is the order of their numbers
                 a, b = len(val), len(limit)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from cantorbet.core import Dyadic
 
 # one line per acceptance criterion; conftest echoes these in the final
@@ -163,3 +165,39 @@ def nesting_shapes(k: int) -> dict[str, tuple[str, Fraction]]:
         "limit-cup": ("(limit (cyl 0) (cup (cyl 1) " * (k // 2) + "(cyl 0)"
                       + ") 1)" * (k // 2), Fraction(1)),
     }
+
+
+# terms as texts, built by signature (oracle slots, string slots) so that
+# every one is well typed; evaluating one may still break a recursion bound
+# (exit 1) or the magnitude cap (exit 3).
+_LEAF_SIGNATURES = {"const": (0, 0), "s0": (0, 1), "s1": (0, 1),
+                    "succ": (0, 1), "pred": (0, 1), "smash": (0, 2),
+                    "ap": (1, 1)}
+
+
+@st.composite
+def terms(draw, k, l, depth):
+    """A term of signature (k, l) nested at most depth + 2 forms deep."""
+    kinds = ["primitive"]
+    if depth:
+        kinds += ["comp", "expand"] + (["lrn", "br"] if l else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "comp":
+        m = draw(st.integers(1, 2))
+        parts = [draw(terms(k, m, depth - 1))]
+        parts += [draw(terms(k, l, depth - 1)) for _ in range(m)]
+        return "(comp " + " ".join(parts) + ")"
+    if kind == "expand":
+        k2, l2 = draw(st.integers(0, k)), draw(st.integers(0, l))
+        return f"(expand {draw(terms(k2, l2, depth - 1))} {k - k2} {l - l2})"
+    if kind != "primitive":
+        return (f"({kind} " + " ".join(draw(terms(k, m, depth - 1))
+                                        for m in (l - 1, l + 1, l)) + ")")
+    prims = [(f"(proj {j} {l})", 0) for j in range(l)]
+    prims += [(f"({h})", a) for h, (a, b) in _LEAF_SIGNATURES.items()
+              if b == l and a <= k]
+    if l == 1:
+        prims += [("(pad 0)", 0), ("(pad 1)", 0)]
+        prims += [(f"(oracle {j} {k})", k) for j in range(k)]
+    text, slots = draw(st.sampled_from(prims))
+    return text if slots == k else f"(expand {text} {k - slots} 0)"

@@ -105,7 +105,7 @@ def test_kinds_name_every_martingale_subclass():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        path=st.text(alphabet="01", max_size=20),
        r=st.integers(0, 24))

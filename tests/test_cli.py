@@ -22,7 +22,7 @@ from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
 )
 
-from helpers import nesting_shapes
+from helpers import nesting_shapes, terms
 
 
 def cli(*argv):
@@ -550,6 +550,10 @@ _TABLE_DEFECTS = {
     "missing string": ("\n1 ", "\n# 1 ", 2, "missing '1'"),
     "negative entry": ("\n0 1 1", "\n0 -1 1", 2, "negative entry at '0'"),
     "huge depth": ("depth=1", "depth=100000000", 2, "missing '00'"),
+    "string listed twice": ("\n0 1 1\n", "\n0 1 1\n0 5 0\n", 2,
+                            "'0' listed twice"),
+    "string deeper than the depth": ("\n0 1 1\n", "\n0 1 1\n011 7 0\n",
+                                     2, "'011' deeper than depth 1"),
     "two fields": ("\n0 1 1", "\n0 1", 2, _FIELDS),
     "four fields": ("\n0 1 1", "\n0 1 1 0", 2, _FIELDS),
     "no witness line": ("l poly 0 1\n", "", 2, "0 witness lines"),
@@ -759,7 +763,7 @@ def _set_measure(e, spec):
 
 # cli() raises whatever escapes run(), so an uncaught exception, the only
 # source of a traceback, fails these tests
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(e=_expressions(6), spec=st.sampled_from(sorted(_ZERO_SHARE)),
        r=st.integers(0, 10))
 def test_generated_set_expressions_keep_the_contract(e, spec, r):
@@ -773,7 +777,7 @@ def test_generated_set_expressions_keep_the_contract(e, spec, r):
         assert abs(got - _set_measure(e, spec)) <= Fraction(1, 2 ** r)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(e=_expressions(6), data=st.data())
 def test_mutated_set_expressions_keep_the_contract(e, data):
     text = _text(e)
@@ -826,7 +830,7 @@ def test_file_inputs_are_valid(tmp_path, kind):
 
 # A guard: no mutated file is known to break the contract
 @pytest.mark.parametrize("kind", sorted(_FILE_INPUTS))
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_mutated_files_keep_the_contract(tmp_path_factory, kind, data):
     text, verbs = _FILE_INPUTS[kind]
@@ -840,41 +844,7 @@ def test_mutated_files_keep_the_contract(tmp_path_factory, kind, data):
         assert code in (0, 1, 2, 3) and "Traceback" not in err, argv
 
 
-# Terms as texts, built by signature (oracle slots, string slots) so that
-# every one is well typed; evaluating one may still break a recursion bound
-# (exit 1) or the magnitude cap (exit 3).
-_LEAF_SIGNATURES = {"const": (0, 0), "s0": (0, 1), "s1": (0, 1),
-                    "succ": (0, 1), "pred": (0, 1), "smash": (0, 2),
-                    "ap": (1, 1)}
 _TERM_WORDS = ["~", "0", "01", "110"]
-
-
-@st.composite
-def _terms(draw, k, l, depth):
-    """A term of signature (k, l) nested at most depth + 2 forms deep."""
-    kinds = ["primitive"]
-    if depth:
-        kinds += ["comp", "expand"] + (["lrn", "br"] if l else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "comp":
-        m = draw(st.integers(1, 2))
-        parts = [draw(_terms(k, m, depth - 1))]
-        parts += [draw(_terms(k, l, depth - 1)) for _ in range(m)]
-        return "(comp " + " ".join(parts) + ")"
-    if kind == "expand":
-        k2, l2 = draw(st.integers(0, k)), draw(st.integers(0, l))
-        return f"(expand {draw(_terms(k2, l2, depth - 1))} {k - k2} {l - l2})"
-    if kind != "primitive":
-        return (f"({kind} " + " ".join(draw(_terms(k, m, depth - 1))
-                                        for m in (l - 1, l + 1, l)) + ")")
-    prims = [(f"(proj {j} {l})", 0) for j in range(l)]
-    prims += [(f"({h})", a) for h, (a, b) in _LEAF_SIGNATURES.items()
-              if b == l and a <= k]
-    if l == 1:
-        prims += [("(pad 0)", 0), ("(pad 1)", 0)]
-        prims += [(f"(oracle {j} {k})", k) for j in range(k)]
-    text, slots = draw(st.sampled_from(prims))
-    return text if slots == k else f"(expand {text} {k - slots} 0)"
 
 
 @st.composite
@@ -885,7 +855,7 @@ def _term_calls(draw):
     for word in draw(st.lists(st.sampled_from(_TERM_WORDS),
                               min_size=l, max_size=l)):
         flags += ["--arg", word]
-    return draw(_terms(k, l, 4)), flags
+    return draw(terms(k, l, 4)), flags
 
 
 _NUMBER_TOKENS = ["0", "2", "99", "-1", "x", "\u00b2", "\u0663", "1" * 5000]
@@ -908,7 +878,7 @@ def _term_verbs(tmp_path_factory, text, flags):
                 f"g1(n1 + L1(n1)) + {EVALUATOR_MARGIN}", *flags)]
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(call=_term_calls())
 def test_generated_terms_keep_the_contract(tmp_path_factory, call):
     text, flags = call
@@ -921,7 +891,7 @@ def test_generated_terms_keep_the_contract(tmp_path_factory, call):
         assert code in (0, 1, 3) and "Traceback" not in err
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(call=_term_calls(), data=st.data())
 def test_mutated_terms_keep_the_contract(tmp_path_factory, call, data):
     """Replace one number of the text, then cut a run of its tokens and
@@ -979,7 +949,7 @@ def _argv_files(tmp_path_factory):
     return paths
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(verb=st.sampled_from(sorted(_VERB_FLAGS)), data=st.data())
 def test_generated_argv_keeps_the_contract(tmp_path_factory, verb, data):
     paths = _argv_files(tmp_path_factory)
@@ -1042,7 +1012,7 @@ def _fitting_argv(draw):
     return argv + (["--meter"] if draw(st.booleans()) else [])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(argv=_fitting_argv())
 def test_fitting_argv_reaches_evaluation(tmp_path_factory, argv):
     # well-formed calls pass argument parsing: none is a usage error

@@ -4,14 +4,16 @@ growth expressions, and algebra-family checkers."""
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorbet import funalg
 from cantorbet.config import set_magnitude_cap
 from cantorbet.errors import (
-    BoundViolationError, DomainError, ParseError, PreconditionError,
-    ResourceError,
+    BoundViolationError, CantorbetError, DomainError, ParseError,
+    PreconditionError, ResourceError,
 )
 from cantorbet.funalg import (
     Ap, Br, BoundReport, Comp, Const, Expand, Lrn, Meter, Oracle, OracleRef,
@@ -22,6 +24,8 @@ from cantorbet.funalg import (
 )
 from cantorbet.calibration import EVALUATOR_MARGIN, recalibrate
 from cantorbet.core import bton, ntob
+
+from helpers import terms
 
 
 IDENT = Oracle(lambda w: w)
@@ -278,6 +282,134 @@ def test_monus_and_if_zero():
     iz = if_zero_term()
     assert iz.evaluate((), ("01", "10", "")) == "01"
     assert iz.evaluate((), ("01", "10", ntob(3))) == "10"
+
+
+# ---------------------------------------------------------------------------
+# read analysis, and the bound run once and replayed
+# ---------------------------------------------------------------------------
+
+_WORDS = ["", "0", "01", "110", "1011"]
+_TABLES = (Oracle.from_table({"": "11", "0": "10110", "01": "1"}, "0"),
+           Oracle.from_table({"1": "", "10": "0111"}, "01"))
+
+
+def _outcome(term, oracles, args, cap=None):
+    """What the term's closure gives on these slots: its value, or its
+    error's type, text and fields; and its meter."""
+    meter = Meter()
+    set_magnitude_cap(cap)
+    try:
+        out = term.compile()(tuple(f.answer for f in oracles), tuple(args),
+                             meter)
+    except CantorbetError as exc:
+        out = (type(exc), exc.args, vars(exc))
+    finally:
+        set_magnitude_cap(None)
+    return out, meter
+
+
+def _per_stage(term, oracles, args, cap=None):
+    """The outcome when every recursion runs its bound at every stage and
+    builds every stage's numeral or prefix: the same loops, told that
+    every slot is read."""
+    with mock.patch.object(funalg, "_reads", lambda term, slot: True):
+        return _outcome(term, oracles, args, cap)
+
+
+def test_reads_examples():
+    assert Const().reads == frozenset()
+    assert Proj(2, 4).reads == {2}
+    assert Expand(Smash(), 1, 2).reads == {0, 1}
+    # the outer ignores its second inner, which still runs and is charged
+    comp = parse_term("(comp (proj 0 2) (proj 0 2) (succ (proj 1 2)))")
+    assert comp.reads == {0, 1}
+    # the front slots the base, step or bound read, and the recursion slot
+    assert monus_term().reads == {0, 1}
+    assert parse_term("(br (proj 0 2) (proj 3 4) (proj 0 3))").reads == {0, 2}
+    assert parse_term("(lrn (const) (proj 1 2) (proj 0))").reads == {0}
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_slots_outside_the_reads_change_nothing(data):
+    """Another string in a slot outside a term's reads leaves its value or
+    error and its whole meter as they were.  The closure is run directly:
+    `evaluate` also counts every argument in max_len, read or not."""
+    k, l = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+    term = parse_term(data.draw(terms(k, l, 4), label="term"))
+    xs = data.draw(st.lists(st.sampled_from(_WORDS), min_size=l, max_size=l))
+    ys = [x if j in term.reads else data.draw(st.sampled_from(_WORDS))
+          for j, x in enumerate(xs)]
+    assert _outcome(term, _TABLES[:k], xs, 4096) \
+        == _outcome(term, _TABLES[:k], ys, 4096)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_generated_recursions_replay_like_per_stage_runs(data):
+    k, l = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    parts = [data.draw(terms(k, m, 3)) for m in (l, l + 2, l + 1)]
+    kind = data.draw(st.sampled_from(["lrn", "br"]))
+    term = parse_term(f"({kind} {' '.join(parts)})")
+    xs = data.draw(st.lists(st.sampled_from(_WORDS), min_size=l + 1,
+                            max_size=l + 1))
+    assert _outcome(term, _TABLES[:k], xs, 4096) \
+        == _per_stage(term, _TABLES[:k], xs, 4096)
+
+
+def _counting(fn):
+    calls = []
+    return Oracle(lambda w: calls.append(w) or fn(w)), calls
+
+
+# (term, args, cap, the outcome's value or error type); each term's bound
+# ignores the recursion slot, so it is run once and replayed
+_REPLAYED = [
+    # the bound queries the oracle: its log entry is replayed
+    ("(br (expand (proj 0) 1 0) (expand (pred (proj 2 3)) 1 0)"
+     " (comp (oracle 0) (expand (proj 0 2) 1 0)))", ["101", "0110"], None,
+     str),
+    # ... and breaks at stop 3, when |val| = 5 passes |x0 x0| = 4
+    ("(lrn (expand (proj 0) 1 0) (expand (s0 (proj 2 3)) 1 0)"
+     " (comp (oracle 0) (expand (proj 0 2) 1 0)))", ["10", "0110"], None,
+     BoundViolationError),
+    # the step reads the counter, the bound does not
+    ("(br (proj 0) (succ (proj 1 3)) (s1 (proj 0 2)))", ["0", "00"], None,
+     str),
+    ("(lrn (proj 0) (s1 (proj 1 3)) (s0 (proj 0 2)))", ["0", "0110"], None,
+     BoundViolationError),
+    # bounds broken at stage 0 (br, lrn) and at stage 4
+    ("(br (s1 (proj 0)) (pred (proj 2 3)) (proj 0 2))", ["1", "11"], None,
+     BoundViolationError),
+    ("(lrn (s1 (proj 0)) (proj 2 3) (proj 0 2))", ["1", "11"], None,
+     BoundViolationError),
+    ("(br (proj 0) (succ (proj 2 3)) (s1 (proj 0 2)))", ["0", "11"], None,
+     BoundViolationError),
+    # the cap tripped inside the bound, at stage 0
+    ("(br (proj 0) (proj 2 3) (comp (pad 2) (proj 0 2)))", ["0" * 40, "1"],
+     None, ResourceError),
+    ("(lrn (proj 0) (proj 2 3) (comp (pad 2) (proj 0 2)))", ["0" * 40, "1"],
+     None, ResourceError),
+    # ... and inside the step at stage 3, after two replayed stages
+    ("(br (proj 0) (comp (pad 1) (proj 2 3))"
+     " (comp (pad 1) (comp (pad 1) (proj 0 2))))", ["11", "00"], 64,
+     ResourceError),
+]
+
+
+@pytest.mark.parametrize("text, args, cap, want", _REPLAYED)
+def test_replayed_bound_matches_the_per_stage_run(text, args, cap, want):
+    term = parse_term(text)
+    oracle, calls = _counting(lambda w: w + w)
+    k = term.signature[0]
+    out, meter = _outcome(term, [oracle] * k, args, cap)
+    hoisted_queries = len(calls)
+    assert (out[0] if isinstance(out, tuple) else type(out)) is want
+    assert (out, meter) == _per_stage(term, [oracle] * k, args, cap)
+    if k:
+        # one query in the hoisted run, one a stage in the per-stage run
+        assert hoisted_queries == 1 and len(calls) > 2
+        assert len(meter.oracle_log) == len(calls) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from cantorbet.core import (
     Dyadic, ZERO, ONE, HALF, frac_round_at, strings_of_length,
@@ -244,7 +244,6 @@ def test_weakly_positive_matches_the_per_node_loop():
     assert nu.weakly_positive(1) and not nu.weakly_positive(2)
 
 
-@settings(deadline=None)
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1),
        st.text(alphabet="01", max_size=12))
 def test_masses_are_normalized(seed, w):
