@@ -147,11 +147,12 @@ def dump_oracle(oracle: Oracle) -> str:
 #
 # Every term lists, in `reads`, the string slots whose contents can change
 # its value or its charge; the closures are deterministic in fs and those
-# slots.  A recursion whose bound does not read the recursion slot runs
-# the bound once, at stage 0, and at every later stage replays that run's
+# slots.  A `br` whose bound does not read the recursion slot runs the
+# bound once, at stage 0, and at every later stage replays that run's
 # charge: the same steps and the same oracle log entries, while max_len
-# already holds the longest string it made.  A recursion whose step and
-# bound both ignore the slot never builds the stage's prefix or numeral.
+# already holds the longest string it made.  A `br` whose step and bound
+# both ignore the slot never builds the stage's numeral.  (`lrn` runs its
+# bound at every stage: it peels at most one stage per argument bit.)
 
 
 def _successor(w: str) -> str:
@@ -558,28 +559,18 @@ class Lrn(Term):
         base, step, bound = (self.base.compile(), self.step.compile(),
                              self.bound.compile())
         l = self.base.signature[1]
-        once = not _reads(self.bound, l)
-        sliced = not once or _reads(self.step, l)
 
         def lrn(fs, xs, meter):
             front, w = xs[:l], xs[l]
             val = base(fs, front, meter)
-            prefix = ""
             for stop in range(len(w) + 1):
+                prefix = w[:stop]
                 if stop:
-                    if sliced:
-                        prefix = w[:stop]
                     meter.steps += 1
                     val = step(fs, front + (prefix, val), meter)
-                if stop and once:
-                    meter.steps += charge
-                    if queries:
-                        meter.oracle_log.extend(queries)
-                else:
-                    limit, charge, queries = _charged(
-                        bound, fs, front + (prefix,), meter)
+                limit = bound(fs, front + (prefix,), meter)
                 if len(val) > len(limit):
-                    raise BoundViolationError("lrn", w[:stop], len(val),
+                    raise BoundViolationError("lrn", prefix, len(val),
                                               len(limit))
             return val
         return lrn
@@ -621,18 +612,20 @@ class Br(Term):
             val = base(fs, front, meter)
             t = ""                          # the numeral of the stage
             for stage in range(n + 1):
-                if stage:
+                if not stage:
+                    limit, charge, queries = _charged(bound, fs, front + (t,),
+                                                      meter)
+                else:
                     meter.steps += 1
                     val = step(fs, front + (t, val), meter)
                     if counted:
                         t = bin(stage + 1)[3:]
-                if stage and once:
-                    meter.steps += charge
-                    if queries:
-                        meter.oracle_log.extend(queries)
-                else:
-                    limit, charge, queries = _charged(bound, fs, front + (t,),
-                                                      meter)
+                    if once:
+                        meter.steps += charge
+                        if queries:
+                            meter.oracle_log.extend(queries)
+                    else:
+                        limit = bound(fs, front + (t,), meter)
                 # numerals compare by length, then lexicographically,
                 # which is the order of their numbers
                 a, b = len(val), len(limit)

@@ -309,9 +309,8 @@ def _outcome(term, oracles, args, cap=None):
 
 
 def _per_stage(term, oracles, args, cap=None):
-    """The outcome when every recursion runs its bound at every stage and
-    builds every stage's numeral or prefix: the same loops, told that
-    every slot is read."""
+    """The outcome when every `br` runs its bound at every stage and builds
+    every stage's numeral: the same loop, told that every slot is read."""
     with mock.patch.object(funalg, "_reads", lambda term, slot: True):
         return _outcome(term, oracles, args, cap)
 
@@ -349,8 +348,7 @@ def test_slots_outside_the_reads_change_nothing(data):
 def test_generated_recursions_replay_like_per_stage_runs(data):
     k, l = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
     parts = [data.draw(terms(k, m, 3)) for m in (l, l + 2, l + 1)]
-    kind = data.draw(st.sampled_from(["lrn", "br"]))
-    term = parse_term(f"({kind} {' '.join(parts)})")
+    term = parse_term(f"(br {' '.join(parts)})")
     xs = data.draw(st.lists(st.sampled_from(_WORDS), min_size=l + 1,
                             max_size=l + 1))
     assert _outcome(term, _TABLES[:k], xs, 4096) \
@@ -369,26 +367,16 @@ _REPLAYED = [
     ("(br (expand (proj 0) 1 0) (expand (pred (proj 2 3)) 1 0)"
      " (comp (oracle 0) (expand (proj 0 2) 1 0)))", ["101", "0110"], None,
      str),
-    # ... and breaks at stop 3, when |val| = 5 passes |x0 x0| = 4
-    ("(lrn (expand (proj 0) 1 0) (expand (s0 (proj 2 3)) 1 0)"
-     " (comp (oracle 0) (expand (proj 0 2) 1 0)))", ["10", "0110"], None,
-     BoundViolationError),
     # the step reads the counter, the bound does not
     ("(br (proj 0) (succ (proj 1 3)) (s1 (proj 0 2)))", ["0", "00"], None,
      str),
-    ("(lrn (proj 0) (s1 (proj 1 3)) (s0 (proj 0 2)))", ["0", "0110"], None,
-     BoundViolationError),
-    # bounds broken at stage 0 (br, lrn) and at stage 4
+    # bounds broken at stage 0 and at stage 4
     ("(br (s1 (proj 0)) (pred (proj 2 3)) (proj 0 2))", ["1", "11"], None,
-     BoundViolationError),
-    ("(lrn (s1 (proj 0)) (proj 2 3) (proj 0 2))", ["1", "11"], None,
      BoundViolationError),
     ("(br (proj 0) (succ (proj 2 3)) (s1 (proj 0 2)))", ["0", "11"], None,
      BoundViolationError),
     # the cap tripped inside the bound, at stage 0
     ("(br (proj 0) (proj 2 3) (comp (pad 2) (proj 0 2)))", ["0" * 40, "1"],
-     None, ResourceError),
-    ("(lrn (proj 0) (proj 2 3) (comp (pad 2) (proj 0 2)))", ["0" * 40, "1"],
      None, ResourceError),
     # ... and inside the step at stage 3, after two replayed stages
     ("(br (proj 0) (comp (pad 1) (proj 2 3))"
