@@ -96,6 +96,10 @@ def _margin_flag(text: str):
 
 def _fraction_flag(text: str) -> Fraction:
     try:
+        # a decimal exponent e builds 10**|e|, of more than 3.32|e| bits
+        exp = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
+        if exp:
+            check_magnitude(abs(int(exp[1])) * 332 // 100, "decimal exponent")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
@@ -394,24 +398,20 @@ _PARSER = build_parser()
 def run(argv) -> int:
     """Parse, dispatch, translate errors into the exit-status protocol."""
     try:
+        # parsing is inside the try, as a flag's type may raise
+        # ResourceError; argv[0] is then the verb
         ns = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         # precisions and margins are sizes: refuse one past the cap before
         # any 2**size is built
         for flag in ("precision", "margin"):
             check_magnitude(getattr(ns, flag, None) or 0, f"--{flag}")
         return ns.handler(ns)
-    except ParseError as exc:
-        print(f"{ns.verb}: {exc}", file=sys.stderr)
-        return 2
-    except ResourceError as exc:
-        print(f"{ns.verb}: {exc}", file=sys.stderr)
-        return 3
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except CantorbetError as exc:
-        print(f"{ns.verb}: {exc}", file=sys.stderr)
-        return 1
+        print(f"{argv[0]}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ParseError) else \
+            3 if isinstance(exc, ResourceError) else 1
 
 
 def main(argv=None) -> None:

@@ -401,9 +401,10 @@ def read_sexpr(text: str, build, deep=(), what: str = "expression"):
     `stack` holds the open forms, each as the index of its "(" and the
     items read so far: atoms, and the values built for closed subforms.
     When a form's ")" arrives, build(items) gives its value, so nesting
-    depth costs no Python recursion.  A ParseError from build gets the
-    form's text position added.  More than MAX_NESTING open forms whose
-    head is in `deep` is a ParseError, raised when the head is read.
+    depth costs no Python recursion.  A ParseError from build, or for a
+    head that is not an atom, gets the form's text position added.  More
+    than MAX_NESTING open forms whose head is in `deep` is a ParseError,
+    raised when the head is read.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
@@ -417,13 +418,15 @@ def read_sexpr(text: str, build, deep=(), what: str = "expression"):
             stack.append((i, []))
         elif tok == ")":
             start, items = stack.pop()
-            if items and isinstance(items[0], str) and items[0] in deep:
-                nested -= 1
             try:
+                if not items or not isinstance(items[0], str):
+                    raise ParseError("expected an operator name")
                 value = build(items)
             except ParseError as exc:
                 raise ParseError(f"{exc} (position "
                                  f"{_token_position(text, start)})") from None
+            if items[0] in deep:
+                nested -= 1
             if not stack:
                 if i + 1 < len(tokens):
                     raise ParseError(

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import Dyadic, show_int, validate_string
 from .errors import DomainError, PreconditionError
-from .martingale import Martingale
+from .martingale import Martingale, max_capital
 from .measure import ProbabilityMeasure, same_measure
 from .realfun import ceil_log2
 
@@ -93,8 +93,7 @@ def capital_margin(d: Martingale, w: str) -> int:
     With worst the largest such d(w'), that is the least m >= 1 with
     2**(m-1) >= 1 / (1 - worst), as capital is never negative.
     """
-    validate_string(w)
-    worst = max(d.value(w[:k]) for k in range(len(w) + 1))
+    worst = max_capital(d, w)
     if worst >= 1:
         raise PreconditionError(
             "no margin exists: capital reaches 1 on a prefix of "
@@ -147,7 +146,6 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
 
     x = ""
     steps = []
-    peak = d.value("")
     for i in range(depth):
         if i < len(w):
             bit = w[i]
@@ -155,11 +153,9 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
         else:
             bit, capital = _cheaper_child(d, m, x)
         x += bit
-        exact = d.value(x)
-        peak = max(peak, exact)
-        if exact >= 1:
+        if d.value(x) >= 1:
             raise PreconditionError(
                 f"capital reached 1 at step {i}; the margin index {m} "
                 "is too small for this martingale")
         steps.append(TrajectoryStep(i, bit, capital))
-    return ConservationReport(x, tuple(steps), peak)
+    return ConservationReport(x, tuple(steps), max_capital(d, x))

@@ -657,9 +657,7 @@ def _build_term(items):
     numbers for proj and oracle, one for pad; for expand one subterm,
     then two numbers; subterms only for every other head.
     """
-    head = items[0] if items else None
-    if not isinstance(head, str):
-        raise ParseError("expected an operator name")
+    head = items[0]
     if head not in _HEADS:
         raise ParseError(f"unknown operator {head!r}")
     args = items[1:]
@@ -817,10 +815,6 @@ def if_zero_term() -> Term:
     return Br(base, step, big)
 
 
-def _lift(term: Term, oracles: int = 1) -> Term:
-    return Expand(term, oracles, 0)
-
-
 def longest_answer_index_term(space_pure: bool = False) -> Term:
     """(f; n) -> numerically least y <= n maximizing |f(y)|.
 
@@ -835,12 +829,12 @@ def longest_answer_index_term(space_pure: bool = False) -> Term:
     pr_prev = Expand(Proj(1, 2), 1, 0)
     candidate = Comp(Expand(Succ(), 1, 0), (pr_n,))
     ask = Ap()
-    len_of = _lift(ones_term() if space_pure else binary_length_term())
-    longer_gap = Comp(_lift(monus_term()), (
+    len_of = Expand(ones_term() if space_pure else binary_length_term(), 1, 0)
+    longer_gap = Comp(Expand(monus_term(), 1, 0), (
         Comp(len_of, (Comp(ask, (candidate,)),)),
         Comp(len_of, (Comp(ask, (pr_prev,)),)),
     ))
-    keep = Comp(_lift(if_zero_term()), (pr_prev, candidate, longer_gap))
+    keep = Comp(Expand(if_zero_term(), 1, 0), (pr_prev, candidate, longer_gap))
     return Br(Expand(Const(), 1, 0), keep, Expand(Proj(0), 1, 0))
 
 
@@ -850,7 +844,7 @@ def length_term(space_pure: bool = False) -> Term:
     All strings of length <= |x| sit numerically below the all-ones
     string of length |x|, so the search radius is ones(x).
     """
-    ones = _lift(ones_term())
+    ones = Expand(ones_term(), 1, 0)
     radius = Comp(ones, (Expand(Proj(0), 1, 0),))
     best = Comp(longest_answer_index_term(space_pure), (radius,))
     return Comp(ones, (Comp(Ap(), (best,)),))

@@ -155,8 +155,7 @@ class SumMartingale(Martingale):
 
 def covers(d: Martingale, prefix: str) -> bool:
     """Has capital reached 1 somewhere along (or at) this prefix?"""
-    validate_string(prefix)
-    return any(d.value(prefix[:i]) >= 1 for i in range(len(prefix) + 1))
+    return max_capital(d, prefix) >= 1
 
 
 def is_regular(d: Martingale, depth: int) -> bool:

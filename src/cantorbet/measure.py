@@ -77,19 +77,11 @@ class ProbabilityMeasure:
         self.depth = depth
         self.table = dict(table)
         self.witness = witness if witness is not None else PositivityWitness(0, 1)
-        kind = ext[0]
-        if kind == "const":
-            c = ext[1]
-            if not (ZERO <= c <= ONE):
-                raise DomainError("extension conditional must lie in [0,1]")
-            self.ext = ("const", c)
-        elif kind == "copy":
-            self.ext = ("copy",)
-        else:
-            raise DomainError(f"unknown extension rule {kind!r}")
+        if ext[0] not in ("const", "copy"):
+            raise DomainError(f"unknown extension rule {ext[0]!r}")
+        self.ext = tuple(ext)
         self._validate()
-        if kind == "copy":
-            self._copy_conditionals = self._boundary_conditionals()
+        self._tail = self._boundary_conditionals()
 
     # -- construction-time checks --------------------------------------
 
@@ -102,12 +94,16 @@ class ProbabilityMeasure:
                 raise DomainError(f"additivity fails at {w!r}")
 
     def _boundary_conditionals(self) -> dict[str, Dyadic]:
-        """Per-boundary-node conditional for the copy rule.
-
-        For a depth-N node u with positive mass, the subtree below u keeps
-        splitting with conditional mass(parent(u)0)/mass(parent(u)); this
-        quotient must be dyadic for masses to stay exact.
-        """
+        """The conditional each depth-N node u of positive mass splits
+        with at every level below it: c under ("const", c); under `copy`,
+        mass(parent(u)0)/mass(parent(u)), which must be dyadic for masses
+        to stay exact."""
+        if self.ext[0] == "const":
+            c = self.ext[1]
+            if not (ZERO <= c <= ONE):
+                raise DomainError("extension conditional must lie in [0,1]")
+            return {u: c for u in strings_of_length(self.depth)
+                    if self.table[u]}
         if self.depth == 0:
             raise DomainError("ext=copy needs a table of depth >= 1")
         out = {}
@@ -128,18 +124,16 @@ class ProbabilityMeasure:
     def mass(self, w: str) -> Dyadic:
         """Exact cylinder mass, at any depth.  Below the table it is the
         boundary node's mass times c**z * (1-c)**o, for a tail with z zeros
-        and o ones under a node whose subtree splits with conditional c."""
+        and o ones under a node whose subtree splits with conditional c;
+        a node without a conditional is null."""
         validate_string(w)
         if len(w) <= self.depth:
             return self.table[w]
         u = w[:self.depth]
-        m = self.table[u]
-        if m == ZERO:
+        c = self._tail.get(u)
+        if c is None:
             return ZERO
-        if self.ext[0] == "const":
-            c = self.ext[1]
-        else:
-            c = self._copy_conditionals[u]
+        m = self.table[u]
         d = ONE - c
         z = w.count("0", self.depth)
         o = len(w) - self.depth - z
@@ -163,7 +157,19 @@ class ProbabilityMeasure:
             masses += (m0, masses[i] - m0)
             yield w, masses[i], m0, masses[-1]
 
-    def weakly_positive(self, depth: int) -> bool:
+    def weakly_positive(self, depth: int | None = None) -> bool:
+        """Whether every nonzero mass of length n <= depth clears
+        2**-l(n); with no depth, of every length.  Below the table a node
+        splits with one conditional c at every level, so where 0 < c < 1
+        its least mass falls by mu = min(c, 1 - c) per level, and the
+        threshold by 2**-c1: every length passes exactly when the table
+        does and each such mu clears 2**-c1."""
+        if depth is None:
+            # its threshold at n = 1 is the drop per level, 2**-c1
+            step = PositivityWitness(0, self.witness.c1)
+            return self.weakly_positive(self.depth) and all(
+                step.clears(min(c, ONE - c), 1)
+                for c in self._tail.values() if ZERO < c < ONE)
         # the root's mass, 1, clears every threshold
         clears = self.witness.clears
         return all(clears(m, len(w) + 1) for w, _, m0, m1 in self.splits(depth)
@@ -256,6 +262,6 @@ def load_measure(text: str) -> ProbabilityMeasure:
         nu = ProbabilityMeasure(table, fields["depth"], ext, witness)
     except DomainError as exc:
         raise ParseError(str(exc)) from None
-    if not nu.weakly_positive(nu.depth + 2):
+    if not nu.weakly_positive():
         raise PreconditionError("measure is not weakly positive for its witness")
     return nu

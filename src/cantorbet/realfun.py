@@ -192,6 +192,14 @@ def transfer_cases(A: int, B: int, s, t, one):
     return (S - (B - A) * one, A), (one, 1)
 
 
+def _transfer_weight(alpha) -> Fraction:
+    """The transfer's weight as a Fraction, strictly inside (0,1)."""
+    a = as_fraction(alpha)
+    if not (0 < a < 1):
+        raise DomainError("transfer weight must lie strictly in (0,1)")
+    return a
+
+
 def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
     """Four-case transfer: average-preserving, floors winners at 1.
 
@@ -202,9 +210,7 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
       * mean < 1 and t >= 1: symmetric.
     The cases are `transfer_cases`, at one = 1 (`transfer_exact`).
     """
-    a = as_fraction(alpha)
-    if not (0 < a < 1):
-        raise DomainError("transfer weight must lie strictly in (0,1)")
+    a = _transfer_weight(alpha)
     s = as_fraction(s)
     t = as_fraction(t)
     A, B = a.numerator, a.denominator
@@ -233,9 +239,7 @@ def weight_bits(A: int, B: int) -> int:
 
 def robin_hood(alpha) -> RealFunction:
     """The transfer function as a RealFunction (direct evaluation route)."""
-    a = as_fraction(alpha)
-    if not (0 < a < 1):
-        raise DomainError("transfer weight must lie strictly in (0,1)")
+    a = _transfer_weight(alpha)
     bits = weight_bits(a.numerator, a.denominator)
 
     def exact_fn(xs):
@@ -256,9 +260,7 @@ def robin_hood_pipeline(alpha) -> RealFunction:
     |s|, |t| <= 2**PIPELINE_BOX_BITS, which is all the tests (and the
     kernel) use.
     """
-    a = as_fraction(alpha)
-    if not (0 < a < 1):
-        raise DomainError("transfer weight must lie strictly in (0,1)")
+    a = _transfer_weight(alpha)
     B = PIPELINE_BOX_BITS
 
     def fn2(exact, modulus):

@@ -418,9 +418,7 @@ def _operands(items):
 
 def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
     """The operator of one closed form: its head, then atoms and operators."""
-    head = items[0] if items else None
-    if not isinstance(head, str):
-        raise ParseError("expected an operator name")
+    head = items[0]
     if head == "cyl":
         if len(items) != 2 or not isinstance(items[1], str):
             raise ParseError("(cyl w) takes exactly one string")

@@ -96,6 +96,30 @@ def build_measure(cond: dict[str, Dyadic], depth: int, precision: int = 6):
                               PositivityWitness(0, precision))
 
 
+# A measure file that is weakly positive to depth + 2 but not at every
+# depth: below the table each split leaves 1/4 of the mass on one side,
+# while the witness lowers its threshold by only 2**-1 per level, so
+# 0^k has mass 4**-k and threshold 2**-(4 + k), which it misses from k = 5.
+SHALLOW_WITNESS_MEASURE = ("measure depth=1 ext=copy\n~ 1 0\n0 1 2\n"
+                           "1 3 2\nl poly 4 1\n")
+
+
+def random_witnessed_measure(rng: random.Random):
+    """A measure with a table of depth 1-3, some of its splits 0 or 1,
+    the half or the copy rule below it, and a witness l(n) = c0 + c1*n
+    with c0 <= 6 and c1 <= 3 that may fail in the table or below it;
+    and the table's conditionals.  Every conditional is on the 2**-3
+    grid."""
+    from cantorbet.measure import ProbabilityMeasure, PositivityWitness
+
+    depth = rng.randrange(1, 4)
+    cond = random_conditionals(rng, depth, precision=3, zeros=True)
+    ext = rng.choice([("const", Dyadic(1, 1)), ("copy",)])
+    witness = PositivityWitness(rng.randrange(7), rng.randrange(4))
+    return (ProbabilityMeasure(build_measure(cond, depth).table, depth, ext,
+                               witness), cond)
+
+
 def random_martingale_table(rng: random.Random, cond: dict[str, Dyadic],
                             depth: int, jitter: int = 6) -> dict[str, Dyadic]:
     """Exact dyadic martingale table for the measure induced by `cond`.

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cantorbet
-from cantorbet.core import Dyadic
-from cantorbet.measure import biased, uniform
+from cantorbet.core import Dyadic, strings_shorter_than
+from cantorbet.errors import PreconditionError
+from cantorbet.measure import biased, dump_measure, load_measure, uniform
 from cantorbet.martingale import (
     ConstantMartingale, Martingale, RegularizedMartingale, SumMartingale,
+    TableMartingale,
 )
 from cantorbet.splitting import (
     DiffMartingale, IndicatorMartingale, LimitMeasurement,
@@ -25,7 +27,8 @@ from cantorbet.splitting import (
 )
 
 from helpers import (
-    build_measure, build_table_martingale, random_conditionals,
+    SHALLOW_WITNESS_MEASURE, build_measure, build_table_martingale,
+    random_conditionals, random_martingale_table, random_witnessed_measure,
 )
 
 
@@ -128,6 +131,50 @@ def test_nested_sum_approx_within_2_to_minus_r():
         r = rng.randrange(20)
         got = d.approx(r, w)
         assert abs(got.to_fraction() - d.value(w)) <= Fraction(1, 2 ** r)
+
+
+def _split_conditionals(nu, cond, depth):
+    """The conditional of every split shorter than `depth`: cond in nu's
+    table, and below it the one the boundary node continues with (any
+    one under a null node)."""
+    out = dict(cond)
+    for w in strings_shorter_than(depth):
+        if len(w) >= nu.depth:
+            u = w[:nu.depth]
+            out[w] = nu.ext[1] if nu.ext[0] == "const" else cond[u[:-1]]
+    return out
+
+
+def test_loaded_measures_regularize_within_2_to_minus_r():
+    """On each measure file that loads, a table martingale that bets 9
+    levels below the measure's table, regularized, has approx(r, w)
+    within 2**-r of value(w) at 8 and 9 levels below it.  Among the files
+    are witnesses that fail in the table, and ones that fail only below
+    depth + 2: approx tells a null split from a live one by the witness's
+    threshold, so it needs weak positivity at every depth."""
+    rng = random.Random(31)
+    files = [(SHALLOW_WITNESS_MEASURE, {"": Dyadic(1, 2)})]
+    for _ in range(60):
+        nu, cond = random_witnessed_measure(rng)
+        files.append((dump_measure(nu), cond))
+    kinds, refused = set(), 0
+    for text, cond in files:
+        try:
+            nu = load_measure(text)
+        except PreconditionError:
+            refused += 1
+            continue
+        kinds.add(nu.ext[0])
+        depth = nu.depth + 9
+        table = random_martingale_table(
+            rng, _split_conditionals(nu, cond, depth), depth)
+        d = RegularizedMartingale(TableMartingale(table, depth, nu), nu)
+        for _ in range(12):
+            w = _word(rng, depth - rng.randrange(2))
+            r = rng.choice([4, 8, 12])
+            assert abs(d.approx(r, w).to_fraction() - d.value(w)) \
+                <= Fraction(1, 2 ** r), (text, w, r)
+    assert kinds == {"const", "copy"} and refused
 
 
 def _queries(rng: random.Random, n: int):

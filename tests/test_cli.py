@@ -22,7 +22,7 @@ from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
 )
 
-from helpers import nesting_shapes, terms
+from helpers import SHALLOW_WITNESS_MEASURE, nesting_shapes, terms
 
 
 def cli(*argv):
@@ -424,6 +424,48 @@ def test_unreadable_file_is_a_domain_error():
     assert "/does/not/exist" in err
 
 
+def test_measure_weakly_positive_only_near_its_table_is_exit_one(tmp_path):
+    """Every verb that loads the file refuses it: below depth + 2 a
+    cylinder's mass falls under its threshold, so `measure-value` would
+    read it as null while `measure-cylinder` gives its mass."""
+    path = tmp_path / "shallow.measure"
+    path.write_text(SHALLOW_WITNESS_MEASURE)
+    mg = tmp_path / "shallow.mg"
+    mg.write_text(f"martingale measure={path} depth=0\n~ 1 0\n")
+    for argv in (["measure-cylinder", "--w", "00000", "--measure", str(path),
+                  "--precision", "20"],
+                 ["measure-value", "--expr", "(cyl 00000)", "--measure",
+                  str(path), "--precision", "20"],
+                 ["regularize", "--file", str(mg), "--w", "00000",
+                  "--precision", "20"],
+                 ["verify-martingale", "--file", str(mg)]):
+        assert cli(*argv) == (
+            1, "", f"{argv[0]}: measure is not weakly positive for its "
+                   "witness\n"), argv
+
+
+def test_decimal_exponent_past_the_cap_is_exit_three():
+    """Fraction would build 10**|e| for `--s 1e<e>`; an exponent whose
+    power is past the cap is refused before, with one line."""
+    argv = ["rh", "--alpha", "1/2", "--t", "1", "--s"]
+    for text in ("1e100000000", "1E-100000000", "2.5e+100_000_000",
+                 "1e" + "9" * 1000):
+        code, out, err = cli(*argv, text)
+        assert (code, out) == (3, "")
+        assert err.startswith("rh: decimal exponent") and err.count("\n") == 1
+    # 10**400 is 1329 bits, well inside the cap: answered as before
+    mean = f"{10 ** 400 + 1}/2^1"
+    assert cli(*argv, "1e400") == (0, f"{mean} {mean}\n", "")
+    # 10**19 has 64 bits and 10**20 has 67
+    set_magnitude_cap(64)
+    try:
+        assert cli(*argv, "1e19")[0] == 0
+        assert cli(*argv, "1e20")[:2] == (3, "")
+        assert cli(*argv, "1e-20")[:2] == (3, "")
+    finally:
+        set_magnitude_cap(None)
+
+
 def test_malformed_term_is_a_parse_error():
     code, _, err = cli("eval", "--term", "(smash (proj 0)")
     assert code == 2
@@ -564,6 +606,9 @@ _TABLE_DEFECTS = {
     "witness not poly": ("l poly 0 1", "l lin 0 1", 2, _WITNESS),
     "additivity": ("\n1 1 1\n", "\n1 1 2\n", 2, "additivity fails"),
     "not weakly positive": ("l poly 0 1", "l poly 0 0", 1, "weakly positive"),
+    "weakly positive only to depth + 2": (
+        "measure depth=1 ext=half\n~ 1 0\n0 1 1\n1 1 1\nl poly 0 1\n",
+        SHALLOW_WITNESS_MEASURE, 1, "not weakly positive"),
     "identity": ("\n1 3 1\n", "\n1 1 1\n", 1, "identity fails"),
 }
 

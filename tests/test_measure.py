@@ -19,8 +19,8 @@ from cantorbet.measure import (
 )
 
 from helpers import (
-    random_conditionals, measure_from_conditionals, build_measure,
-    normalized, random_unit_dyadic,
+    SHALLOW_WITNESS_MEASURE, random_conditionals, measure_from_conditionals,
+    build_measure, normalized, random_unit_dyadic, random_witnessed_measure,
 )
 
 
@@ -173,6 +173,14 @@ def test_additivity_depth_12_builtins():
                 assert nu.mass(w) == nu.mass(w + "0") + nu.mass(w + "1")
 
 
+# a copy measure whose boundary node 00 continues with conditional 1: its
+# parent 0 sends all its mass to it
+COPY_ONE = ProbabilityMeasure(
+    {"": ONE, "0": HALF, "1": HALF, "00": HALF, "01": ZERO,
+     "10": Dyadic(1, 2), "11": Dyadic(1, 2)}, 2, ext=("copy",),
+    witness=PositivityWitness(0, 2))
+
+
 def test_mass_below_table_is_the_per_bit_product():
     rng = random.Random(59)
     copy = ProbabilityMeasure(
@@ -181,9 +189,11 @@ def test_mass_below_table_is_the_per_bit_product():
          "11": Dyadic(1, 2)}, 2, ext=("copy",), witness=PositivityWitness(0, 3))
     table = build_measure(random_conditionals(rng, 3, zeros=True), 3)
     measures = [uniform(), biased(Dyadic(3, 3)), biased(Dyadic(1, 2)),
-                copy, table,
+                copy, COPY_ONE, table,
                 ProbabilityMeasure({"": ONE}, 0, ("const", ZERO)),
-                ProbabilityMeasure({"": ONE}, 0, ("const", ONE))]
+                ProbabilityMeasure({"": ONE}, 0, ("const", ONE)),
+                ProbabilityMeasure(table.table, 3, ("const", ZERO)),
+                ProbabilityMeasure(table.table, 3, ("const", ONE))]
     for nu in measures:
         for n in list(range(12)) + [rng.randrange(12, 300) for _ in range(8)] \
                 + [300]:
@@ -224,7 +234,10 @@ def test_weakly_positive_matches_the_per_node_loop():
                         for c in (HALF, Dyadic(1, 2), Dyadic(3, 3), ZERO, ONE)]
             measures += [ProbabilityMeasure(t, k, ext, witness)
                          for t, k in tables
-                         for ext in (("const", HALF), ("copy",))]
+                         for ext in (("const", HALF), ("const", ZERO),
+                                     ("const", ONE), ("copy",))]
+            measures.append(ProbabilityMeasure(COPY_ONE.table, 2, ("copy",),
+                                               witness))
             for nu in measures:
                 for depth in range(6):
                     got = nu.weakly_positive(depth)
@@ -242,6 +255,30 @@ def test_weakly_positive_matches_the_per_node_loop():
     nu = ProbabilityMeasure({"": ONE}, 0, ("const", quarter),
                             PositivityWitness(1, 1))
     assert nu.weakly_positive(1) and not nu.weakly_positive(2)
+
+
+def test_weak_positivity_at_every_depth_matches_the_paths_below():
+    """weakly_positive() against the table, node by node, and below each
+    boundary node against both one-sided paths, 64 levels deep.
+
+    A node below the table splits with one conditional c at every level,
+    so its least mass k levels down is on one of those paths.  With c on
+    the 2**-3 grid and l(n) = c0 + c1*n, c0 <= 6, c1 <= 3, a path that
+    falls below the threshold does so within 40 levels.
+    """
+    rng = random.Random(101)
+    outcomes = set()
+    for _ in range(300):
+        nu, _ = random_witnessed_measure(rng)
+        n, clears = nu.depth, nu.witness.clears
+        brute = per_node_weakly_positive(nu, n) and all(
+            m == ZERO or clears(m, n + k)
+            for u in strings_of_length(n) for b in "01"
+            for k in range(1, 65) for m in [nu.mass(u + b * k)])
+        assert nu.weakly_positive() == brute, nu
+        outcomes.add((nu.weakly_positive(n + 2), brute))
+    # some pass, some fail in the table, and some only below depth + 2
+    assert outcomes == {(True, True), (False, False), (True, False)}
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1),
@@ -326,3 +363,8 @@ def test_load_rejects_witness_mismatch():
            "l poly 0 1\n")
     with pytest.raises(PreconditionError):
         load_measure(bad)
+    # weakly positive to depth + 2, but not below it
+    with pytest.raises(PreconditionError, match="not weakly positive"):
+        load_measure(SHALLOW_WITNESS_MEASURE)
+    # the same table under a threshold that falls by 2**-2 per level
+    load_measure(SHALLOW_WITNESS_MEASURE.replace("l poly 4 1", "l poly 4 2"))
