@@ -252,18 +252,27 @@ def _add_call_flags(p):
                    help="string argument, ~ for the empty word; repeatable")
 
 
+_DIGITS = r"\d+(?:_\d+)*"
+_NEGATIVE_LITERAL = re.compile(
+    rf"-(?=\.?\d)(?:{_DIGITS})?"
+    rf"(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:e[-+]?{_DIGITS})?)\s*\Z",
+    re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes a token such as -8/3 for a value.
 
     argparse reads a token that starts with '-' as a flag unless it looks
-    like -3 or -0.5, so `--s -8/3` would lack its value.  Subparsers are
-    built from the same class.
+    like -3 or -0.5, so `--s -8/3` or `--s -1e1` would lack its value.
+    Here a token is a value when it has the form of a negative literal
+    that `Fraction` reads (`_fraction_flag`): digits with single
+    underscores between them, then a denominator, or a decimal point and
+    an exponent, each optional.  Subparsers are built from the same class.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = _NEGATIVE_LITERAL
 
 
 def build_parser() -> argparse.ArgumentParser:

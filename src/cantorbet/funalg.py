@@ -151,8 +151,12 @@ def dump_oracle(oracle: Oracle) -> str:
 # bound once, at stage 0, and at every later stage replays that run's
 # charge: the same steps and the same oracle log entries, while max_len
 # already holds the longest string it made.  A `br` whose step and bound
-# both ignore the slot never builds the stage's numeral.  (`lrn` runs its
-# bound at every stage: it peels at most one stage per argument bit.)
+# both ignore the slot never builds the stage's numeral.  One whose bound
+# ignores the slot and whose step is `pred` of the previous value, through
+# any expansions, counts down in closed form: max(v - n, 0), charged the
+# steps, oracle log entries and max_len of the n stages it does not run.
+# (`lrn` runs its bound at every stage: it peels at most one stage per
+# argument bit.)
 
 
 def _successor(w: str) -> str:
@@ -582,7 +586,9 @@ class Br(Term):
 
     The last argument is read as a number n; value(xs, 0) = base(xs),
     value(xs, t+1) = step(xs, t, value(xs, t)), and numerically
-    value(xs, t) <= bound(xs, t) at every t up to n.
+    value(xs, t) <= bound(xs, t) at every t up to n.  A step that is
+    `pred` of the previous value, under a bound that ignores t, is
+    counted down in closed form and metered as the stages would be.
     """
 
     base: Term
@@ -603,6 +609,7 @@ class Br(Term):
         cap = magnitude_cap()
         once = not _reads(self.bound, l)
         counted = not once or _reads(self.step, l)
+        countdown = once and _counts_down(self.step, l)
 
         def br(fs, xs, meter):
             front = xs[:l]
@@ -611,29 +618,78 @@ class Br(Term):
                 check_magnitude(n, "bounded recursion counter")
             val = base(fs, front, meter)
             t = ""                          # the numeral of the stage
-            for stage in range(n + 1):
-                if not stage:
-                    limit, charge, queries = _charged(bound, fs, front + (t,),
-                                                      meter)
+            limit, charge, queries = _charged(bound, fs, front + (t,), meter)
+            _check_stage(0, val, limit)
+            if countdown:
+                return _count_down(val, n, charge, queries, meter)
+            for stage in range(1, n + 1):
+                meter.steps += 1
+                val = step(fs, front + (t, val), meter)
+                if counted:
+                    t = bin(stage + 1)[3:]
+                if once:
+                    meter.steps += charge
+                    if queries:
+                        meter.oracle_log.extend(queries)
                 else:
-                    meter.steps += 1
-                    val = step(fs, front + (t, val), meter)
-                    if counted:
-                        t = bin(stage + 1)[3:]
-                    if once:
-                        meter.steps += charge
-                        if queries:
-                            meter.oracle_log.extend(queries)
-                    else:
-                        limit = bound(fs, front + (t,), meter)
-                # numerals compare by length, then lexicographically,
-                # which is the order of their numbers
-                a, b = len(val), len(limit)
-                if a > b or (a == b and val > limit):
-                    raise BoundViolationError("br", stage, bton(val),
-                                              bton(limit))
+                    limit = bound(fs, front + (t,), meter)
+                _check_stage(stage, val, limit)
             return val
         return br
+
+
+def _check_stage(stage: int, val: str, limit: str) -> None:
+    # numerals compare by length, then lexicographically, which is the
+    # order of their numbers
+    a, b = len(val), len(limit)
+    if a > b or (a == b and val > limit):
+        raise BoundViolationError("br", stage, bton(val), bton(limit))
+
+
+def _unwrapped(term: Term) -> Term:
+    while isinstance(term, Expand):
+        term = term.inner
+    return term
+
+
+def _counts_down(step: Term, l: int) -> bool:
+    """Whether the step, read through any expansions, is `pred` of the
+    previous value.  Wherever the expansions sit, it charges what the
+    fused closure does: 3 plus the lengths of its input and output."""
+    step = _unwrapped(step)
+    if not isinstance(step, Comp) or len(step.inners) != 1:
+        return False
+    arg = _unwrapped(step.inners[0])
+    return (isinstance(_unwrapped(step.outer), Pred)
+            and isinstance(arg, Proj) and arg.j == l + 1)
+
+
+def _numeral_lengths(m: int) -> int:
+    """The total length of the numerals of 0 .. m - 1: the sum of
+    floor(log2 u) over u = 1 .. m."""
+    if not m:
+        return 0
+    k = m.bit_length() - 1
+    return (m + 1) * k - (2 << k) + 2
+
+
+def _count_down(val: str, n: int, charge: int, queries: list,
+                meter: Meter) -> str:
+    """n stages of `pred` from val, in closed form, charged as the loop
+    would charge them: stage s adds 1, then 3 + |v(s-1)| + |v(s)| for the
+    fused step, then the replayed bound's charge and queries.  The value
+    never grows, so stage 0's check holds at every stage."""
+    v = int("1" + val, 2) - 1
+    w = max(v - n, 0)
+    meter.steps += (n * (4 + charge) + _numeral_lengths(v + 1)
+                    - _numeral_lengths(w + 1) + _numeral_lengths(v)
+                    - _numeral_lengths(w))
+    if queries:
+        meter.oracle_log.extend(queries * n)
+    top = v.bit_length() - 1        # the length of the numeral of v - 1
+    if n and top > meter.max_len:
+        meter.max_len = top
+    return bin(w + 1)[3:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line front end: exit statuses, output text, round trips."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorbet.calibration import EVALUATOR_MARGIN
-from cantorbet.cli import run
+from cantorbet.cli import _Parser, _fraction_flag, run
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.core import Dyadic
+from cantorbet.errors import ResourceError
 from cantorbet.funalg import parse_term
 from cantorbet.martingale import SumMartingale, TableMartingale, dump_martingale
 from cantorbet.measure import (
@@ -490,6 +492,44 @@ def test_negative_fraction_is_a_value(flag):
     code, out, err = cli(*spaced)
     assert (code, out, err) == cli(*joined)
     assert code == 1 and err.startswith("rh: ")
+
+
+@pytest.mark.parametrize("text", ["-1e1", "-2.5E-1", "-.5e3", "-1.e2",
+                                  "-3/4", "-7", "-0.25", "-1_000",
+                                  "-1e100000000"])
+def test_negative_literal_is_a_value(text):
+    """`--s -X` reads as `--s=-X` for every form of negative literal,
+    the exponent forms and a decimal exponent past the cap included."""
+    argv = ["rh", "--alpha", "1/2", "--t", "20"]
+    spaced = cli(*argv, "--s", text)
+    assert spaced == cli(*argv, f"--s={text}")
+    assert spaced[0] == (3 if text == "-1e100000000" else
+                         1 if Fraction(text) < -20 else 0)
+
+
+def _reads_as_fraction(text):
+    """Whether `_fraction_flag` takes the text, or refuses only its
+    exponent as past the cap."""
+    try:
+        _fraction_flag(text)
+    except argparse.ArgumentTypeError:
+        return False
+    except ResourceError:
+        pass
+    return True
+
+
+@settings(max_examples=500)
+@given(st.text("0123456789./eE_+-", max_size=7))
+def test_negative_literals_are_the_fraction_flags(body):
+    """A token '-' + body is read as a value exactly when `_fraction_flag`
+    reads it, or when it is a fraction whose denominator is 0."""
+    text = "-" + body
+    num, slash, den = text.partition("/")
+    zero_den = (slash and set(den) <= set("0_")
+                and _reads_as_fraction(f"{num}/{den.replace('0', '1')}"))
+    matched = _Parser()._negative_number_matcher.match(text)
+    assert bool(matched) == (_reads_as_fraction(text) or bool(zero_den))
 
 
 def test_huge_positivity_witness_is_not_built(tmp_path):

@@ -401,6 +401,79 @@ def test_replayed_bound_matches_the_per_stage_run(text, args, cap, want):
 
 
 # ---------------------------------------------------------------------------
+# a `br` that counts its previous value down, in closed form
+# ---------------------------------------------------------------------------
+
+
+def test_numeral_lengths_closed_form():
+    total = 0
+    for m in range(600):
+        assert funalg._numeral_lengths(m) == total
+        total += len(ntob(m))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_countdowns_match_per_stage_runs(data):
+    """A bound that ignores the recursion slot (an expanded term of the
+    front slots) and the step `pred` of the previous value: the closed
+    form gives the loop's value or error and its whole meter, whether the
+    count reaches 0 or stops short of it."""
+    k, l = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    base, bound = data.draw(terms(k, l, 3)), data.draw(terms(k, l, 3))
+    step = f"(pred (proj {l + 1} {l + 2}))"
+    if k:
+        step = f"(expand {step} {k} 0)"
+    term = parse_term(f"(br {base} {step} (expand {bound} 0 1))")
+    front = data.draw(st.lists(st.sampled_from(_WORDS), min_size=l,
+                               max_size=l))
+    xs = front + [data.draw(st.text("01", max_size=12), label="counter")]
+    assert _outcome(term, _TABLES[:k], xs, 2 ** 13) \
+        == _per_stage(term, _TABLES[:k], xs, 2 ** 13)
+
+
+_COUNTDOWNS = [
+    "(br (proj 0) (pred (proj 2 3)) (proj 0 2))",
+    "(br (expand (proj 0) 1 0) (expand (pred (proj 2 3)) 1 0)"
+    " (comp (oracle 0) (expand (proj 0 2) 1 0)))",
+    "(br (expand (proj 0) 1 0) (comp (expand (pred) 1 0)"
+    " (expand (proj 2 3) 1 0)) (expand (proj 0 2) 1 0))",
+]
+
+
+@pytest.mark.parametrize("text", _COUNTDOWNS)
+@pytest.mark.parametrize("a, n", [(9, 2), (9, 5), (9, 9), (5, 9), (0, 3),
+                                  (40, 17)])
+def test_countdown_runs_no_stage(text, a, n):
+    """The closed form is taken: `pred` is never called, where the
+    per-stage run calls it once a stage."""
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return funalg._predecessor(w)
+
+    term = parse_term(text)
+    oracles = [DOUBLE] * term.signature[0]
+    with mock.patch.object(Pred, "fn", staticmethod(counted)):
+        out, meter = _outcome(term, oracles, [ntob(a), ntob(n)])
+        assert calls == []
+        assert (out, meter) == _per_stage(term, oracles, [ntob(a), ntob(n)])
+    assert len(calls) == n
+    assert out == ntob(max(a - n, 0))
+
+
+def test_countdown_at_scale():
+    """A million stages, counted in closed form; the per-stage loop gives
+    the same value and meter in over a second."""
+    meter = Meter()
+    out = monus_term().evaluate((), (ntob(3_000_000), ntob(1_000_000)),
+                                meter)
+    assert out == ntob(2_000_000)
+    assert (meter.steps, meter.max_len) == (67_805_743, 21)
+
+
+# ---------------------------------------------------------------------------
 # the length functional
 # ---------------------------------------------------------------------------
 
