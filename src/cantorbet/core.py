@@ -289,7 +289,10 @@ def frac_round_at(q: Fraction | int, r: int) -> Dyadic:
     rounds a value that is already a Dyadic; exact when q already lies on
     the 2**-r grid.
     """
-    q = Fraction(q)
+    if r < 0:
+        raise DomainError("rounding precision must be >= 0")
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
     n, d = q.numerator, q.denominator
     # floor((n * 2^r) / d + 1/2) computed in integers
     m = (2 * (n << r) + d) // (2 * d)

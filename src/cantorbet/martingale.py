@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import (
     Dyadic, check_table, frac_round_at, parse_dyadic, read_table,
@@ -26,7 +27,7 @@ from .core import (
 )
 from .errors import DomainError, ParseError
 from .measure import ProbabilityMeasure, uniform, biased, same_measure
-from .realfun import transfer_cases, transfer_exact, weight_bits
+from .realfun import transfer_cases, weight_bits
 
 __all__ = [
     "Martingale",
@@ -230,9 +231,10 @@ class RegularizedMartingale(Martingale):
         self.base = base
         self.measure = same_measure(base.measure, nu)
         self._nu = nu
-        # a Fraction root keeps every transfer of the exact route on
-        # Fractions, whatever number type the base answers in
-        self._memo: dict[str, Fraction] = {"": Fraction(base.value(""))}
+        # The exact route's memo: each value as a reduced pair (n, d), d > 0
+        v = base.value("")
+        self._memo: dict[str, tuple[int, int]] = {
+            "": (v.numerator, v.denominator)}
         # The path cursor of the finite-precision route (see `_scan`): the
         # last path scanned, each level's split data along it, and the
         # working precision with the root's and each node's fork at it.
@@ -246,32 +248,48 @@ class RegularizedMartingale(Martingale):
     # -- exact route ---------------------------------------------------
 
     def value(self, w: str) -> Fraction:
+        """The exact value, from the memo's reduced pair; the pairs down
+        to w are filled from the root first."""
         validate_string(w)
         memo = self._memo
-        if w in memo:
-            return memo[w]
-        for i in range(len(w)):
-            child = w[:i + 1]
-            if child not in memo:
-                self._children(w[:i])
-        return memo[w]
+        if w not in memo:
+            for i in range(len(w)):
+                if w[:i + 1] not in memo:
+                    self._children(w[:i])
+        return Fraction(*memo[w])
 
     def _children(self, w: str) -> None:
+        """Both children's pairs below w, on integers.
+
+        The base's three values and w's own value n/d go onto one
+        denominator T, so the pair handed to the transfer is (s/T, t/T);
+        `transfer_cases` at one = T gives each output as n/(d*T), reduced
+        by one gcd.  The base may answer in Fractions or ints.
+        """
         memo = self._memo
-        cur = memo[w]   # value() fills the memo from the root down
+        n, d = memo[w]   # value() fills the memo from the root down
         ab = _weight(self._nu.mass(w), self._nu.mass(w + "0"))
         if ab is None:
-            memo[w + "0"] = memo[w + "1"] = cur
+            memo[w + "0"] = memo[w + "1"] = n, d
             return
         A, B = ab
-        dw = self.base.value(w)
-        g0 = cur - dw + self.base.value(w + "0")
-        g1 = cur - dw + self.base.value(w + "1")
+        base = self.base
+        bw, b0, b1 = base.value(w), base.value(w + "0"), base.value(w + "1")
+        dw, d0, d1 = bw.denominator, b0.denominator, b1.denominator
+        T = lcm(d, dw, d0, d1)
+        c = n * (T // d) - bw.numerator * (T // dw)
+        s = c + b0.numerator * (T // d0)
+        t = c + b1.numerator * (T // d1)
         # a base that breaks the averaging identity can leave the domain
-        if (g0 < 0 or g1 < 0) and A * g0 + (B - A) * g1 < B:
-            raise DomainError(f"({g0}, {g1}) outside the transfer domain "
-                              f"for {Fraction(A, B)}")
-        memo[w + "0"], memo[w + "1"] = transfer_exact(A, B, g0, g1)
+        if (s < 0 or t < 0) and A * s + (B - A) * t < B * T:
+            raise DomainError(f"({Fraction(s, T)}, {Fraction(t, T)}) outside "
+                              f"the transfer domain for {Fraction(A, B)}")
+        (n0, e0), (n1, e1) = transfer_cases(A, B, s, t, T)
+        e0 *= T
+        e1 *= T
+        g0, g1 = gcd(n0, e0), gcd(n1, e1)
+        memo[w + "0"] = n0 // g0, e0 // g0
+        memo[w + "1"] = n1 // g1, e1 // g1
 
     # -- finite-precision route ----------------------------------------
 

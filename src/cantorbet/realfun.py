@@ -7,9 +7,9 @@ evaluator used by the kernel and by cross-tests.  The Robin Hood function has
 two routes: a direct four-case evaluation, and a reference route assembled
 from nested pastes; the two agree on the function's domain and the test
 suite holds them together.  The four cases are one body, `transfer_cases`,
-on an integer weight and a scaled pair: `robin_hood_exact` and the exact
-regularization route run it on Fractions, the finite-precision route on
-2**-q mantissas.
+on an integer weight and a scaled pair: `robin_hood_exact` runs it on
+Fractions, the exact regularization route on integers over a common
+denominator, and the finite-precision route on 2**-q mantissas.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "absolute_value",
     "ceil_log2",
     "transfer_cases",
-    "transfer_exact",
     "weight_bits",
 ]
 
@@ -208,7 +207,7 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
       * mean >= 1: both get the mean;
       * mean < 1 and s >= 1: s gives its excess, pinned to 1;
       * mean < 1 and t >= 1: symmetric.
-    The cases are `transfer_cases`, at one = 1 (`transfer_exact`).
+    The cases are `transfer_cases`, at one = 1.
     """
     a = _transfer_weight(alpha)
     s = as_fraction(s)
@@ -216,12 +215,6 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
     A, B = a.numerator, a.denominator
     if not ((s >= 0 and t >= 0) or A * s + (B - A) * t >= B):
         raise DomainError(f"({s}, {t}) outside the transfer domain for {a}")
-    return transfer_exact(A, B, s, t)
-
-
-def transfer_exact(A: int, B: int, s: Fraction, t: Fraction):
-    """`robin_hood_exact` at the weight A/B on a Fraction pair already
-    known to lie in the domain: no coercion and no domain test."""
     (n0, d0), (n1, d1) = transfer_cases(A, B, s, t, _ONE)
     return (n0 if d0 == 1 else n0 / d0), (n1 if d1 == 1 else n1 / d1)
 

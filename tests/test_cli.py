@@ -779,6 +779,15 @@ def test_malformed_witness_is_a_parse_error(tmp_path, witness):
     assert "witness" in err and "Traceback" not in err
 
 
+def test_negative_rounding_precision_is_exit_one():
+    # rh rounds through frac_round_at, measure-cylinder through
+    # Dyadic.round_at: both refuse with one message and no traceback
+    for argv in (["rh", "--alpha", "1/2", "--s", "1/3", "--t", "0"],
+                 ["measure-cylinder", "--w", "01", "--measure", "uniform"]):
+        assert cli(*argv, "--precision", "-2") == \
+            (1, "", f"{argv[0]}: rounding precision must be >= 0\n")
+
+
 def test_zero_denominator_flag_is_a_usage_error():
     code, _, err = cli("rh", "--alpha", "1/0", "--s", "1", "--t", "1")
     assert code == 2

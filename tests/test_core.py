@@ -126,6 +126,17 @@ def test_round_negative_half_up():
     assert frac_round_at(Fraction(1, 4), 1) == HALF
 
 
+def test_frac_round_rejects_a_negative_precision():
+    # the same error as Dyadic.round_at, not a negative shift count
+    for q in (Fraction(1, 3), Fraction(-5, 2), 7):
+        with pytest.raises(DomainError) as e:
+            frac_round_at(q, -2)
+        assert str(e.value) == "rounding precision must be >= 0"
+    with pytest.raises(DomainError) as e:
+        Dyadic(1, 3).round_at(-2)
+    assert str(e.value) == "rounding precision must be >= 0"
+
+
 @given(dyadics, st.integers(min_value=0, max_value=12))
 def test_round_error_bound(d, r):
     err = abs(d.round_at(r).to_fraction() - d.to_fraction())

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorbet.core import (
     Dyadic, ZERO, ONE, frac_round_at, ntob, strings_of_length,
 )
 from cantorbet.errors import DomainError, MeasureMismatchError, ParseError
 from cantorbet.measure import (
-    PositivityWitness, ProbabilityMeasure, uniform, biased,
+    PositivityWitness, ProbabilityMeasure, uniform, biased, dump_measure,
+    load_measure,
 )
 from cantorbet.martingale import (
     Martingale, SumMartingale, TableMartingale, unit, covers, is_regular,
@@ -20,11 +23,15 @@ from cantorbet.martingale import (
     max_capital, min_tail_capital, load_martingale, dump_martingale,
 )
 from cantorbet.realfun import ceil_log2, robin_hood_exact, weight_bits
+from cantorbet.splitting import (
+    LimitMeasurement, SliceMartingale, cylinder, modulated,
+)
 
 from helpers import (
     random_conditionals, build_measure, random_martingale_table,
     build_table_martingale,
 )
+from test_approx import _measure, _split_conditionals, _word
 
 
 def table_d(values, depth, nu=None):
@@ -437,6 +444,124 @@ def test_exact_route_domain_test_fires_below_a_broken_table():
     d = _breaking_table(16)
     lam = regularize(d, d.measure)
     assert [lam.value(w) for w in ("10", "11", "110")] == [1, 1, 1]
+
+
+def _reference_value(base, nu, w):
+    """The regularized value at w on Fractions, root down: a degenerate
+    split copies the parent's value; otherwise the pair
+    (v - base(u) + base(u0), v - base(u) + base(u1)) goes through the
+    transfer's four cases as `robin_hood_exact` states them."""
+    v = Fraction(base.value(""))
+    for i, b in enumerate(w):
+        u = w[:i]
+        mp, m0 = nu.mass(u).to_fraction(), nu.mass(u + "0").to_fraction()
+        if m0 == 0 or m0 == mp:     # a null node has m0 == 0 too
+            continue
+        a = m0 / mp
+        s = v - base.value(u) + base.value(u + "0")
+        t = v - base.value(u) + base.value(u + "1")
+        mean = a * s + (1 - a) * t
+        assert (s >= 0 and t >= 0) or mean >= 1   # the transfer's domain
+        if 0 <= s <= 1 and 0 <= t <= 1:
+            pair = s, t
+        elif mean >= 1:
+            pair = mean, mean
+        elif s >= 1:
+            pair = Fraction(1), (mean - a) / (1 - a)
+        else:
+            assert t >= 1
+            pair = (mean - (1 - a)) / a, Fraction(1)
+        v = pair[int(b)]
+    return v
+
+
+def _copy_rule_measure(rng):
+    """A measure file with the copy rule below a table of depth 1-3 whose
+    splits are sometimes 0 or 1, so it has null and degenerate splits at
+    every depth; every conditional is on the 2**-3 grid, so the witness
+    l(n) = 3n holds."""
+    depth = rng.randrange(1, 4)
+    cond = random_conditionals(rng, depth, precision=3, zeros=True)
+    nu = ProbabilityMeasure(build_measure(cond, depth).table, depth,
+                            ("copy",), PositivityWitness(0, 3))
+    return load_measure(dump_measure(nu)), cond, depth
+
+
+def _regularization_base(kind, rng):
+    """A base of the given kind over one of the measures, and the measure:
+    its table bets up to 6 levels below the measure's table."""
+    if rng.randrange(4):
+        nu, cond, depth = _measure(rng)
+    else:
+        nu, cond, depth = _copy_rule_measure(rng)
+    depth = nu.depth + rng.randrange(7)
+    split_cond = _split_conditionals(nu, cond, depth)
+
+    def table():
+        return TableMartingale(random_martingale_table(rng, split_cond, depth),
+                               depth, nu)
+
+    if kind == "Table":
+        return table(), nu
+    if kind == "Sum":
+        return SumMartingale(table(), RegularizedMartingale(table(), nu)), nu
+    if kind == "Slice":
+        return SliceMartingale(_word(rng, rng.randrange(depth + 2)), nu,
+                               RegularizedMartingale(table(), nu)), nu
+    assert kind == "LimitPlus"
+    stages = [cylinder(_word(rng, rng.randrange(4)), nu)
+              for _ in range(rng.randrange(1, 4))]
+    return LimitMeasurement(modulated(stages)).plus(rng.randrange(6),
+                                                    table()), nu
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["Table", "Sum", "Slice", "LimitPlus"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       words=st.lists(st.text(alphabet="01", max_size=12), min_size=1,
+                      max_size=4))
+def test_exact_route_matches_a_fraction_reference(kind, seed, words):
+    base, nu = _regularization_base(kind, random.Random(seed))
+    lam = regularize(base, nu)
+    for w in words:
+        got, want = lam.value(w), _reference_value(base, nu, w)
+        assert type(got) is Fraction and got == want, (w, got, want)
+    for n, d in lam._memo.values():
+        assert type(n) is int and type(d) is int
+        assert d > 0 and gcd(n, d) == 1
+
+
+def test_exact_route_makes_no_fraction_arithmetic(monkeypatch):
+    # A table base answers with Fractions it builds but does not add, so
+    # every Fraction operation counted here would be the route's own.
+    rng = random.Random(23)
+    p = Dyadic(3, 3)
+    cond = {format(i, f"0{n}b") if n else "": p
+            for n in range(8) for i in range(1 << n)}
+    nu = biased(p)
+    # halved to start below 1, so the path reaches 1 through a split that
+    # gives an excess away: an output off the dyadic grid
+    table = {w: v * Dyadic(1, 1) for w, v in
+             random_martingale_table(rng, cond, 8).items()}
+    base = TableMartingale(table, 8, nu)
+    counts = {}
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        def counted(x, y, op=getattr(Fraction, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return op(x, y)
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Fraction(1, 3) + Fraction(1, 3) == Fraction(2, 3)
+    assert counts == {"__add__": 1}
+    counts.clear()
+    lam = regularize(base, nu)
+    w = _word(rng, 40)
+    got = lam.value(w)
+    assert counts == {}, counts
+    assert len(lam._memo) == 81 and type(got) is Fraction
+    assert (1, 1) in lam._memo.values()
+    assert any(d & (d - 1) for _, d in lam._memo.values())
+    monkeypatch.undo()
+    assert got == _reference_value(base, nu, w)
 
 
 # ---------------------------------------------------------------------------
