@@ -99,6 +99,7 @@ def _fraction_flag(text: str) -> Fraction:
         # a decimal exponent e builds 10**|e|, of more than 3.32|e| bits
         exp = re.search(r"e([-+]?[\d_]+)\s*$", text, re.IGNORECASE)
         if exp:
+            Fraction(text[:exp.start(1)] + "0")   # the form, exponent 0
             check_magnitude(abs(int(exp[1])) * 332 // 100, "decimal exponent")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -153,7 +153,8 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
         else:
             bit, capital = _cheaper_child(d, m, x)
         x += bit
-        if d.value(x) >= 1:
+        n, e = d.pair(x)
+        if n >= e:
             raise PreconditionError(
                 f"capital reached 1 at step {i}; the margin index {m} "
                 "is too small for this martingale")

@@ -1,10 +1,11 @@
 """Martingales over a measure: exact tables, sums, cover diagnostics,
 regularity, and the regularization functional.
 
-Every martingale here has an exact rational value at every string, plus a
-canonical finite-precision evaluator `approx(r, w)` accurate to 2**-r on
-the 2**-r grid.  Tables extend below their depth by copying the parent
-value, which keeps the averaging identity valid under any measure.
+Every martingale here has an exact rational value at every string, a
+reduced integer pair `pair(w)`, plus a canonical finite-precision evaluator
+`approx(r, w)` accurate to 2**-r on the 2**-r grid.  Tables extend below
+their depth by copying the parent value, which keeps the averaging
+identity valid under any measure.
 
 Regularization rebalances each split with the Robin Hood transfer so that
 capital, once it reaches 1, never drops below 1 again, without changing
@@ -47,13 +48,27 @@ __all__ = [
 ]
 
 
+def reduced(n: int, d: int) -> tuple[int, int]:
+    """The pair (n, d), d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return n // g, d // g
+
+
 class Martingale:
-    """Base: exact value plus canonical approximation."""
+    """Base: the exact value as a reduced pair `pair(w) -> (n, d)`, d > 0,
+    the same rational as `value(w)`, and a canonical approximation.  A
+    subclass defines `pair`, or only `value`, which `pair` then reads."""
 
     measure: ProbabilityMeasure | None = None
 
+    def pair(self, w: str) -> tuple[int, int]:
+        if type(self).value is Martingale.value:
+            raise NotImplementedError("a martingale defines pair or value")
+        v = self.value(w)
+        return v.numerator, v.denominator
+
     def value(self, w: str) -> Fraction:
-        raise NotImplementedError
+        return Fraction(*self.pair(w))
 
     def approx(self, r: int, w: str) -> Dyadic:
         """Canonical 2**-r approximation (default: round the exact value)."""
@@ -69,12 +84,12 @@ class ConstantMartingale(Martingale):
         v = Fraction(value)
         if v < 0:
             raise DomainError("martingale values must be >= 0")
-        self._value = v
+        self._pair = v.numerator, v.denominator
         self.measure = measure
 
-    def value(self, w: str) -> Fraction:
+    def pair(self, w: str) -> tuple[int, int]:
         validate_string(w)
-        return self._value
+        return self._pair
 
 
 def unit(measure: ProbabilityMeasure | None = None) -> ConstantMartingale:
@@ -110,9 +125,10 @@ class TableMartingale(Martingale):
         return next((w for w, m, m0, m1 in self.measure.splits(limit)
                      if t[w] * m != t[w + "0"] * m0 + t[w + "1"] * m1), None)
 
-    def value(self, w: str) -> Fraction:
+    def pair(self, w: str) -> tuple[int, int]:
         validate_string(w)
-        return self.table[w[:self.depth]].to_fraction()
+        e = self.table[w[:self.depth]]
+        return e.mantissa, 1 << e.precision   # a normalized Dyadic is reduced
 
     def approx(self, r: int, w: str) -> Dyadic:
         """The table entry, a Dyadic, rounded onto the 2**-r grid."""
@@ -140,8 +156,11 @@ class SumMartingale(Martingale):
         for t in self.terms:
             self.measure = same_measure(self.measure, t.measure)
 
-    def value(self, w: str) -> Fraction:
-        return sum(t.value(w) for t in self.terms)
+    def pair(self, w: str) -> tuple[int, int]:
+        n, d = 0, 1
+        for tn, td in (t.pair(w) for t in self.terms):
+            n, d = n * td + tn * d, d * td
+        return reduced(n, d)
 
     def approx(self, r: int, w: str) -> Dyadic:
         if r < 0:
@@ -161,16 +180,17 @@ def covers(d: Martingale, prefix: str) -> bool:
 
 def is_regular(d: Martingale, depth: int) -> bool:
     """Once capital reaches 1 it never drops below 1 again (to `depth`)."""
-    stack = [("", d.value("") >= 1)]
+    n, e = d.pair("")
+    stack = [("", n >= e)]
     while stack:
         w, reached = stack.pop()
         if len(w) >= depth:
             continue
         for b in "01":
-            v = d.value(w + b)
-            if reached and v < 1:
+            n, e = d.pair(w + b)
+            if reached and n < e:
                 return False
-            stack.append((w + b, reached or v >= 1))
+            stack.append((w + b, reached or n >= e))
     return True
 
 
@@ -232,9 +252,7 @@ class RegularizedMartingale(Martingale):
         self.measure = same_measure(base.measure, nu)
         self._nu = nu
         # The exact route's memo: each value as a reduced pair (n, d), d > 0
-        v = base.value("")
-        self._memo: dict[str, tuple[int, int]] = {
-            "": (v.numerator, v.denominator)}
+        self._memo: dict[str, tuple[int, int]] = {"": base.pair("")}
         # The path cursor of the finite-precision route (see `_scan`): the
         # last path scanned, each level's split data along it, and the
         # working precision with the root's and each node's fork at it.
@@ -247,49 +265,47 @@ class RegularizedMartingale(Martingale):
 
     # -- exact route ---------------------------------------------------
 
-    def value(self, w: str) -> Fraction:
-        """The exact value, from the memo's reduced pair; the pairs down
-        to w are filled from the root first."""
+    value = Martingale.value   # its own, for perfbench/tracer.py to wrap
+
+    def pair(self, w: str) -> tuple[int, int]:
+        """The exact value from the memo; the pairs down to w are filled
+        from the root first."""
         validate_string(w)
         memo = self._memo
         if w not in memo:
             for i in range(len(w)):
                 if w[:i + 1] not in memo:
                     self._children(w[:i])
-        return Fraction(*memo[w])
+        return memo[w]
 
     def _children(self, w: str) -> None:
         """Both children's pairs below w, on integers.
 
-        The base's three values and w's own value n/d go onto one
+        The base's three pairs and w's own value n/d go onto one
         denominator T, so the pair handed to the transfer is (s/T, t/T);
-        `transfer_cases` at one = T gives each output as n/(d*T), reduced
-        by one gcd.  The base may answer in Fractions or ints.
+        `transfer_cases` at one = T gives each output as n/(d*T), reduced.
         """
         memo = self._memo
-        n, d = memo[w]   # value() fills the memo from the root down
+        n, d = memo[w]   # pair() fills the memo from the root down
         ab = _weight(self._nu.mass(w), self._nu.mass(w + "0"))
         if ab is None:
             memo[w + "0"] = memo[w + "1"] = n, d
             return
         A, B = ab
         base = self.base
-        bw, b0, b1 = base.value(w), base.value(w + "0"), base.value(w + "1")
-        dw, d0, d1 = bw.denominator, b0.denominator, b1.denominator
+        (nw, dw), (n0, d0), (n1, d1) = \
+            base.pair(w), base.pair(w + "0"), base.pair(w + "1")
         T = lcm(d, dw, d0, d1)
-        c = n * (T // d) - bw.numerator * (T // dw)
-        s = c + b0.numerator * (T // d0)
-        t = c + b1.numerator * (T // d1)
+        c = n * (T // d) - nw * (T // dw)
+        s = c + n0 * (T // d0)
+        t = c + n1 * (T // d1)
         # a base that breaks the averaging identity can leave the domain
         if (s < 0 or t < 0) and A * s + (B - A) * t < B * T:
             raise DomainError(f"({Fraction(s, T)}, {Fraction(t, T)}) outside "
                               f"the transfer domain for {Fraction(A, B)}")
         (n0, e0), (n1, e1) = transfer_cases(A, B, s, t, T)
-        e0 *= T
-        e1 *= T
-        g0, g1 = gcd(n0, e0), gcd(n1, e1)
-        memo[w + "0"] = n0 // g0, e0 // g0
-        memo[w + "1"] = n1 // g1, e1 // g1
+        memo[w + "0"] = reduced(n0, e0 * T)
+        memo[w + "1"] = reduced(n1, e1 * T)
 
     # -- finite-precision route ----------------------------------------
 

@@ -33,7 +33,7 @@ from .errors import (
     DomainError, ModulusViolationError, ParseError, PreconditionError,
 )
 from .measure import ProbabilityMeasure, same_measure
-from .martingale import Martingale, SumMartingale, unit, regularize
+from .martingale import Martingale, SumMartingale, reduced, unit, regularize
 
 __all__ = [
     "SplittingOperator",
@@ -93,9 +93,9 @@ class IndicatorMartingale(Martingale):
         self.w = validate_string(w)
         self.measure = nu
 
-    def value(self, v: str) -> Fraction:
+    def pair(self, v: str) -> tuple[int, int]:
         validate_string(v)
-        return Fraction(1 if v.startswith(self.w) else 0)
+        return int(v.startswith(self.w)), 1
 
 
 class SliceMartingale(Martingale):
@@ -114,15 +114,19 @@ class SliceMartingale(Martingale):
         self._mw = nu.mass(w)
         self._above = nu.witness.clears(self._mw, len(w))
 
-    def value(self, v: str) -> Fraction:
+    def pair(self, v: str) -> tuple[int, int]:
         validate_string(v)
         if self.w.startswith(v):        # on the way down (or at the root w)
             if not self._above:
-                return Fraction(0)
-            return self.inner.value(self.w) * (self._mw / self.measure.mass(v))
+                return 0, 1
+            n, d = self.inner.pair(self.w)
+            mw, mv = self._mw, self.measure.mass(v)   # times nu(w) / nu(v)
+            k = mv.precision - mw.precision
+            return reduced(n * mw.mantissa << max(k, 0),
+                           d * mv.mantissa << max(-k, 0))
         if v.startswith(self.w):        # strictly inside the cylinder
-            return self.inner.value(v)
-        return Fraction(0)
+            return self.inner.pair(v)
+        return 0, 1
 
 
 class DiffMartingale(Martingale):
@@ -133,8 +137,9 @@ class DiffMartingale(Martingale):
         self.part = part
         self.measure = whole.measure
 
-    def value(self, w: str) -> Fraction:
-        return self.whole.value(w) - self.part.value(w)
+    def pair(self, w: str) -> tuple[int, int]:
+        (a, b), (c, d) = self.whole.pair(w), self.part.pair(w)
+        return reduced(a * d - c * b, b * d)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +339,8 @@ class LimitPlusMartingale(Martingale):
         self.k = k
         self.measure = measure
 
-    def value(self, w: str) -> Fraction:
-        return self.halves[0].value(w)
+    def pair(self, w: str) -> tuple[int, int]:
+        return self.halves[0].pair(w)
 
     def approx(self, t: int, w: str) -> Dyadic:
         if t < 0:

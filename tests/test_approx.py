@@ -9,6 +9,7 @@ import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,10 @@ def test_approx_on_grid_and_within_2_to_minus_r(kind, seed, path, r):
     got = d.approx(r, path)
     assert got.precision <= r
     assert abs(got.to_fraction() - d.value(path)) <= Fraction(1, 2 ** r)
+    # the exact protocol: a reduced pair of ints, the same rational as value
+    n, e = d.pair(path)
+    assert type(n) is int and type(e) is int and e > 0 and gcd(n, e) == 1
+    assert Fraction(n, e) == d.value(path)
 
 
 def test_nested_sum_approx_within_2_to_minus_r():

@@ -85,6 +85,11 @@ def test_rh_balanced_pair():
     assert cli("rh", "--alpha", "1/2", "--s", "3", "--t", "1") == (0, "2 2\n", "")
 
 
+def test_rh_shows_a_non_dyadic_output_as_num_den():
+    assert cli("rh", "--alpha", "1/3", "--s", "2", "--t", "1/3") == \
+        (0, "1 5/6\n", "")
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -396,6 +401,16 @@ def test_bias_that_is_a_number_but_no_measure_is_exit_one(bias):
     assert err.count("\n") == 1
 
 
+def test_copy_measure_with_a_non_dyadic_boundary_split_is_exit_two(tmp_path):
+    path = tmp_path / "copy.measure"
+    path.write_text("measure depth=2 ext=copy\n~ 1 0\n0 3 2\n1 1 2\n"
+                    "00 1 2\n01 1 1\n10 1 3\n11 1 3\nl poly 0 1\n")
+    assert cli("measure-cylinder", "--w", "0", "--measure", str(path),
+               "--precision", "4") == (
+        2, "", "measure-cylinder: ext=copy: boundary conditional 1/3 at "
+               "'00' is not dyadic\n")
+
+
 # -- enumeration -----------------------------------------------------------
 
 
@@ -505,6 +520,14 @@ def test_negative_literal_is_a_value(text):
     assert spaced == cli(*argv, f"--s={text}")
     assert spaced[0] == (3 if text == "-1e100000000" else
                          1 if Fraction(text) < -20 else 0)
+
+
+@pytest.mark.parametrize("text", ["xe400000", "-E320000"])
+def test_huge_exponent_of_a_non_number_is_a_parse_error(text):
+    # the form is checked before the exponent's size
+    code, out, err = cli("rh", "--alpha", "1/2", f"--s={text}", "--t", "1")
+    assert (code, out) == (2, "")
+    assert f"invalid Fraction value: {text!r}" in err
 
 
 def _reads_as_fraction(text):

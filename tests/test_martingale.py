@@ -532,8 +532,8 @@ def test_exact_route_matches_a_fraction_reference(kind, seed, words):
 
 
 def test_exact_route_makes_no_fraction_arithmetic(monkeypatch):
-    # A table base answers with Fractions it builds but does not add, so
-    # every Fraction operation counted here would be the route's own.
+    # A table base answers with integer pairs, so every Fraction operation
+    # counted here would be the route's own, or a slice's or difference's.
     rng = random.Random(23)
     p = Dyadic(3, 3)
     cond = {format(i, f"0{n}b") if n else "": p
@@ -560,8 +560,17 @@ def test_exact_route_makes_no_fraction_arithmetic(monkeypatch):
     assert len(lam._memo) == 81 and type(got) is Fraction
     assert (1, 1) in lam._memo.values()
     assert any(d & (d - 1) for _, d in lam._memo.values())
+    # set measurement: both halves of a positive cylinder's split, read on
+    # the way down to the cylinder, inside it and beside it
+    plus, minus = cylinder("011", nu).split(5, base)
+    words = ["", "0", "01", "011", "0110", "01101", "1", "010", "11"]
+    halves = [(plus.value(v), minus.value(v)) for v in words]
+    assert is_regular(lam, 6)
+    assert counts == {}, counts
     monkeypatch.undo()
     assert got == _reference_value(base, nu, w)
+    assert [p + m for p, m in halves] == [lam.value(v) for v in words]
+    assert [p for p, _ in halves[6:]] == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,15 @@ def test_copy_extension():
 
 
 def test_copy_extension_requires_dyadic_boundary_split():
-    # boundary node 00 has conditional (1/4)/(3/4) = 1/3: not dyadic
-    with pytest.raises(DomainError):
+    # an additive table whose boundary node 00 continues with its split's
+    # conditional (1/4)/(3/4) = 1/3: not dyadic
+    with pytest.raises(DomainError) as e:
         ProbabilityMeasure({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2),
-                            "00": Dyadic(1, 2), "01": Dyadic(1, 2),
-                            "10": Dyadic(1, 2), "11": ZERO}, 2, ext=("copy",))
+                            "00": Dyadic(1, 2), "01": Dyadic(1, 1),
+                            "10": Dyadic(1, 3), "11": Dyadic(1, 3)}, 2,
+                           ext=("copy",))
+    assert str(e.value) == \
+        "ext=copy: boundary conditional 1/3 at '00' is not dyadic"
     with pytest.raises(DomainError):
         ProbabilityMeasure({"": ONE}, 0, ext=("copy",))
 
