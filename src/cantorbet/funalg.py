@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .config import MAX_NESTING, check_magnitude, magnitude_cap
 from .core import (
-    bton, growth, read_natural, read_sexpr, read_word, show_int, show_word,
+    bton, growth, read_natural, read_sexpr, show_int, show_word,
     strings_of_length, validate_string,
 )
 from .errors import (
@@ -91,27 +92,38 @@ class Oracle:
 
 
 def load_oracle(text: str) -> Oracle:
-    """Table format: lines ``query answer``, final line ``default answer``."""
+    """Table format: lines ``query answer``, each query listed once, and a
+    final line ``default answer``; ``~`` is the empty word.  Each line is
+    split once and its words checked where they are read."""
     table = {}
     default = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"oracle line {lineno}: expected two fields")
-        key, answer = parts
         if default is not None:
             raise ParseError(
                 f"oracle line {lineno}: default must be the final line")
-        try:
-            if key == "default":
-                default = read_word(answer)
-            else:
-                table[read_word(key)] = read_word(answer)
-        except DomainError as e:
-            raise ParseError(f"oracle line {lineno}: {e}") from e
+        key, answer = parts
+        # the answer is checked before the query
+        if answer == "~":
+            answer = ""
+        elif answer.strip("01"):
+            raise ParseError(
+                f"oracle line {lineno}: not a binary string: {answer!r}")
+        if key == "default":
+            default = answer
+            continue
+        if key == "~":
+            key = ""
+        elif key.strip("01"):
+            raise ParseError(
+                f"oracle line {lineno}: not a binary string: {key!r}")
+        if key in table:
+            raise ParseError(f"oracle line {lineno}: {key!r} listed twice")
+        table[key] = answer
     if default is None:
         raise ParseError("oracle table needs a final 'default' line")
     return Oracle._of_checked_table(table, default)
@@ -155,8 +167,11 @@ def dump_oracle(oracle: Oracle) -> str:
 # ignores the slot and whose step is `pred` of the previous value, through
 # any expansions, counts down in closed form: max(v - n, 0), charged the
 # steps, oracle log entries and max_len of the n stages it does not run.
-# (`lrn` runs its bound at every stage: it peels at most one stage per
-# argument bit.)
+# An `lrn` runs its bound at every stage, since it peels at most one stage
+# per argument bit, but keeps its last call: a call whose read slots equal
+# the last call's replays that run, its value, steps and oracle log
+# entries, and runs no stage.  Each closure serves one evaluation, one
+# oracle tuple and one meter, so max_len already holds what that run made.
 
 
 def _successor(w: str) -> str:
@@ -176,7 +191,8 @@ class Term:
     reads: frozenset[int]       # the string slots the closure depends on
 
     def compile(self):
-        """A closure (fs, xs, meter) -> str that evaluates this term."""
+        """A closure (fs, xs, meter) -> str that evaluates this term, made
+        for one evaluation: it may keep what it ran on that meter."""
         raise NotImplementedError
 
     def to_sexpr(self) -> str:
@@ -546,6 +562,9 @@ class Lrn(Term):
 
     value(xs, empty) = base(xs); value(xs, w·b) = step(xs, w·b, value(xs, w));
     at every stage |value| <= |bound(xs, stage)|, the empty stage included.
+    A call on the same read slots as the last call returns its value and
+    replays its meter charge, the steps and oracle log entries, with no
+    stage run.
     """
 
     base: Term
@@ -563,8 +582,10 @@ class Lrn(Term):
         base, step, bound = (self.base.compile(), self.step.compile(),
                              self.bound.compile())
         l = self.base.signature[1]
+        slots = itemgetter(*sorted(self.reads))
+        last = [None, None]     # the last call's read slots, and its run
 
-        def lrn(fs, xs, meter):
+        def stages(fs, xs, meter):
             front, w = xs[:l], xs[l]
             val = base(fs, front, meter)
             for stop in range(len(w) + 1):
@@ -577,6 +598,17 @@ class Lrn(Term):
                     raise BoundViolationError("lrn", prefix, len(val),
                                               len(limit))
             return val
+
+        def lrn(fs, xs, meter):
+            key = slots(xs)
+            if key != last[0]:
+                last[:] = key, _charged(stages, fs, xs, meter)
+                return last[1][0]
+            out, charge, queries = last[1]
+            meter.steps += charge
+            if queries:
+                meter.oracle_log.extend(queries)
+            return out
         return lrn
 
 

@@ -690,6 +690,14 @@ def test_table_file_defects_have_one_exit_status(tmp_path, kind, defect):
     assert says in err
 
 
+def test_oracle_query_listed_twice_is_exit_two(tmp_path):
+    # a second answer for a query is refused, not taken in place of the first
+    path = tmp_path / "twice.orc"
+    path.write_text("~ 11\n0 1\n0 11\ndefault 0\n")
+    assert cli("length", "--oracle", str(path), "--x", "0") == (
+        2, "", "length: oracle line 3: '0' listed twice\n")
+
+
 @pytest.mark.parametrize("kind, text, argv", [
     ("martingale", "martingale measure=uniform depth=1\n~ 1 0\n0 1 0\n"
      "1 1 100\n", ["verify-martingale", "--file", "FILE"]),

@@ -23,7 +23,7 @@ from cantorbet.funalg import (
     parse_term, closure_construct, restricted_length,
 )
 from cantorbet.calibration import EVALUATOR_MARGIN, recalibrate
-from cantorbet.core import bton, ntob
+from cantorbet.core import bton, ntob, read_word
 
 from helpers import terms
 
@@ -308,10 +308,23 @@ def _outcome(term, oracles, args, cap=None):
     return out, meter
 
 
+_compile_lrn = Lrn.compile
+
+
+def _lrn_in_full(self):
+    """An `lrn` closure that runs every call in full: each call compiles
+    the term afresh, and a fresh closure has no last call to replay."""
+    def lrn(fs, xs, meter):
+        return _compile_lrn(self)(fs, xs, meter)
+    return lrn
+
+
 def _per_stage(term, oracles, args, cap=None):
     """The outcome when every `br` runs its bound at every stage and builds
-    every stage's numeral: the same loop, told that every slot is read."""
-    with mock.patch.object(funalg, "_reads", lambda term, slot: True):
+    every stage's numeral, and every `lrn` call runs all its stages: the
+    same loops, told that every slot is read and given no last call."""
+    with mock.patch.object(funalg, "_reads", lambda term, slot: True), \
+            mock.patch.object(Lrn, "compile", _lrn_in_full):
         return _outcome(term, oracles, args, cap)
 
 
@@ -398,6 +411,78 @@ def test_replayed_bound_matches_the_per_stage_run(text, args, cap, want):
         # one query in the hoisted run, one a stage in the per-stage run
         assert hoisted_queries == 1 and len(calls) > 2
         assert len(meter.oracle_log) == len(calls) - 1
+
+
+# ---------------------------------------------------------------------------
+# an `lrn` called again on the read slots of its last call
+# ---------------------------------------------------------------------------
+
+
+_ROOMY = "(pad 1 (pad 0 (s1 (s1 (s1 (const))))))"
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_repeated_lrn_calls_replay_like_full_runs(data):
+    """A `br` whose step feeds a generated `lrn` a recursion argument that
+    repeats from stage to stage: a front slot, or the previous value.  A
+    call on the read slots of the last call is replayed, and the value or
+    error and the whole meter are those of running every call in full."""
+    k, l, m = (data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2)),
+               data.draw(st.integers(0, 1)))
+
+    def bound(j):
+        # a generated bound, or one of 36 ones that few values break
+        return data.draw(st.one_of(
+            terms(k, j, 3), st.just(f"(expand {_ROOMY} {k} {j})")))
+
+    lrn = (f"(lrn {data.draw(terms(k, m, 3))} "
+           f"{data.draw(terms(k, m + 2, 3))} {bound(m + 1)})")
+
+    def proj(j):
+        p = f"(proj {j} {l + 2})"
+        return f"(expand {p} {k} 0)" if k else p
+
+    slots = [data.draw(st.integers(0, l + 1)) for _ in range(m)]
+    slots.append(data.draw(st.sampled_from([*range(l), l + 1])))
+    step = f"(comp {lrn} {' '.join(map(proj, slots))})"
+    base = data.draw(terms(k, l, 3))
+    term = parse_term(f"(br {base} {step} {bound(l + 1)})")
+    xs = data.draw(st.lists(st.sampled_from(_WORDS), min_size=l,
+                            max_size=l))
+    xs.append(data.draw(st.text("01", max_size=4), label="counter"))
+    assert _outcome(term, _TABLES[:k], xs, 4096) \
+        == _per_stage(term, _TABLES[:k], xs, 4096)
+
+
+def test_length_term_replays_repeated_lrn_calls():
+    """In `length_term` the `lrn` that measures f(prev) is asked again on
+    the same answer whenever the kept index did not move: fewer runs than
+    calls, and the value and meter of running every call in full."""
+    calls, runs = [], []
+    charged = funalg._charged
+
+    def counted_compile(self):
+        run = _compile_lrn(self)
+
+        def lrn(fs, xs, meter):
+            calls.append(xs)
+            return run(fs, xs, meter)
+        return lrn
+
+    def counted_charged(run, fs, xs, meter):
+        if run.__qualname__ == "Lrn.compile.<locals>.stages":
+            runs.append(xs)
+        return charged(run, fs, xs, meter)
+
+    f = random_oracle(random.Random(5))
+    term = length_term()
+    with mock.patch.object(Lrn, "compile", counted_compile), \
+            mock.patch.object(funalg, "_charged", counted_charged):
+        out, meter = _outcome(term, [f], ["1011"])
+    assert 0 < len(runs) < len(calls)
+    assert (out, meter) == _per_stage(term, [f], ["1011"])
+    assert out == length_functional(f, "1011", "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +848,77 @@ def test_oracle_round_trip():
 
 
 def test_oracle_parse_errors():
-    for bad in ["01 1", "01 1 1\ndefault 0", "01 2\ndefault 0",
-                "default 0\n01 1"]:
-        with pytest.raises(ParseError):
+    for bad, message in [
+        ("01 1", "oracle table needs a final 'default' line"),
+        ("~ 1\n# 0 1\n\n01\ndefault 0", "oracle line 4: expected two fields"),
+        ("01 1 1\ndefault 0", "oracle line 1: expected two fields"),
+        ("01 2\ndefault 0", "oracle line 1: not a binary string: '2'"),
+        ("0 1\n2 1\ndefault 0", "oracle line 2: not a binary string: '2'"),
+        # the answer is checked before the query
+        ("2 x\ndefault 0", "oracle line 1: not a binary string: 'x'"),
+        ("0 default\ndefault 0",
+         "oracle line 1: not a binary string: 'default'"),
+        ("0 1\ndefault 2", "oracle line 2: not a binary string: '2'"),
+        ("default 0\n01 1", "oracle line 2: default must be the final line"),
+        ("default 0\ndefault 1",
+         "oracle line 2: default must be the final line"),
+        ("0 1\n0 11\ndefault 0", "oracle line 2: '0' listed twice"),
+        ("~ 1\n1 0\n  ~ 0\ndefault 0", "oracle line 3: '' listed twice"),
+    ]:
+        with pytest.raises(ParseError) as err:
             load_oracle(bad)
+        assert str(err.value) == message, bad
+
+
+def _load_oracle_by_words(text):
+    """The loader as the words are read one by one (`read_word`), with the
+    table refusing a query listed twice: the reference for `load_oracle`."""
+    table, default = {}, None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"oracle line {lineno}: expected two fields")
+        if default is not None:
+            raise ParseError(
+                f"oracle line {lineno}: default must be the final line")
+        try:
+            answer = read_word(parts[1])
+            if parts[0] == "default":
+                default = answer
+                continue
+            key = read_word(parts[0])
+            if key in table:
+                raise DomainError(f"{key!r} listed twice")
+            table[key] = answer
+        except DomainError as e:
+            raise ParseError(f"oracle line {lineno}: {e}") from e
+    if default is None:
+        raise ParseError("oracle table needs a final 'default' line")
+    return table, default
+
+
+_ORACLE_WORDS = ["~", "0", "1", "01", "2", "x", "default", "#", "#0",
+                 "\u00e9"]
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(st.lists(st.sampled_from(_ORACLE_WORDS), max_size=3)
+                      .map(" ".join), max_size=6),
+       last=st.sampled_from(["", "default 1", " default ~ "]))
+def test_oracle_loader_matches_the_word_by_word_reader(lines, last):
+    text = "\n".join([*lines, last])
+    try:
+        want = _load_oracle_by_words(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            load_oracle(text)
+        assert str(err.value) == str(exc)
+    else:
+        oracle = load_oracle(text)
+        assert (oracle.table, oracle.default) == want
 
 
 def test_oracle_totality_checked():
