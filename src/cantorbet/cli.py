@@ -146,6 +146,8 @@ def _cmd_secpoly_eval(ns) -> int:
     poly = parse_secpoly(ns.poly)
     if any(n < 0 for n in ns.n):
         raise DomainError("the n values are lengths and must be >= 0")
+    if ns.radius < 0:
+        raise DomainError("radius must be >= 0")
     lengths = [restricted_length(f, ns.radius)
                for f in _load_oracles(ns.oracle)]
     print(show_int(poly.evaluate(lengths, ns.n)))

@@ -953,122 +953,72 @@ def length_functional(f: Oracle, x: str, method: str = "term") -> str:
 # ---------------------------------------------------------------------------
 
 
-class SecPoly:
-    """Second-order growth expressions over numbers and length functions."""
-
-    def evaluate(self, lengths=(), nvals=()) -> int:
-        raise NotImplementedError
-
-    def to_text(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<SecPoly {self.to_text()}>"
-
-
 @dataclass(frozen=True)
-class SPConst(SecPoly):
-    c: int
+class SecPoly:
+    """A second-order growth expression over numbers n_j and length
+    functions L_j, 1-indexed.  `op` is "c" (the constant `index`), "n"
+    (n_index), "L" or "g" (L_index or the growth scale g_index applied to
+    parts[0]), or "+" or "*" (a chain of two or more parts)."""
+
+    op: str
+    index: int = 0
+    parts: tuple = ()
 
     def __post_init__(self):
-        if self.c < 0:
-            raise DomainError("constants must be natural numbers")
-
-    def evaluate(self, lengths=(), nvals=()):
-        return self.c
-
-    def to_text(self):
-        return str(self.c)
-
-
-@dataclass(frozen=True)
-class SPVar(SecPoly):
-    """First-order variable n_j (1-indexed)."""
-
-    j: int
-
-    def evaluate(self, lengths=(), nvals=()):
-        if not 1 <= self.j <= len(nvals):
-            raise DomainError(f"unbound variable n{self.j}")
-        return nvals[self.j - 1]
-
-    def to_text(self):
-        return f"n{self.j}"
-
-
-@dataclass(frozen=True)
-class _SPChain(SecPoly):
-    """A chain of two or more parts joined by one operator.  A part that
-    is a chain of the same operator is spliced in, as `SumMartingale`
-    does, so a long chain is one node and evaluates in one loop."""
-
-    parts: tuple
+        if self.index < 0 and self.op in "cg":
+            raise DomainError("constants must be natural numbers"
+                              if self.op == "c" else
+                              "growth index must be >= 0")
 
     @classmethod
-    def of(cls, parts) -> SecPoly:
+    def of(cls, op: str, parts) -> SecPoly:
+        """The `op` chain of `parts`, or the one part itself.  A part that
+        is an `op` chain is spliced in, as `SumMartingale` does, so a long
+        chain is one node and evaluates in one loop."""
         if len(parts) == 1:
             return parts[0]
-        return cls(tuple(u for p in parts
-                         for u in (p.parts if isinstance(p, cls) else (p,))))
+        return cls(op, 0, tuple(u for p in parts
+                                for u in (p.parts if p.op == op else (p,))))
 
-
-@dataclass(frozen=True)
-class SPAdd(_SPChain):
-    def evaluate(self, lengths=(), nvals=()):
-        total = 0
-        for p in self.parts:
-            total += p.evaluate(lengths, nvals)
-        return total
-
-    def to_text(self):
-        return " + ".join(p.to_text() for p in self.parts)
-
-
-@dataclass(frozen=True)
-class SPMul(_SPChain):
-    def evaluate(self, lengths=(), nvals=()):
+    def evaluate(self, lengths=(), nvals=()) -> int:
+        # one frame per nesting level: the parts are read in plain loops
+        op, j = self.op, self.index
+        if op == "c":
+            return j
+        if op == "n":
+            if not 1 <= j <= len(nvals):
+                raise DomainError(f"unbound variable n{j}")
+            return nvals[j - 1]
+        if op == "L":
+            if not 1 <= j <= len(lengths):
+                raise DomainError(f"unbound variable L{j}")
+            return lengths[j - 1](self.parts[0].evaluate(lengths, nvals))
+        if op == "g":
+            return growth(j, self.parts[0].evaluate(lengths, nvals))
+        if op == "+":
+            total = 0
+            for p in self.parts:
+                total += p.evaluate(lengths, nvals)
+            return total
         total = 1
         for p in self.parts:
             total *= p.evaluate(lengths, nvals)
+            check_magnitude(total.bit_length(), "growth value")
         return total
 
-    def to_text(self):
-        return " * ".join(f"({p.to_text()})" if isinstance(p, SPAdd)
-                          else p.to_text() for p in self.parts)
+    def to_text(self) -> str:
+        op = self.op
+        if op == "c":
+            return str(self.index)
+        if op == "n":
+            return f"n{self.index}"
+        if op in "Lg":
+            return f"{op}{self.index}({self.parts[0].to_text()})"
+        return f" {op} ".join(f"({p.to_text()})" if op == "*" and p.op == "+"
+                              else p.to_text() for p in self.parts)
 
-
-@dataclass(frozen=True)
-class SPApp(SecPoly):
-    """Second-order variable applied to a subexpression: L_j(P)."""
-
-    j: int
-    p: SecPoly
-
-    def evaluate(self, lengths=(), nvals=()):
-        if not 1 <= self.j <= len(lengths):
-            raise DomainError(f"unbound variable L{self.j}")
-        return lengths[self.j - 1](self.p.evaluate(lengths, nvals))
-
-    def to_text(self):
-        return f"L{self.j}({self.p.to_text()})"
-
-
-@dataclass(frozen=True)
-class SPGrow(SecPoly):
-    """Growth-scale application: g_i(P)."""
-
-    i: int
-    p: SecPoly
-
-    def __post_init__(self):
-        if self.i < 0:
-            raise DomainError("growth index must be >= 0")
-
-    def evaluate(self, lengths=(), nvals=()):
-        return growth(self.i, self.p.evaluate(lengths, nvals))
-
-    def to_text(self):
-        return f"g{self.i}({self.p.to_text()})"
+    def __repr__(self):
+        return f"<SecPoly {self.to_text()}>"
 
 
 _SP_TOKEN = re.compile(r"\s*([nLg]\d+|\d+|[()+*])")
@@ -1124,23 +1074,22 @@ class _SPParser:
                 else:
                     index = read_natural(tok[1:], f"index of {head}")
                     self.take("(")
-                    p = self.expr(depth + 1)
-                    p = SPApp(index, p) if head == "L" else SPGrow(index, p)
+                    p = SecPoly(head, index, (self.expr(depth + 1),))
                 self.take(")")
             elif head == "n":
-                p = SPVar(read_natural(tok[1:], "index of n"))
+                p = SecPoly("n", read_natural(tok[1:], "index of n"))
             elif head in ")+*":
                 raise ParseError(f"unexpected token {tok!r} at position {pos}")
             else:
-                p = SPConst(read_natural(tok, "constant"))
+                p = SecPoly("c", read_natural(tok, "constant"))
             factors.append(p)
             op = self.peek()
             if op == "*":
                 self.take()
                 continue
-            terms.append(SPMul.of(factors))
+            terms.append(SecPoly.of("*", factors))
             if op != "+":
-                return SPAdd.of(terms)
+                return SecPoly.of("+", terms)
             self.take()
             factors = []
 

@@ -8,11 +8,12 @@ something.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cantorbet.core import Dyadic
+from cantorbet.core import Dyadic, growth
 
 # one line per acceptance criterion; conftest echoes these in the final
 # report, where no capture mode can hide them
@@ -225,3 +226,44 @@ def terms(draw, k, l, depth):
         prims += [(f"(oracle {j} {k})", k) for j in range(k)]
     text, slots = draw(st.sampled_from(prims))
     return text if slots == k else f"(expand {text} {k - slots} 0)"
+
+
+@st.composite
+def growth_expressions(draw, k, m, depth):
+    """A growth expression over L1..Lk and n1..nm, at most depth + 1 deep."""
+    kinds = ["atom"]
+    if depth:
+        kinds += ["g", "+", "*"] + (["L"] if k else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "atom":
+        return draw(st.sampled_from(
+            [str(draw(st.integers(0, 9)))] + [f"n{j}" for j in range(1, m + 1)]))
+    if kind in "+*":
+        parts = [draw(growth_expressions(k, m, depth - 1)) for _ in range(2)]
+        return f"({f' {kind} '.join(parts)})"
+    head = f"L{draw(st.integers(1, k))}" if kind == "L" else \
+        f"g{draw(st.integers(0, 2))}"
+    return f"{head}({draw(growth_expressions(k, m, depth - 1))})"
+
+
+_GROWTH_WORD = re.compile(r"([Lg])(\d+)\s*\(|n(\d+)|(\d+)")
+
+
+def growth_reference(text: str, lengths=(), nvals=()) -> int:
+    """The value of a growth expression, read by Python's own parser, not
+    by funalg's: nJ becomes the J-th n value, LJ( a call of the J-th length
+    function, gI( a call of core.growth(I, ...), and a constant its decimal
+    value, so that + and * keep Python's precedence.  Python refuses
+    parentheses nested about 200 deep, so keep the texts shallow."""
+    def rewrite(m):
+        head, index, j, c = m.groups()
+        if head == "L":
+            return f"_L[{int(index)}]("
+        if head == "g":
+            return f"_g({int(index)}, "
+        return f"_n[{int(j)}]" if j is not None else str(int(c))
+
+    scope = {"_L": dict(enumerate(lengths, 1)),
+             "_n": dict(enumerate(nvals, 1)),
+             "_g": growth, "__builtins__": {}}
+    return eval(_GROWTH_WORD.sub(rewrite, text), scope)

@@ -24,7 +24,9 @@ from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
 )
 
-from helpers import SHALLOW_WITNESS_MEASURE, nesting_shapes, terms
+from helpers import (
+    SHALLOW_WITNESS_MEASURE, growth_expressions, nesting_shapes, terms,
+)
 
 
 def cli(*argv):
@@ -792,6 +794,24 @@ def test_growth_past_the_cap_is_exit_three(argv):
     assert err.startswith(f"{argv[0]}:") and err.count("\n") == 1
 
 
+def test_growth_product_past_the_cap_is_exit_three():
+    # each factor is n1^64, about 850,000 bits, under the cap; their
+    # product is refused as it grows, not built and then refused in print
+    factor = "g1(" * 6 + "n1" + ")" * 6
+    code, out, err = cli("secpoly-eval", "--n", "9" * 4000,
+                         "--poly", " * ".join([factor] * 40))
+    assert (code, out) == (3, "")
+    assert err.startswith("secpoly-eval: growth value of size ")
+    assert "exceeds magnitude cap" in err and err.count("\n") == 1
+
+
+def test_negative_radius_is_exit_one(small_oracle):
+    for oracle in ([], ["--oracle", small_oracle]):
+        assert cli("secpoly-eval", "--poly", "g1(n1)", "--n", "5",
+                   "--radius", "-1", *oracle) == \
+            (1, "", "secpoly-eval: radius must be >= 0\n"), oracle
+
+
 def test_non_ascii_file_is_a_parse_error(tmp_path):
     f = tmp_path / "t.term"
     f.write_bytes("(succ \u00e9)\n".encode("utf-8"))
@@ -1086,24 +1106,6 @@ def test_generated_argv_keeps_the_contract(tmp_path_factory, verb, data):
     assert code in (0, 1, 2, 3) and "Traceback" not in err
 
 
-@st.composite
-def _growth(draw, k, m, depth):
-    """A growth expression over L1..Lk and n1..nm, at most depth + 1 deep."""
-    kinds = ["atom"]
-    if depth:
-        kinds += ["g", "+", "*"] + (["L"] if k else [])
-    kind = draw(st.sampled_from(kinds))
-    if kind == "atom":
-        return draw(st.sampled_from(
-            [str(draw(st.integers(0, 9)))] + [f"n{j}" for j in range(1, m + 1)]))
-    if kind in "+*":
-        parts = [draw(_growth(k, m, depth - 1)) for _ in range(2)]
-        return f"({f' {kind} '.join(parts)})"
-    head = f"L{draw(st.integers(1, k))}" if kind == "L" else \
-        f"g{draw(st.integers(0, 2))}"
-    return f"{head}({draw(_growth(k, m, depth - 1))})"
-
-
 _DIAGONALIZE_WORDS = ["~", "0", "1", "00", "01", "10", "11", "011"]
 
 
@@ -1117,7 +1119,7 @@ def _fitting_argv(draw):
                                  "diagonalize"]))
     if verb == "secpoly-eval":
         k, m = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-        argv = [verb, "--poly", draw(_growth(k, m, 3))]
+        argv = [verb, "--poly", draw(growth_expressions(k, m, 3))]
         argv += ["--oracle", "ORACLE"] * k
         for _ in range(m):
             argv += ["--n", str(draw(st.integers(0, 20)))]
@@ -1132,8 +1134,8 @@ def _fitting_argv(draw):
     text, flags = draw(_term_calls())
     argv = [verb, "--term", text, *flags]
     if verb == "check-bound":
-        return argv + ["--poly", draw(_growth(flags.count("--oracle"),
-                                              flags.count("--arg"), 2))]
+        k, m = flags.count("--oracle"), flags.count("--arg")
+        return argv + ["--poly", draw(growth_expressions(k, m, 2))]
     return argv + (["--meter"] if draw(st.booleans()) else [])
 
 

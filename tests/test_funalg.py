@@ -3,14 +3,16 @@ growth expressions, and algebra-family checkers."""
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorbet import funalg
-from cantorbet.config import set_magnitude_cap
+from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.errors import (
     BoundViolationError, CantorbetError, DomainError, ParseError,
     PreconditionError, ResourceError,
@@ -25,7 +27,7 @@ from cantorbet.funalg import (
 from cantorbet.calibration import EVALUATOR_MARGIN, recalibrate
 from cantorbet.core import bton, ntob, read_word
 
-from helpers import terms
+from helpers import growth_expressions, growth_reference, terms
 
 
 IDENT = Oracle(lambda w: w)
@@ -603,16 +605,43 @@ def test_secpoly_examples():
 
 
 def test_secpoly_unbound():
-    with pytest.raises(DomainError):
-        parse_secpoly("n2").evaluate([], [5])
-    with pytest.raises(DomainError):
-        parse_secpoly("L1(3)").evaluate([], [])
+    # an application checks its index before it evaluates its argument
+    for text, nvals, want in [("n2", [5], "n2"), ("L1(3)", [], "L1"),
+                              ("L2(n3)", [], "L2"), ("n0", [1], "n0")]:
+        with pytest.raises(DomainError) as err:
+            parse_secpoly(text).evaluate([], nvals)
+        assert str(err.value) == f"unbound variable {want}", text
 
 
 def test_secpoly_parse_errors():
-    for bad in ["", "L1(", "3 +", "n1 n2", "%", "g1 4", ")("]:
-        with pytest.raises(ParseError):
+    deep = MAX_NESTING + 1
+    for bad, want in [
+        ("", "empty expression"),
+        ("   ", "empty expression"),
+        ("%", "bad character at position 0"),
+        # the position is where the unread text starts, its blanks included
+        ("n1 + \u00b2", "bad character at position 4"),
+        ("L1(", "unexpected end of expression"),
+        ("3 +", "unexpected end of expression"),
+        ("(n1", "unexpected end of expression"),
+        ("g1 4", "expected '(' at position 3"),
+        ("(n1 n2)", "expected ')' at position 4"),
+        ("L1(n1 n2)", "expected ')' at position 6"),
+        (")(", "unexpected token ')' at position 0"),
+        ("+ 1", "unexpected token '+' at position 0"),
+        ("3 * )", "unexpected token ')' at position 4"),
+        ("n1 n2", "trailing input at position 3"),
+        ("n1 )", "trailing input at position 3"),
+        ("(" * deep + "n1" + ")" * deep,
+         "growth expression nested deeper than 256 groups (position 256)"),
+        ("g0(" * deep + "n1" + ")" * deep,
+         "growth expression nested deeper than 256 groups (position 768)"),
+        ("L\u0663(n1)",
+         "index of L must be a natural number, got '\u0663'"),
+    ]:
+        with pytest.raises(ParseError) as err:
             parse_secpoly(bad)
+        assert str(err.value) == want, bad
 
 
 def test_secpoly_round_trip():
@@ -620,6 +649,50 @@ def test_secpoly_round_trip():
                  "g2(L1(n1) * n2 + 1)"]:
         p = parse_secpoly(text)
         assert parse_secpoly(p.to_text()) == p
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("L1(n1) + 3", "L1(n1) + 3"),
+    ("((n1))", "n1"),
+    ("1 + (2 + 3) + 4", "1 + 2 + 3 + 4"),
+    ("(1 + 2) * (3 * (4 + 5))", "(1 + 2) * 3 * (4 + 5)"),
+    ("L1((n1 + 1) * (n2 + 2))", "L1((n1 + 1) * (n2 + 2))"),
+    ("g0(1 + 1 * g0(n1))", "g0(1 + 1 * g0(n1))"),
+    ("007 +n01*  L02 ( g000(0) )", "7 + n1 * L2(g0(0))"),
+])
+def test_secpoly_to_text(text, shown):
+    assert parse_secpoly(text).to_text() == shown
+
+
+def test_pinned_growth_expressions_round_trip():
+    calls = json.loads((Path(__file__).parent / "pinned_terms.json")
+                       .read_text())
+    texts = {argv[argv.index("--poly") + 1] for argv, *_ in calls
+             if "--poly" in argv}
+    assert len(texts) > 100
+    lengths, nvals = [lambda n: 2 * n + 1, lambda n: n * n], [3, 5]
+    for text in sorted(texts):
+        p = parse_secpoly(text)
+        shown = p.to_text()
+        assert parse_secpoly(shown) == p, text
+        assert p.evaluate(lengths, nvals) \
+            == growth_reference(text, lengths, nvals) \
+            == growth_reference(shown, lengths, nvals), text
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_growth_expressions_match_a_python_reading(data):
+    k, m = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    text = data.draw(growth_expressions(k, m, 4), label="text")
+    lengths = [lambda n, a=a, b=b: a * n + b
+               for a, b in data.draw(st.lists(
+                   st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                   min_size=k, max_size=k))]
+    nvals = data.draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
+    p = parse_secpoly(text)
+    assert p.evaluate(lengths, nvals) == growth_reference(text, lengths, nvals)
+    assert parse_secpoly(p.to_text()) == p
 
 
 def test_secpoly_chains_are_flat():
