@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import cantorbet
 from cantorbet.core import Dyadic, strings_shorter_than
-from cantorbet.errors import PreconditionError
+from cantorbet.errors import DomainError, PreconditionError
 from cantorbet.measure import biased, dump_measure, load_measure, uniform
 from cantorbet.martingale import (
     ConstantMartingale, Martingale, RegularizedMartingale, SumMartingale,
@@ -122,6 +122,18 @@ def test_approx_on_grid_and_within_2_to_minus_r(kind, seed, path, r):
     n, e = d.pair(path)
     assert type(n) is int and type(e) is int and e > 0 and gcd(n, e) == 1
     assert Fraction(n, e) == d.value(path)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_approx_checks_precision_then_word(kind):
+    # `approx` checks its input the same way for every martingale
+    d = _build(kind, random.Random(7 + KINDS.index(kind)))
+    for r, w, want in [(-1, "0", "precision must be >= 0"),
+                       (-1, "0a", "precision must be >= 0"),
+                       (3, "0a", "not a binary string: '0a'")]:
+        with pytest.raises(DomainError) as exc:
+            d.approx(r, w)
+        assert str(exc.value) == want, (r, w)
 
 
 def test_nested_sum_approx_within_2_to_minus_r():

@@ -5,20 +5,27 @@ exists, and uninstalling puts every original back.
 example `approx` in `RegularizedMartingale.__dict__`, the `plus`/`minus`
 views of each splitting operator, `regularize`).  A change to the package
 that drops or moves one of those names breaks the traced benchmark run;
-this test catches it without running the benchmark.
+this test catches it without running the benchmark.  A traced smoke run
+checks that the kernel's own calls still go through the patched names:
+one that goes round them leaves its layer's counters at 0.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 import sys
 from pathlib import Path
 
 import cantorbet
+from cantorbet import cli, diagonal, martingale
+from cantorbet.core import Dyadic
+from cantorbet.measure import uniform
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer(monkeypatch):
@@ -64,3 +71,36 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
     assert after.keys() == before.keys()
     assert [key for key, value in after.items()
             if before[key] is not value] == []
+
+
+def test_traced_smoke_run_counts_every_layer(monkeypatch, tmp_path, capsys):
+    # the package's functions are read through their modules, so that the
+    # tracer's replacements are the ones called
+    oracle = tmp_path / "table.orc"
+    oracle.write_text("~ 11\n0 10110\n01 1\ndefault 0\n")
+    nu = uniform()
+    half = {"": Dyadic(1, 1), "0": Dyadic(3, 2), "1": Dyadic(1, 2),
+            "00": Dyadic(7, 3), "01": Dyadic(5, 3),
+            "10": Dyadic(1, 2), "11": Dyadic(1, 2)}
+    tracer = _load_tracer(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        lam = martingale.regularize(
+            martingale.TableMartingale(half, 2, nu), nu)
+        m = diagonal.capital_margin(lam, "")
+        diagonal.conservation_check(lam, nu, "", m, 12)
+        assert cli.run(["measure-value", "--expr", "(cup (cyl 00) (cyl 01))",
+                        "--measure", "uniform", "--precision", "5"]) == 0
+        assert cli.run(["eval", "--term", "(ap)", "--oracle", str(oracle),
+                        "--arg", "0", "--meter"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    for name in ["martingale.approx.calls", "martingale.value.calls",
+                 "measure.mass.calls", "splitting.apply.calls",
+                 "diagonal.steps", "funalg.steps", "cli.calls"]:
+        assert metrics[name]["value"] > 0, name
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(metrics) == {layer["name"] for layer in bench["per_layer"]} \
+        - {"trace.overhead_pct"}
