@@ -36,6 +36,8 @@ __all__ = [
     "HALF",
     "parse_dyadic",
     "show_int",
+    "shift_round",
+    "round_ratio",
     "frac_round_at",
     "as_fraction",
     "bton",
@@ -203,9 +205,7 @@ class Dyadic:
             raise DomainError("rounding precision must be >= 0")
         if self.precision <= r:
             return self
-        shift = self.precision - r
-        m = (self.mantissa + (1 << (shift - 1))) >> shift
-        return Dyadic(m, r)
+        return Dyadic(shift_round(self.mantissa, self.precision - r), r)
 
     def mantissa_at(self, r: int) -> int:
         """Mantissa on the 2**-r grid; requires the value to lie on it."""
@@ -282,6 +282,17 @@ def parse_dyadic(text: str) -> Dyadic:
     return Dyadic(m, p)
 
 
+def shift_round(m: int, k: int) -> int:
+    """m / 2**k rounded half up to an integer: the canonical rounding of a
+    mantissa on the 2**-(r+k) grid onto the 2**-r grid (exact for k <= 0)."""
+    return (m + (1 << (k - 1))) >> k if k > 0 else m << -k
+
+
+def round_ratio(n: int, d: int) -> int:
+    """n / d, d > 0, rounded half up to an integer: floor(n/d + 1/2)."""
+    return (2 * n + d) // (2 * d)
+
+
 def frac_round_at(q: Fraction | int, r: int) -> Dyadic:
     """Canonical rounding of an exact rational onto the 2**-r grid.
 
@@ -293,10 +304,7 @@ def frac_round_at(q: Fraction | int, r: int) -> Dyadic:
         raise DomainError("rounding precision must be >= 0")
     if not isinstance(q, (Fraction, int)):
         q = Fraction(q)
-    n, d = q.numerator, q.denominator
-    # floor((n * 2^r) / d + 1/2) computed in integers
-    m = (2 * (n << r) + d) // (2 * d)
-    return Dyadic(m, r)
+    return Dyadic(round_ratio(q.numerator << r, q.denominator), r)
 
 
 def as_fraction(x) -> Fraction:

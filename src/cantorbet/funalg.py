@@ -1021,7 +1021,7 @@ class SecPoly:
         return f"<SecPoly {self.to_text()}>"
 
 
-_SP_TOKEN = re.compile(r"\s*([nLg]\d+|\d+|[()+*])")
+_SP_TOKEN = re.compile(r"\s*(?:([nLg]\d+|\d+|[()+*])|(\S))")
 
 
 def _tokenize_secpoly(text: str):
@@ -1029,10 +1029,10 @@ def _tokenize_secpoly(text: str):
     pos = 0
     while pos < len(text):
         m = _SP_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad character at position {pos}")
+        if not m:   # only blanks are left
             break
+        if m.group(2):   # no token starts at the first non-blank
+            raise ParseError(f"bad character at position {m.start(2)}")
         toks.append((m.group(1), m.start(1)))
         pos = m.end()
     return toks

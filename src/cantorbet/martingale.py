@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .core import (
-    Dyadic, check_table, frac_round_at, parse_dyadic, read_table,
-    show_table, validate_string,
+    Dyadic, check_table, parse_dyadic, read_table, round_ratio,
+    shift_round, show_table, validate_string,
 )
 from .errors import DomainError, ParseError
 from .measure import ProbabilityMeasure, uniform, biased, same_measure
@@ -56,8 +56,9 @@ def reduced(n: int, d: int) -> tuple[int, int]:
 
 class Martingale:
     """Base: the exact value as a reduced pair `pair(w) -> (n, d)`, d > 0,
-    the same rational as `value(w)`, and a canonical approximation.  A
-    subclass defines `pair`, or only `value`, which `pair` then reads."""
+    the same rational as `value(w)`, and the canonical approximation
+    `approx(r, w)`.  A subclass defines `pair`, or only `value`, which
+    `pair` then reads; and `_grid` only if it does not round the pair."""
 
     measure: ProbabilityMeasure | None = None
 
@@ -71,10 +72,15 @@ class Martingale:
         return Fraction(*self.pair(w))
 
     def approx(self, r: int, w: str) -> Dyadic:
-        """Canonical 2**-r approximation (default: round the exact value)."""
+        """Canonical 2**-r approximation, on the 2**-r grid."""
         if r < 0:
             raise DomainError("precision must be >= 0")
-        return frac_round_at(self.value(w), r)
+        return Dyadic(self._grid(r, validate_string(w)), r)
+
+    def _grid(self, r: int, w: str) -> int:
+        """The mantissa of approx(r, w), on checked input; rounds the pair."""
+        n, d = self.pair(w)
+        return round_ratio(n << r, d)
 
 
 class ConstantMartingale(Martingale):
@@ -130,12 +136,10 @@ class TableMartingale(Martingale):
         e = self.table[w[:self.depth]]
         return e.mantissa, 1 << e.precision   # a normalized Dyadic is reduced
 
-    def approx(self, r: int, w: str) -> Dyadic:
+    def _grid(self, r: int, w: str) -> int:
         """The table entry, a Dyadic, rounded onto the 2**-r grid."""
-        if r < 0:
-            raise DomainError("precision must be >= 0")
-        validate_string(w)
-        return self.table[w[:self.depth]].round_at(r)
+        e = self.table[w[:self.depth]]
+        return shift_round(e.mantissa, e.precision - r)
 
 
 class SumMartingale(Martingale):
@@ -162,11 +166,9 @@ class SumMartingale(Martingale):
             n, d = n * td + tn * d, d * td
         return reduced(n, d)
 
-    def approx(self, r: int, w: str) -> Dyadic:
-        if r < 0:
-            raise DomainError("precision must be >= 0")
+    def _grid(self, r: int, w: str) -> int:
         q = r + 1 + (len(self.terms) - 1).bit_length()
-        return sum(t.approx(q, w) for t in self.terms).round_at(r)
+        return shift_round(sum(t._grid(q, w) for t in self.terms), q - r)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +311,9 @@ class RegularizedMartingale(Martingale):
 
     # -- finite-precision route ----------------------------------------
 
-    def approx(self, r: int, w: str) -> Dyadic:
+    approx = Martingale.approx   # its own, for perfbench/tracer.py to wrap
+
+    def _grid(self, r: int, w: str) -> int:
         """Level-by-level rounded recursion with threshold-based zero tests.
 
         Internal precision covers the accumulated transfer slope plus the
@@ -319,13 +323,10 @@ class RegularizedMartingale(Martingale):
         precisely.  A non-empty w is one child of the scan of its parent;
         its sibling, asked next at the same r, is read from the cursor.
         """
-        if r < 0:
-            raise DomainError("precision must be >= 0")
-        validate_string(w)
         if not w:  # the base's root value at q = r + 3 + (3 * 2).bit_length()
-            return self.base.approx(r + 6, "").round_at(r)
+            return shift_round(self.base._grid(r + 6, ""), 6)
         fork = self._scan(r, w[:-1])
-        return Dyadic(fork[int(w[-1])][0], self._q).round_at(r)
+        return shift_round(fork[int(w[-1])][0], self._q - r)
 
     def _scan(self, r: int, x: str):
         """The fork below x: both children's states at the working
@@ -381,7 +382,7 @@ class RegularizedMartingale(Martingale):
         q = r + 3 + splits[-1][3] + (3 * (len(x) + 3)).bit_length()
         q = 1 << (q - 1).bit_length()
         if q != self._q:
-            self._root = self.base.approx(q, "").mantissa_at(q)
+            self._root = self.base._grid(q, "")
             self._q = q
             forks.clear()
         # A node's state is (cur, dp): the mantissas on the 2**-q grid of
@@ -400,8 +401,7 @@ class RegularizedMartingale(Martingale):
         Everything is a mantissa on the 2**-q grid, one = 2**q: `cur`,
         `dp`, the base's `b0` and `b1`, and the pair g = cur - dp + b
         handed to the transfer.  The transfer's outputs n/d leave the grid
-        and are rounded back, half up, by (2n + d) // (2d): the rule of
-        `frac_round_at`, on the same rational.
+        and are rounded back, half up, by `round_ratio`.
 
         Rounding can push g out of the transfer domain, the quadrant
         g >= 0 joined with the half-plane mean >= 1, so the clamp below
@@ -426,9 +426,8 @@ class RegularizedMartingale(Martingale):
         A, B = ab
         base = self.base
         if dp is None:
-            dp = base.approx(q, p).mantissa_at(q)
-        b0 = base.approx(q, p + "0").mantissa_at(q)
-        b1 = base.approx(q, p + "1").mantissa_at(q)
+            dp = base._grid(q, p)
+        b0, b1 = base._grid(q, p + "0"), base._grid(q, p + "1")
         g0, g1 = cur - dp + b0, cur - dp + b1
         one = 1 << q
         if (g0 < 0 or g1 < 0) and A * g0 + (B - A) * g1 < B * one:
@@ -438,7 +437,7 @@ class RegularizedMartingale(Martingale):
             else:
                 g0 = g1 = one
         (n0, d0), (n1, d1) = transfer_cases(A, B, g0, g1, one)
-        return ((2 * n0 + d0) // (2 * d0), b0), ((2 * n1 + d1) // (2 * d1), b1)
+        return (round_ratio(n0, d0), b0), (round_ratio(n1, d1), b1)
 
 
 def regularize(d: Martingale, nu: ProbabilityMeasure) -> RegularizedMartingale:

@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import partial, reduce
 
 from .core import (
-    Dyadic, ZERO, read_natural, read_sexpr, read_word, validate_string,
+    Dyadic, ZERO, read_natural, read_sexpr, read_word, shift_round,
+    validate_string,
 )
 from .errors import (
     DomainError, ModulusViolationError, ParseError, PreconditionError,
@@ -342,18 +343,15 @@ class LimitPlusMartingale(Martingale):
     def pair(self, w: str) -> tuple[int, int]:
         return self.halves[0].pair(w)
 
-    def approx(self, t: int, w: str) -> Dyadic:
-        if t < 0:
-            raise DomainError("precision must be >= 0")
-        got = self.halves[0].approx(t + 1, w)
-        envelope = Dyadic(2, t)  # 4 * 2^-(t+1)
+    def _grid(self, t: int, w: str) -> int:
+        got = self.halves[0]._grid(t + 1, w)
         for j, half in enumerate(self.halves[1:], self.k + 1):
-            probe = half.approx(t + 1, w)
-            if abs(probe - got) > envelope:
+            probe = half._grid(t + 1, w)
+            if abs(probe - got) > 4:  # the envelope, 4 * 2^-(t+1)
                 raise ModulusViolationError(
-                    f"stage {j} at {w!r} is {probe}, "
-                    f"outside the 2^-{t} envelope around {got}")
-        return got.round_at(t)
+                    f"stage {j} at {w!r} is {Dyadic(probe, t + 1)}, outside "
+                    f"the 2^-{t} envelope around {Dyadic(got, t + 1)}")
+        return shift_round(got, 1)
 
 
 class LimitMeasurement(SplittingOperator):

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from cantorbet import config
 from cantorbet.core import (
-    Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at,
+    Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at, round_ratio,
+    shift_round,
     bton, ntob, succ, pred, smash, growth, strings_of_length, read_word,
     show_word, read_natural, read_sexpr, strings_shorter_than, check_table,
 )
@@ -163,6 +164,31 @@ def test_round_exact_on_grid(m, p, extra):
 def test_frac_round_error_bound(q, r):
     got = frac_round_at(q, r)
     assert abs(got.to_fraction() - q) <= Fraction(1, 2 ** (r + 1))
+
+
+def _half_up(q: Fraction) -> int:
+    return (q + Fraction(1, 2)).__floor__()
+
+
+def test_shift_round_against_brute_force():
+    # every mantissa near the ties, negative ones included, at shifts
+    # k <= 0 (exact: a coarser grid is finer by -k bits) and k > 0
+    for k in range(-4, 9):
+        for m in range(-300, 301):
+            got = shift_round(m, k)
+            assert type(got) is int
+            assert got == _half_up(Fraction(m) / Fraction(2) ** k), (m, k)
+
+
+def test_round_ratio_against_brute_force():
+    for d in range(1, 40):
+        for n in range(-200, 201):
+            assert round_ratio(n, d) == _half_up(Fraction(n, d)), (n, d)
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_round_ratio_on_big_integers(n, d):
+    assert round_ratio(n, d) == _half_up(Fraction(n, d))
 
 
 # ---------------------------------------------------------------------------

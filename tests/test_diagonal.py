@@ -49,7 +49,8 @@ def spike_martingale() -> TableMartingale:
 
 
 class RecordingMartingale(Martingale):
-    """Delegates to another martingale, logging every approximation call."""
+    """Delegates to another martingale, logging every grid query: each
+    public approximation, and each query a regularization makes of it."""
 
     def __init__(self, inner: Martingale):
         self.inner = inner
@@ -59,9 +60,9 @@ class RecordingMartingale(Martingale):
     def value(self, w: str) -> Fraction:
         return self.inner.value(w)
 
-    def approx(self, r: int, w: str) -> Dyadic:
+    def _grid(self, r: int, w: str) -> int:
         self.calls.append((r, w))
-        return self.inner.approx(r, w)
+        return self.inner._grid(r, w)
 
 
 # ---------------------------------------------------------------------------

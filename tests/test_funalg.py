@@ -619,8 +619,9 @@ def test_secpoly_parse_errors():
         ("", "empty expression"),
         ("   ", "empty expression"),
         ("%", "bad character at position 0"),
-        # the position is where the unread text starts, its blanks included
-        ("n1 + \u00b2", "bad character at position 4"),
+        # the position is the bad character's, past the blanks before it
+        ("n1 + \u00b2", "bad character at position 5"),
+        ("n1 +   %", "bad character at position 7"),
         ("L1(", "unexpected end of expression"),
         ("3 +", "unexpected end of expression"),
         ("(n1", "unexpected end of expression"),

@@ -328,8 +328,8 @@ class GridPair(Martingale):
     def value(self, w):
         return Fraction(0)
 
-    def approx(self, r, w):
-        return Dyadic(self.grid[w], r)
+    def _grid(self, r, w):
+        return self.grid[w]
 
 
 def grid_transfer(A, B, g0, g1, q):

@@ -18,13 +18,13 @@ from cantorbet.errors import (
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
 )
-from cantorbet.martingale import unit, covers, regularize
+from cantorbet.martingale import ConstantMartingale, unit, covers, regularize
 from cantorbet.splitting import (
     Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
     cylinder, complement, complete_null, union_sequence,
     modulated, measure_value, capital_sum_check,
     initial_capital_surplus, parse_operator, IndicatorMartingale,
-    SplittingOperator,
+    LimitPlusMartingale, SplittingOperator,
 )
 
 from helpers import (
@@ -433,8 +433,24 @@ def test_limit_modulus_violation_detected():
     # stages genuinely change at index 1, but the modulus claims constancy
     seq = modulated([CylinderPos("00", mu), CylinderPos("0", mu)], gamma=0)
     op = LimitMeasurement(seq)
-    with pytest.raises(ModulusViolationError):
+    with pytest.raises(ModulusViolationError) as exc:
         measure_value(op, 8)
+    assert str(exc.value) == ("stage 1 at '' is 1/2^1, outside the 2^-9 "
+                              "envelope around 1/2^2")
+
+
+def test_limit_envelope_is_four_steps_of_the_finer_grid():
+    # at t = 2 the halves are read on the 2^-3 grid: a later stage 4/8
+    # away from stage k is inside the 2^-2 envelope, 5/8 away is not
+    mu = uniform()
+    halves = [ConstantMartingale(0, mu),
+              ConstantMartingale(Fraction(1, 2), mu)]
+    assert LimitPlusMartingale(halves, 0, mu).approx(2, "") == ZERO
+    halves[1] = ConstantMartingale(Fraction(5, 8), mu)
+    with pytest.raises(ModulusViolationError) as exc:
+        LimitPlusMartingale(halves, 0, mu).approx(2, "")
+    assert str(exc.value) == \
+        "stage 1 at '' is 5/2^3, outside the 2^-2 envelope around 0"
 
 
 def test_modulated_empty_family_rejected():

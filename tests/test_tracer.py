@@ -73,7 +73,7 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
             if before[key] is not value] == []
 
 
-def test_traced_smoke_run_counts_every_layer(monkeypatch, tmp_path, capsys):
+def test_traced_smoke_run_counts_every_layer(monkeypatch, tmp_path):
     # the package's functions are read through their modules, so that the
     # tracer's replacements are the ones called
     oracle = tmp_path / "table.orc"
@@ -95,7 +95,6 @@ def test_traced_smoke_run_counts_every_layer(monkeypatch, tmp_path, capsys):
                         "--arg", "0", "--meter"]) == 0
     finally:
         tracer.uninstall()
-    capsys.readouterr()
     metrics = tracer.metrics()
     for name in ["martingale.approx.calls", "martingale.value.calls",
                  "measure.mass.calls", "splitting.apply.calls",
