@@ -140,7 +140,9 @@ def conservation_check(d: Martingale, nu: ProbabilityMeasure, w: str,
     if m < 0:
         raise DomainError("margin index must be >= 0")
     same_measure(d.measure, nu)
-    if d.value("") >= nu.mass(w).to_fraction():
+    n, e = d.pair("")
+    mw = nu.mass(w)   # n/e >= M/2**p, on integers
+    if n << mw.precision >= mw.mantissa * e:
         raise PreconditionError(
             "initial capital must be strictly below the cylinder mass")
 

@@ -13,7 +13,10 @@ the root value or the averaging identity.  It is computed two ways: an
 exact rational recursion (the reference), and a finite-precision recursion
 that rounds at every level and decides degenerate splits by comparing
 masses against the positivity witness's threshold — the route a
-resource-bounded evaluator would take.
+resource-bounded evaluator would take.  Both routes step down the tree one
+level at a time, and each level costs one `children` step of the measure
+on the split it reads: the masses of a node's children come from the
+node's own mass, never from a closed-form `mass` query.
 """
 
 from __future__ import annotations
@@ -253,10 +256,13 @@ class RegularizedMartingale(Martingale):
         self.base = base
         self.measure = same_measure(base.measure, nu)
         self._nu = nu
-        # The exact route's memo: each value as a reduced pair (n, d), d > 0
+        # The exact route's memo: each value as a reduced pair (n, d), d > 0,
+        # and each memoized node's mass, which its children's step reads
         self._memo: dict[str, tuple[int, int]] = {"": base.pair("")}
+        self._mass: dict[str, Dyadic] = {"": nu.mass("")}
         # The path cursor of the finite-precision route (see `_scan`): the
-        # last path scanned, each level's split data along it, and the
+        # last path scanned, each level's split data along it (the
+        # children's masses, the weight and the running slope), and the
         # working precision with the root's and each node's fork at it.
         self._path = ""
         self._splits: list[tuple[Dyadic, Dyadic, tuple[int, int] | None,
@@ -281,15 +287,20 @@ class RegularizedMartingale(Martingale):
         return memo[w]
 
     def _children(self, w: str) -> None:
-        """Both children's pairs below w, on integers.
+        """Both children's pairs and masses below w, on integers.
 
-        The base's three pairs and w's own value n/d go onto one
+        The children's masses come from w's memoized mass by one
+        `children` step of the measure, so a node costs the same at any
+        depth.  The base's three pairs and w's own value n/d go onto one
         denominator T, so the pair handed to the transfer is (s/T, t/T);
         `transfer_cases` at one = T gives each output as n/(d*T), reduced.
         """
-        memo = self._memo
+        memo, mass = self._memo, self._mass
         n, d = memo[w]   # pair() fills the memo from the root down
-        ab = _weight(self._nu.mass(w), self._nu.mass(w + "0"))
+        m = mass[w]
+        m0, m1 = self._nu.children(w, m)
+        mass[w + "0"], mass[w + "1"] = m0, m1
+        ab = _weight(m, m0)
         if ab is None:
             memo[w + "0"] = memo[w + "1"] = n, d
             return
@@ -353,6 +364,8 @@ class RegularizedMartingale(Martingale):
         byte that of a fresh scan at Q, whatever the queries before it.
         A walk that extends its path by one bit per step thus reads one
         new split per step, and rescans from the root only when Q changes.
+        Reading a split is one `children` step of the measure from the
+        mass the level above handed down.
         """
         nu = self._nu
         witness = nu.witness
@@ -367,18 +380,17 @@ class RegularizedMartingale(Martingale):
         # degenerate.
         for i in range(len(splits), len(x) + 1):
             if i:
-                mp, m0, _, slope = splits[i - 1]
-                mp = m0 if x[i - 1] == "0" else mp - m0
+                m0, m1, _, slope = splits[i - 1]
+                mp = m0 if x[i - 1] == "0" else m1
             else:
-                mp, slope = nu.mass(""), 0
-            m0 = nu.mass(x[:i] + "0")
-            m1 = mp - m0           # masses are additive
+                mp, slope = self._mass[""], 0
+            m0, m1 = nu.children(x[:i], mp)
             ab = _weight(mp, m0)
             if ab is not None:
                 slope += weight_bits(*ab)
             live = (witness.clears(mp, i) and witness.clears(m0, i + 1)
                     and witness.clears(m1, i + 1))
-            splits.append((mp, m0, ab if live else None, slope))
+            splits.append((m0, m1, ab if live else None, slope))
         q = r + 3 + splits[-1][3] + (3 * (len(x) + 3)).bit_length()
         q = 1 << (q - 1).bit_length()
         if q != self._q:

@@ -8,6 +8,12 @@ or a copy of the split that produced the subtree's boundary node (`copy`).
 Weak positivity — every nonzero mass at depth n is at least 2**-l(n) — is
 carried by an affine witness l and is what makes conditional values and
 martingale thresholds decidable by exact comparison.
+
+Masses are read two ways.  `mass(w)` is the closed form, for one-off
+queries (the CLI, cylinders, slices): below the table it costs O(|w|).
+`children(w, mass(w))` is the per-level step down a path or a tree: it
+gives the masses of w0 and w1 from w's own with two table reads or two
+products, so a walk D levels deep costs O(D) products, not O(D**2).
 """
 
 from __future__ import annotations
@@ -81,7 +87,9 @@ class ProbabilityMeasure:
             raise DomainError(f"unknown extension rule {ext[0]!r}")
         self.ext = tuple(ext)
         self._validate()
-        self._tail = self._boundary_conditionals()
+        # each depth-N node's split (c, 1 - c), where it has a conditional c
+        self._split = {u: (c, ONE - c)
+                       for u, c in self._boundary_conditionals().items()}
 
     # -- construction-time checks --------------------------------------
 
@@ -122,23 +130,37 @@ class ProbabilityMeasure:
     # -- queries -------------------------------------------------------
 
     def mass(self, w: str) -> Dyadic:
-        """Exact cylinder mass, at any depth.  Below the table it is the
-        boundary node's mass times c**z * (1-c)**o, for a tail with z zeros
-        and o ones under a node whose subtree splits with conditional c;
-        a node without a conditional is null."""
+        """Exact cylinder mass, at any depth, in closed form: for one-off
+        queries.  Below the table it is the boundary node's mass times
+        c**z * (1-c)**o, for a tail with z zeros and o ones under a node
+        whose subtree splits with conditional c; a node without a
+        conditional is null.  Code that walks down a path or a tree
+        steps from each mass to its children's with `children`."""
         validate_string(w)
         if len(w) <= self.depth:
             return self.table[w]
         u = w[:self.depth]
-        c = self._tail.get(u)
-        if c is None:
+        split = self._split.get(u)
+        if split is None:
             return ZERO
         m = self.table[u]
-        d = ONE - c
+        c, d = split
         z = w.count("0", self.depth)
         o = len(w) - self.depth - z
         return Dyadic(m.mantissa * c.mantissa ** z * d.mantissa ** o,
                       m.precision + c.precision * z + d.precision * o)
+
+    def children(self, w: str, m: Dyadic) -> tuple[Dyadic, Dyadic]:
+        """The masses of w0 and w1, given m = mass(w) for a checked word
+        w: the per-level step.  Inside the table they are two table reads;
+        below it, m times the boundary node's (c, 1 - c), and (0, 0)
+        under a node without a conditional."""
+        if len(w) < self.depth:
+            return self.table[w + "0"], self.table[w + "1"]
+        split = self._split.get(w[:self.depth])
+        if split is None:
+            return ZERO, ZERO
+        return m * split[0], m * split[1]
 
     def conditional(self, w: str, b: str) -> Fraction:
         """nu(wb | w) as an exact fraction; requires nu(w) > 0."""
@@ -149,13 +171,13 @@ class ProbabilityMeasure:
 
     def splits(self, depth: int):
         """(w, m, m0, m1): each string shorter than `depth`, in length-lex
-        order, with the masses of w, w0 and w1.  Masses are additive, so
-        one `mass` call per w gives m0, and m1 is m - m0."""
+        order, with the masses of w, w0 and w1: one `children` step
+        per w."""
         masses = [self.table[""]]   # in the order of strings_shorter_than
         for i, w in enumerate(strings_shorter_than(depth)):
-            m0 = self.mass(w + "0")
-            masses += (m0, masses[i] - m0)
-            yield w, masses[i], m0, masses[-1]
+            m0, m1 = self.children(w, masses[i])
+            masses += (m0, m1)
+            yield w, masses[i], m0, m1
 
     def weakly_positive(self, depth: int | None = None) -> bool:
         """Whether every nonzero mass of length n <= depth clears
@@ -168,8 +190,8 @@ class ProbabilityMeasure:
             # its threshold at n = 1 is the drop per level, 2**-c1
             step = PositivityWitness(0, self.witness.c1)
             return self.weakly_positive(self.depth) and all(
-                step.clears(min(c, ONE - c), 1)
-                for c in self._tail.values() if ZERO < c < ONE)
+                step.clears(min(split), 1)
+                for split in self._split.values() if ZERO not in split)
         # the root's mass, 1, clears every threshold
         clears = self.witness.clears
         return all(clears(m, len(w) + 1) for w, _, m0, m1 in self.splits(depth)

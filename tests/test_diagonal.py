@@ -12,7 +12,7 @@ from cantorbet.errors import DomainError, MeasureMismatchError, PreconditionErro
 from cantorbet.martingale import (
     ConstantMartingale, Martingale, TableMartingale, regularize, unit,
 )
-from cantorbet.measure import biased, uniform
+from cantorbet.measure import ProbabilityMeasure, biased, uniform
 from cantorbet.diagonal import (
     Constructor, capital_margin, conservation_check, diagonalize,
     query_precision, result_prefix,
@@ -238,6 +238,22 @@ def test_conservation_preconditions():
         conservation_check(d, mu, "", 2, -1)
 
 
+def test_conservation_precondition_is_exact():
+    # capital equal to the cylinder mass fails; just below it passes, also
+    # for a capital off the dyadic grid
+    message = "initial capital must be strictly below the cylinder mass"
+    for nu, w, mass in ((uniform(), "00", Fraction(1, 4)),
+                        (biased(Dyadic(3, 3)), "0", Fraction(3, 8)),
+                        (biased(Dyadic(3, 3)), "11", Fraction(25, 64))):
+        with pytest.raises(PreconditionError) as e:
+            conservation_check(ConstantMartingale(mass, nu), nu, w, 2, 1)
+        assert str(e.value) == message
+        for below in (mass - Fraction(1, 1 << 20), mass * Fraction(5, 6)):
+            rep = conservation_check(ConstantMartingale(below, nu), nu, w,
+                                     2, 1)
+            assert rep.prefix == w[:1]
+
+
 def test_walk_dodges_unit_capital_child():
     mu = uniform()
     t = {"": Dyadic(1, 1), "0": Dyadic(0, 0), "1": Dyadic(1, 0)}
@@ -360,6 +376,36 @@ def test_sibling_query_makes_no_base_query():
             assert (got.mantissa, got.precision) == \
                 (want.mantissa, want.precision), (r, x)
         assert rec.calls                 # the first queries did ask
+
+
+def test_mass_queries_do_not_grow_with_the_path(monkeypatch):
+    # Both routes step from each node's mass to its children's, so a fresh
+    # regularization's D-step walk and its value and approx at an n-bit
+    # word make the same number of closed-form `mass` queries for every D
+    # and n: the root's, once per regularization, and the walk's
+    # precondition.  A route that asked `mass` per level would make
+    # O(D + n) of them.
+    calls = []
+    mass = ProbabilityMeasure.mass
+
+    def counted(nu, w):
+        calls.append(w)
+        return mass(nu, w)
+
+    monkeypatch.setattr(ProbabilityMeasure, "mass", counted)
+    for base, nu, w in _conservation_walks(37, 4):
+        m = capital_margin(regularize(base, nu), w)
+        counts = []
+        for steps, n in ((8, 25), (32, 50), (128, 200)):
+            del calls[:]
+            lam = regularize(base, nu)
+            conservation_check(lam, nu, w, m, steps)
+            x = "".join(random.Random(n).choice("01") for _ in range(n))
+            lam = regularize(base, nu)
+            lam.value(x)
+            lam.approx(16, x)
+            counts.append(len(calls))
+        assert counts == [3, 3, 3], counts
 
 
 def test_conservation_stops_at_the_first_step_reaching_one():

@@ -573,6 +573,36 @@ def test_exact_route_makes_no_fraction_arithmetic(monkeypatch):
     assert [p for p, _ in halves[6:]] == [0, 0, 0]
 
 
+def test_interleaved_queries_match_a_fresh_regularization():
+    # One long-lived regularization answers pair, value, approx and
+    # is_regular queries in random order, so its exact memo, its carried
+    # masses and its path cursor are reused across routes; every answer is
+    # a fresh object's, and every carried mass is the closed form's.
+    rng = random.Random(89)
+    for kind in ["Table", "Sum", "Slice", "LimitPlus"] * 3:
+        base, nu = _regularization_base(kind, rng)
+        lam = regularize(base, nu)
+        for _ in range(30):
+            query = rng.choice(["pair", "value", "approx", "is_regular"])
+            depth, r = rng.randrange(7), rng.randrange(24)
+            w = _word(rng, rng.randrange(40))
+
+            def ask(d):
+                if query == "is_regular":
+                    return is_regular(d, depth)
+                if query == "approx":
+                    a = d.approx(r, w)
+                    return a.mantissa, a.precision
+                return getattr(d, query)(w)
+
+            assert ask(lam) == ask(regularize(base, nu)), (kind, query, w)
+        assert lam._mass.keys() == lam._memo.keys()
+        for w, m in lam._mass.items():
+            want = nu.mass(w)
+            assert (m.mantissa, m.precision) == \
+                (want.mantissa, want.precision), (kind, w)
+
+
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------

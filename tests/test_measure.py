@@ -185,20 +185,26 @@ COPY_ONE = ProbabilityMeasure(
     witness=PositivityWitness(0, 2))
 
 
-def test_mass_below_table_is_the_per_bit_product():
-    rng = random.Random(59)
+def _product_measures(rng: random.Random) -> list[ProbabilityMeasure]:
+    """Measures of every extension below their tables: half, biased, copy
+    (with a null node), `COPY_ONE`, const 0 and 1, and random tables with
+    null nodes."""
     copy = ProbabilityMeasure(
         {"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2),
          "00": Dyadic(3, 3), "01": Dyadic(3, 3), "10": ZERO,
          "11": Dyadic(1, 2)}, 2, ext=("copy",), witness=PositivityWitness(0, 3))
     table = build_measure(random_conditionals(rng, 3, zeros=True), 3)
-    measures = [uniform(), biased(Dyadic(3, 3)), biased(Dyadic(1, 2)),
-                copy, COPY_ONE, table,
-                ProbabilityMeasure({"": ONE}, 0, ("const", ZERO)),
-                ProbabilityMeasure({"": ONE}, 0, ("const", ONE)),
-                ProbabilityMeasure(table.table, 3, ("const", ZERO)),
-                ProbabilityMeasure(table.table, 3, ("const", ONE))]
-    for nu in measures:
+    return [uniform(), biased(Dyadic(3, 3)), biased(Dyadic(1, 2)),
+            copy, COPY_ONE, table,
+            ProbabilityMeasure({"": ONE}, 0, ("const", ZERO)),
+            ProbabilityMeasure({"": ONE}, 0, ("const", ONE)),
+            ProbabilityMeasure(table.table, 3, ("const", ZERO)),
+            ProbabilityMeasure(table.table, 3, ("const", ONE))]
+
+
+def test_mass_below_table_is_the_per_bit_product():
+    rng = random.Random(59)
+    for nu in _product_measures(rng):
         for n in list(range(12)) + [rng.randrange(12, 300) for _ in range(8)] \
                 + [300]:
             u = "".join(rng.choice("01") for _ in range(nu.depth))
@@ -215,6 +221,24 @@ def test_mass_below_table_is_the_per_bit_product():
             for b in tail:
                 want *= c if b == "0" else 1 - c
             assert nu.mass(u + tail) == Dyadic.from_fraction(want), (nu, u, n)
+
+
+def test_children_step_gives_the_masses_of_both_children():
+    # children(w, mass(w)) at every length from the root to 12 levels
+    # below the table, and at a few lengths up to 300 bits; both results
+    # normalized, as the closed form's are
+    rng = random.Random(67)
+    for nu in _product_measures(rng):
+        lengths = list(range(nu.depth + 13)) + \
+            [rng.randrange(nu.depth + 13, 300) for _ in range(4)] + [300]
+        for n in lengths:
+            for _ in range(4):
+                w = "".join(rng.choice("01") for _ in range(n))
+                got = nu.children(w, nu.mass(w))
+                want = nu.mass(w + "0"), nu.mass(w + "1")
+                assert [(m.mantissa, m.precision) for m in got] == \
+                    [(m.mantissa, m.precision) for m in want], (nu, w)
+                assert all(normalized(m) for m in got)
 
 
 def per_node_weakly_positive(nu: ProbabilityMeasure, depth: int) -> bool:
