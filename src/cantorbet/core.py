@@ -25,6 +25,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 from .config import MAX_NESTING, check_magnitude
 from .errors import DomainError, ParseError, ResourceError
@@ -38,6 +39,7 @@ __all__ = [
     "show_int",
     "shift_round",
     "round_ratio",
+    "reduced",
     "frac_round_at",
     "as_fraction",
     "bton",
@@ -64,8 +66,8 @@ class Dyadic:
 
     Instances are immutable and normalized on construction.  Arithmetic
     (+, -, *, comparisons) is closed and exact, and also accepts ints.
-    Division is the one operation off the grid: a quotient of dyadics need
-    not be dyadic, so `/` returns the exact Fraction.
+    There is no `/`: a quotient of dyadics need not be dyadic, so code
+    that needs one takes it on the mantissas (see `reduced`).
     """
 
     __slots__ = ("mantissa", "precision")
@@ -137,13 +139,6 @@ class Dyadic:
                       self.precision + other.precision)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> Fraction:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Fraction(self.mantissa << other.precision,
-                        other.mantissa << self.precision)
 
     def __neg__(self):
         return Dyadic(-self.mantissa, self.precision)
@@ -291,6 +286,12 @@ def shift_round(m: int, k: int) -> int:
 def round_ratio(n: int, d: int) -> int:
     """n / d, d > 0, rounded half up to an integer: floor(n/d + 1/2)."""
     return (2 * n + d) // (2 * d)
+
+
+def reduced(n: int, d: int) -> tuple[int, int]:
+    """The pair (n, d), d > 0, in lowest terms."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 def frac_round_at(q: Fraction | int, r: int) -> Dyadic:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .core import (
-    Dyadic, check_table, parse_dyadic, read_table, round_ratio,
+    Dyadic, check_table, parse_dyadic, read_table, reduced, round_ratio,
     shift_round, show_table, validate_string,
 )
 from .errors import DomainError, ParseError
@@ -44,17 +44,10 @@ __all__ = [
     "is_regular",
     "regularize",
     "max_capital",
-    "min_tail_capital",
     "load_martingale",
     "dump_martingale",
     "default_measure_resolver",
 ]
-
-
-def reduced(n: int, d: int) -> tuple[int, int]:
-    """The pair (n, d), d > 0, in lowest terms."""
-    g = gcd(n, d)
-    return n // g, d // g
 
 
 class Martingale:
@@ -203,23 +196,6 @@ def max_capital(d: Martingale, prefix: str) -> Fraction:
     """Largest capital along the prefix (a finite success diagnostic)."""
     validate_string(prefix)
     return max(d.value(prefix[:i]) for i in range(len(prefix) + 1))
-
-
-def min_tail_capital(d: Martingale, prefix: str, horizon: int) -> Fraction:
-    """Smallest capital in the subtree under `prefix`, `horizon` levels deep
-    (a finite strong-success diagnostic)."""
-    validate_string(prefix)
-    if horizon < 0:
-        raise DomainError("horizon must be >= 0")
-    best = d.value(prefix)
-    frontier = [prefix]
-    for _ in range(horizon):
-        frontier = [w + b for w in frontier for b in "01"]
-        for w in frontier:
-            v = d.value(w)
-            if v < best:
-                best = v
-    return best
 
 
 # ---------------------------------------------------------------------------

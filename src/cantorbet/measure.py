@@ -1,13 +1,13 @@
 """Probability measures on Cantor space as finite tables plus an extension
-rule, with weak-positivity witnesses and the conditional functional.
+rule, with weak-positivity witnesses.
 
 A measure assigns exact dyadic mass to every cylinder.  The table covers all
 strings up to a depth N; below that, each subtree continues with a constant
 child-conditional: 1/2 (`half`), a fixed parameter (built-in biased coins),
 or a copy of the split that produced the subtree's boundary node (`copy`).
 Weak positivity — every nonzero mass at depth n is at least 2**-l(n) — is
-carried by an affine witness l and is what makes conditional values and
-martingale thresholds decidable by exact comparison.
+carried by an affine witness l and is what makes the thresholds of
+martingales and slices decidable by exact comparison.
 
 Masses are read two ways.  `mass(w)` is the closed form, for one-off
 queries (the CLI, cylinders, slices): below the table it costs O(|w|).
@@ -19,10 +19,9 @@ products, so a walk D levels deep costs O(D) products, not O(D**2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
-    Dyadic, ZERO, ONE, HALF, check_table, read_table, show_table,
+    Dyadic, ZERO, ONE, HALF, check_table, read_table, reduced, show_table,
     strings_of_length, strings_shorter_than, validate_string,
 )
 from .errors import (
@@ -34,7 +33,6 @@ __all__ = [
     "ProbabilityMeasure",
     "uniform",
     "biased",
-    "conditional_scaled",
     "same_measure",
     "load_measure",
     "dump_measure",
@@ -118,13 +116,13 @@ class ProbabilityMeasure:
         for u in strings_of_length(self.depth):
             if self.table[u] == ZERO:
                 continue
-            p = u[:-1]
-            q = self.table[p + "0"] / self.table[p]
-            d = q.denominator
+            a, b = self.table[u[:-1] + "0"], self.table[u[:-1]]
+            n, d = reduced(a.mantissa << b.precision,
+                           b.mantissa << a.precision)
             if d & (d - 1):
-                raise DomainError(
-                    f"ext=copy: boundary conditional {q} at {u!r} is not dyadic")
-            out[u] = Dyadic.from_fraction(q)
+                raise DomainError(f"ext=copy: boundary conditional {n}/{d} "
+                                  f"at {u!r} is not dyadic")
+            out[u] = Dyadic(n, d.bit_length() - 1)
         return out
 
     # -- queries -------------------------------------------------------
@@ -161,13 +159,6 @@ class ProbabilityMeasure:
         if split is None:
             return ZERO, ZERO
         return m * split[0], m * split[1]
-
-    def conditional(self, w: str, b: str) -> Fraction:
-        """nu(wb | w) as an exact fraction; requires nu(w) > 0."""
-        m = self.mass(w)
-        if m == ZERO:
-            raise DomainError(f"conditional undefined below null cylinder {w!r}")
-        return self.mass(w + b) / m
 
     def splits(self, depth: int):
         """(w, m, m0, m1): each string shorter than `depth`, in length-lex
@@ -223,23 +214,6 @@ def biased(p: Dyadic) -> ProbabilityMeasure:
     k = max(p.precision, (ONE - p).precision)
     return ProbabilityMeasure({"": ONE}, 0, ("const", p),
                               PositivityWitness(0, k))
-
-
-def conditional_scaled(nu: ProbabilityMeasure, w: str, v: str) -> Fraction:
-    """Three-case conditional value B(w, v) under nu's witness, exactly.
-
-    nu(w|v) when v extends to w and nu(w) clears the positivity threshold;
-    1 when w is a prefix of v under the same threshold; 0 otherwise.
-    """
-    validate_string(w)
-    validate_string(v)
-    mw = nu.mass(w)
-    above = nu.witness.clears(mw, len(w))
-    if w.startswith(v) and above:
-        return mw / nu.mass(v)
-    if v.startswith(w) and above:
-        return Fraction(1)
-    return Fraction(0)
 
 
 def same_measure(a: ProbabilityMeasure | None, b: ProbabilityMeasure | None):

@@ -1,15 +1,14 @@
 """Computable real functions with moduli of uniform continuity: the pasting
-combinator, weighted averages, and the Robin Hood transfer function.
+combinator and the Robin Hood transfer function.
 
 Functions carry an `approx(n, point)` evaluator accurate to 2**-n, a modulus
 of uniform continuity, and (for every function built here) an exact rational
-evaluator used by the kernel and by cross-tests.  The Robin Hood function has
-two routes: a direct four-case evaluation, and a reference route assembled
-from nested pastes; the two agree on the function's domain and the test
-suite holds them together.  The four cases are one body, `transfer_cases`,
-on an integer weight and a scaled pair: `robin_hood_exact` runs it on
-Fractions, the exact regularization route on integers over a common
-denominator, and the finite-precision route on 2**-q mantissas.
+evaluator.  The Robin Hood transfer is the four cases of one body,
+`transfer_cases`, on an integer weight and a scaled pair:
+`robin_hood_exact` runs it on Fractions, the exact regularization route on
+integers over a common denominator, and the finite-precision route on
+2**-q mantissas.  `robin_hood_pipeline` assembles the same function from
+nested pastes, as the reference the test suite holds `robin_hood_exact` to.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ from .errors import DomainError
 __all__ = [
     "RealFunction",
     "from_exact",
-    "weighted_avg",
     "paste",
     "robin_hood_exact",
-    "robin_hood",
     "robin_hood_pipeline",
     "identity1",
     "negate1",
-    "constant",
     "absolute_value",
     "ceil_log2",
     "transfer_cases",
@@ -99,24 +95,6 @@ def identity1() -> RealFunction:
 
 def negate1() -> RealFunction:
     return from_exact(1, 1, lambda xs: (-xs[0],), lambda n: n)
-
-
-def constant(arity: int, value) -> RealFunction:
-    v = as_fraction(value)
-    return from_exact(arity, 1, lambda xs: (v,), lambda n: n)
-
-
-def weighted_avg(alpha) -> RealFunction:
-    """The two-point mean s, t -> alpha*s + (1-alpha)*t.
-
-    A convex combination moves no faster than its arguments, so the modulus
-    is the identity.
-    """
-    a = as_fraction(alpha)
-    if not (0 < a < 1):
-        raise DomainError("weight must lie strictly between 0 and 1")
-    return from_exact(2, 1, lambda xs: (a * xs[0] + (1 - a) * xs[1],),
-                      lambda n: n)
 
 
 def paste(f: RealFunction, g: RealFunction, k: RealFunction) -> RealFunction:
@@ -228,17 +206,6 @@ def weight_bits(A: int, B: int) -> int:
     reduced or not.
     """
     return ((B - 1) // min(A, B - A)).bit_length()
-
-
-def robin_hood(alpha) -> RealFunction:
-    """The transfer function as a RealFunction (direct evaluation route)."""
-    a = _transfer_weight(alpha)
-    bits = weight_bits(a.numerator, a.denominator)
-
-    def exact_fn(xs):
-        return robin_hood_exact(a, xs[0], xs[1])
-
-    return from_exact(2, 2, exact_fn, lambda n: n + bits)
 
 
 PIPELINE_BOX_BITS = 6

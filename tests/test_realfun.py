@@ -1,4 +1,4 @@
-"""Weighted averages, pasting, and the Robin Hood transfer."""
+"""Pasting and the Robin Hood transfer."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from cantorbet.core import Dyadic, HALF, frac_round_at
 from cantorbet.errors import DomainError
 from cantorbet.realfun import (
-    weighted_avg, paste, robin_hood_exact, robin_hood, robin_hood_pipeline,
-    identity1, negate1, constant, absolute_value, ceil_log2, weight_bits,
+    paste, robin_hood_exact, robin_hood_pipeline, identity1,
+    negate1, absolute_value, ceil_log2, weight_bits,
 )
 
 from helpers import random_transfer_point
@@ -60,19 +60,6 @@ def test_weight_bits_is_log2_of_the_slope():
             _least_power_at_least(max(Fraction(1), 1 / a, 1 / (1 - a)))
 
 
-def test_weighted_avg_examples():
-    m = weighted_avg(HALF)
-    assert m.exact((2, 0)) == (Fraction(1),)
-    assert m.exact((Fraction(3, 7), Fraction(3, 7))) == (Fraction(3, 7),)
-    q = weighted_avg(Fraction(1, 4))
-    assert q.exact((4, 0)) == (Fraction(1),)
-    assert q.approx(5, (Dyadic(4, 0), Dyadic(0, 0))) == (Dyadic(1, 0),)
-    with pytest.raises(DomainError):
-        weighted_avg(Fraction(0))
-    with pytest.raises(DomainError):
-        weighted_avg(Fraction(7, 5))
-
-
 # ---------------------------------------------------------------------------
 # pasting
 # ---------------------------------------------------------------------------
@@ -97,7 +84,7 @@ def test_paste_accuracy_random():
 
 def test_paste_guard_always_positive_is_left_branch():
     f = identity1()
-    h = paste(f, negate1(), constant(1, 1))
+    h = paste(f, negate1(), absolute_value())
     for x in [Dyadic(-3, 1), Dyadic(5, 2), Dyadic(0, 0)]:
         for n in (2, 8, 14):
             got = h.approx(n, (x,))[0]
@@ -115,13 +102,13 @@ def test_paste_boundary_agrees_with_both():
 def test_paste_modulus_is_max():
     f = identity1()          # modulus n
     g = negate1()            # modulus n
-    k = robin_hood(Fraction(1, 4))  # modulus n + 2, wrong arity though
-    slow = paste(f, g, constant(1, 0))
+    k = robin_hood_pipeline(Fraction(1, 4))  # wrong arity though
+    slow = paste(f, g, identity1())
     assert slow.modulus(7) == 7
     with pytest.raises(DomainError):
         paste(f, k, identity1())     # coarity mismatch
     with pytest.raises(DomainError):
-        paste(f, g, robin_hood(HALF))  # guard not scalar
+        paste(f, g, robin_hood_pipeline(HALF))  # guard not scalar
 
 
 def test_paste_exact_branching():
@@ -218,12 +205,11 @@ def test_rh_output_in_quadrant(a):
 
 @pytest.mark.parametrize("a", ALPHAS)
 def test_pipeline_exact_agrees(a):
-    direct = robin_hood(a)
     pipe = robin_hood_pipeline(a)
     rng = random.Random(7)
     for _ in range(300):
         s, t = random_transfer_point(rng, a)
-        assert pipe.exact((s, t)) == direct.exact((s, t))
+        assert pipe.exact((s, t)) == robin_hood_exact(a, s, t)
 
 
 @pytest.mark.parametrize("a", ALPHAS)

@@ -22,7 +22,7 @@ from cantorbet.martingale import ConstantMartingale, unit, covers, regularize
 from cantorbet.splitting import (
     Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
     cylinder, complement, complete_null, union_sequence,
-    modulated, measure_value, capital_sum_check,
+    modulated, measure_value,
     initial_capital_surplus, parse_operator, IndicatorMartingale,
     LimitPlusMartingale, SplittingOperator,
 )
@@ -476,16 +476,6 @@ def test_measure_value_examples():
     v = measure_value(disjoint, 8)
     assert v.precision <= 8
     assert abs(v.to_fraction() - Fraction(3, 4)) <= Fraction(1, 2 ** 8)
-
-
-def test_capital_sum_check():
-    mu = uniform()
-    whole = CylinderPos("", mu)
-    assert capital_sum_check(whole, whole, 4, 6)
-    c0 = CylinderPos("0", mu)
-    assert capital_sum_check(c0, complement(c0), 5, 5)
-    u = IntersectUnion(CylinderPos("0", mu), CylinderPos("1", mu), "cup")
-    assert capital_sum_check(u, CylinderPos("", mu), 3, 3)
 
 
 def test_axiom_iii_across_operators():
