@@ -5,8 +5,8 @@ splitting operators for measured sets, diagonalization, and a metered
 function algebra with length bounds — all over exact integer arithmetic.
 """
 
-from .core import Dyadic, bton, ntob, smash, growth
+from .core import Dyadic, bton, ntob, growth
 
 __version__ = "0.1.0"
 
-__all__ = ["Dyadic", "bton", "ntob", "smash", "growth"]
+__all__ = ["Dyadic", "bton", "ntob", "growth"]

@@ -14,6 +14,11 @@ from .funalg import (
     Meter, Oracle, Pad, check_bound, length_term, parse_secpoly,
 )
 
+__all__ = [
+    "EVALUATOR_MARGIN",
+    "recalibrate",
+]
+
 EVALUATOR_MARGIN = 8
 
 

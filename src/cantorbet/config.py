@@ -13,6 +13,15 @@ import os
 
 from .errors import ParseError, ResourceError
 
+__all__ = [
+    "DEFAULT_MAGNITUDE_CAP",
+    "ENV_VAR",
+    "MAX_NESTING",
+    "magnitude_cap",
+    "set_magnitude_cap",
+    "check_magnitude",
+]
+
 DEFAULT_MAGNITUDE_CAP = 2 ** 20
 ENV_VAR = "CANTORBET_MAGNITUDE_CAP"
 

@@ -46,7 +46,6 @@ __all__ = [
     "ntob",
     "succ",
     "pred",
-    "smash",
     "growth",
     "validate_string",
     "read_word",
@@ -303,8 +302,6 @@ def frac_round_at(q: Fraction | int, r: int) -> Dyadic:
     """
     if r < 0:
         raise DomainError("rounding precision must be >= 0")
-    if not isinstance(q, (Fraction, int)):
-        q = Fraction(q)
     return Dyadic(round_ratio(q.numerator << r, q.denominator), r)
 
 
@@ -370,15 +367,6 @@ def succ(w: str) -> str:
 def pred(w: str) -> str:
     n = bton(w)
     return ntob(n - 1) if n else ""
-
-
-def smash(u: str, v: str) -> str:
-    """All-ones string of length |u| * |v|."""
-    validate_string(u)
-    validate_string(v)
-    n = len(u) * len(v)
-    check_magnitude(n, "smash output")
-    return "1" * n
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,17 @@ from .martingale import Martingale, max_capital
 from .measure import ProbabilityMeasure, same_measure
 from .realfun import ceil_log2
 
+__all__ = [
+    "Constructor",
+    "result_prefix",
+    "query_precision",
+    "diagonalize",
+    "capital_margin",
+    "TrajectoryStep",
+    "ConservationReport",
+    "conservation_check",
+]
+
 
 class Constructor:
     """A strict-extension step function on bit strings."""

@@ -8,6 +8,17 @@ which the CLI also treats as a domain failure.
 
 from __future__ import annotations
 
+__all__ = [
+    "CantorbetError",
+    "DomainError",
+    "PreconditionError",
+    "ParseError",
+    "MeasureMismatchError",
+    "ModulusViolationError",
+    "BoundViolationError",
+    "ResourceError",
+]
+
 
 class CantorbetError(Exception):
     """Base class for everything raised on purpose by this package."""

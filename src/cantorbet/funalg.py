@@ -30,6 +30,43 @@ from .errors import (
     ResourceError,
 )
 
+__all__ = [
+    "Meter",
+    "Oracle",
+    "load_oracle",
+    "dump_oracle",
+    "Term",
+    "Const",
+    "S0",
+    "S1",
+    "Succ",
+    "Pred",
+    "Smash",
+    "Ap",
+    "Proj",
+    "Pad",
+    "OracleRef",
+    "Comp",
+    "Expand",
+    "Lrn",
+    "Br",
+    "parse_term",
+    "AlgebraChecker",
+    "closure_construct",
+    "ones_term",
+    "binary_length_term",
+    "monus_term",
+    "if_zero_term",
+    "longest_answer_index_term",
+    "length_term",
+    "length_functional",
+    "SecPoly",
+    "parse_secpoly",
+    "BoundReport",
+    "restricted_length",
+    "check_bound",
+]
+
 # ---------------------------------------------------------------------------
 # meters and oracles
 # ---------------------------------------------------------------------------

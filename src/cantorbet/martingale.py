@@ -53,14 +53,17 @@ __all__ = [
 class Martingale:
     """Base: the exact value as a reduced pair `pair(w) -> (n, d)`, d > 0,
     the same rational as `value(w)`, and the canonical approximation
-    `approx(r, w)`.  A subclass defines `pair`, or only `value`, which
-    `pair` then reads; and `_grid` only if it does not round the pair."""
+    `approx(r, w)`, each checking w.  A subclass answers on checked words:
+    it defines `_pair` or only `value`, and `_grid` if it does not round."""
 
     measure: ProbabilityMeasure | None = None
 
     def pair(self, w: str) -> tuple[int, int]:
+        return self._pair(validate_string(w))
+
+    def _pair(self, w: str) -> tuple[int, int]:
         if type(self).value is Martingale.value:
-            raise NotImplementedError("a martingale defines pair or value")
+            raise NotImplementedError("a martingale defines _pair or value")
         v = self.value(w)
         return v.numerator, v.denominator
 
@@ -75,7 +78,7 @@ class Martingale:
 
     def _grid(self, r: int, w: str) -> int:
         """The mantissa of approx(r, w), on checked input; rounds the pair."""
-        n, d = self.pair(w)
+        n, d = self._pair(w)
         return round_ratio(n << r, d)
 
 
@@ -86,12 +89,11 @@ class ConstantMartingale(Martingale):
         v = Fraction(value)
         if v < 0:
             raise DomainError("martingale values must be >= 0")
-        self._pair = v.numerator, v.denominator
+        self._v = v.numerator, v.denominator
         self.measure = measure
 
-    def pair(self, w: str) -> tuple[int, int]:
-        validate_string(w)
-        return self._pair
+    def _pair(self, w: str) -> tuple[int, int]:
+        return self._v
 
 
 def unit(measure: ProbabilityMeasure | None = None) -> ConstantMartingale:
@@ -127,8 +129,7 @@ class TableMartingale(Martingale):
         return next((w for w, m, m0, m1 in self.measure.splits(limit)
                      if t[w] * m != t[w + "0"] * m0 + t[w + "1"] * m1), None)
 
-    def pair(self, w: str) -> tuple[int, int]:
-        validate_string(w)
+    def _pair(self, w: str) -> tuple[int, int]:
         e = self.table[w[:self.depth]]
         return e.mantissa, 1 << e.precision   # a normalized Dyadic is reduced
 
@@ -156,9 +157,9 @@ class SumMartingale(Martingale):
         for t in self.terms:
             self.measure = same_measure(self.measure, t.measure)
 
-    def pair(self, w: str) -> tuple[int, int]:
+    def _pair(self, w: str) -> tuple[int, int]:
         n, d = 0, 1
-        for tn, td in (t.pair(w) for t in self.terms):
+        for tn, td in (t._pair(w) for t in self.terms):
             n, d = n * td + tn * d, d * td
         return reduced(n, d)
 
@@ -178,14 +179,14 @@ def covers(d: Martingale, prefix: str) -> bool:
 
 def is_regular(d: Martingale, depth: int) -> bool:
     """Once capital reaches 1 it never drops below 1 again (to `depth`)."""
-    n, e = d.pair("")
+    n, e = d._pair("")
     stack = [("", n >= e)]
     while stack:
         w, reached = stack.pop()
         if len(w) >= depth:
             continue
         for b in "01":
-            n, e = d.pair(w + b)
+            n, e = d._pair(w + b)
             if reached and n < e:
                 return False
             stack.append((w + b, reached or n >= e))
@@ -234,7 +235,7 @@ class RegularizedMartingale(Martingale):
         self._nu = nu
         # The exact route's memo: each value as a reduced pair (n, d), d > 0,
         # and each memoized node's mass, which its children's step reads
-        self._memo: dict[str, tuple[int, int]] = {"": base.pair("")}
+        self._memo: dict[str, tuple[int, int]] = {"": base._pair("")}
         self._mass: dict[str, Dyadic] = {"": nu.mass("")}
         # The path cursor of the finite-precision route (see `_scan`): the
         # last path scanned, each level's split data along it (the
@@ -251,10 +252,9 @@ class RegularizedMartingale(Martingale):
 
     value = Martingale.value   # its own, for perfbench/tracer.py to wrap
 
-    def pair(self, w: str) -> tuple[int, int]:
+    def _pair(self, w: str) -> tuple[int, int]:
         """The exact value from the memo; the pairs down to w are filled
         from the root first."""
-        validate_string(w)
         memo = self._memo
         if w not in memo:
             for i in range(len(w)):
@@ -272,7 +272,7 @@ class RegularizedMartingale(Martingale):
         `transfer_cases` at one = T gives each output as n/(d*T), reduced.
         """
         memo, mass = self._memo, self._mass
-        n, d = memo[w]   # pair() fills the memo from the root down
+        n, d = memo[w]   # _pair() fills the memo from the root down
         m = mass[w]
         m0, m1 = self._nu.children(w, m)
         mass[w + "0"], mass[w + "1"] = m0, m1
@@ -283,15 +283,12 @@ class RegularizedMartingale(Martingale):
         A, B = ab
         base = self.base
         (nw, dw), (n0, d0), (n1, d1) = \
-            base.pair(w), base.pair(w + "0"), base.pair(w + "1")
+            base._pair(w), base._pair(w + "0"), base._pair(w + "1")
         T = lcm(d, dw, d0, d1)
         c = n * (T // d) - nw * (T // dw)
         s = c + n0 * (T // d0)
         t = c + n1 * (T // d1)
         # a base that breaks the averaging identity can leave the domain
-        if (s < 0 or t < 0) and A * s + (B - A) * t < B * T:
-            raise DomainError(f"({Fraction(s, T)}, {Fraction(t, T)}) outside "
-                              f"the transfer domain for {Fraction(A, B)}")
         (n0, e0), (n1, e1) = transfer_cases(A, B, s, t, T)
         memo[w + "0"] = reduced(n0, e0 * T)
         memo[w + "1"] = reduced(n1, e1 * T)

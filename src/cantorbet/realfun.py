@@ -145,12 +145,12 @@ def transfer_cases(A: int, B: int, s, t, one):
 
     The weight is a = A/B with integers 0 < A < B, in any common scale
     (no gcd is taken), and the pair is (s/one, t/one), with s, t and one
-    all ints or all Fractions.  The pair must lie in the domain; nothing
-    here tests it.  Each output comes back as (n, d), an integer d > 0
-    with output = n / (d * one), so a caller on the 2**-q grid (one =
-    2**q) rounds n/d to a mantissa and a caller at one = 1 divides.  With
-    S = A*s + (B-A)*t, the mean is S / (B * one), and the cases are those
-    of `robin_hood_exact`:
+    all ints or all Fractions.  A pair outside the domain (s, t >= 0 or
+    mean >= 1) raises DomainError.  Each output comes back as (n, d), an
+    integer d > 0 with output = n / (d * one), so a caller on the 2**-q
+    grid (one = 2**q) rounds n/d to a mantissa and a caller at one = 1
+    divides.  With S = A*s + (B-A)*t, the mean is S / (B * one), and the
+    cases are those of `robin_hood_exact`:
       * both coordinates in [0, one]: (s, 1) and (t, 1);
       * S >= B * one: both get the mean, (S, B);
       * s >= one: (one, 1), and (S - A*one, B - A) for the other;
@@ -161,11 +161,12 @@ def transfer_cases(A: int, B: int, s, t, one):
     S = A * s + (B - A) * t
     if S >= B * one:
         return (S, B), (S, B)
+    if s < 0 or t < 0:
+        raise DomainError(f"({Fraction(s, one)}, {Fraction(t, one)}) outside "
+                          f"the transfer domain for {Fraction(A, B)}")
     if s >= one:
         return (one, 1), (S - A * one, B - A)
-    # S < B*one inside the quadrant and not in the unit square forces
-    # t >= one here
-    assert t >= one
+    # inside the quadrant and not in the unit square, t >= one here
     return (S - (B - A) * one, A), (one, 1)
 
 
@@ -190,10 +191,7 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
     a = _transfer_weight(alpha)
     s = as_fraction(s)
     t = as_fraction(t)
-    A, B = a.numerator, a.denominator
-    if not ((s >= 0 and t >= 0) or A * s + (B - A) * t >= B):
-        raise DomainError(f"({s}, {t}) outside the transfer domain for {a}")
-    (n0, d0), (n1, d1) = transfer_cases(A, B, s, t, _ONE)
+    (n0, d0), (n1, d1) = transfer_cases(a.numerator, a.denominator, s, t, _ONE)
     return (n0 if d0 == 1 else n0 / d0), (n1 if d1 == 1 else n1 / d1)
 
 

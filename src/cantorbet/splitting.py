@@ -93,8 +93,7 @@ class IndicatorMartingale(Martingale):
         self.w = validate_string(w)
         self.measure = nu
 
-    def pair(self, v: str) -> tuple[int, int]:
-        validate_string(v)
+    def _pair(self, v: str) -> tuple[int, int]:
         return int(v.startswith(self.w)), 1
 
 
@@ -114,18 +113,17 @@ class SliceMartingale(Martingale):
         self._mw = nu.mass(w)
         self._above = nu.witness.clears(self._mw, len(w))
 
-    def pair(self, v: str) -> tuple[int, int]:
-        validate_string(v)
+    def _pair(self, v: str) -> tuple[int, int]:
         if self.w.startswith(v):        # on the way down (or at the root w)
             if not self._above:
                 return 0, 1
-            n, d = self.inner.pair(self.w)
+            n, d = self.inner._pair(self.w)
             mw, mv = self._mw, self.measure.mass(v)   # times nu(w) / nu(v)
             k = mv.precision - mw.precision
             return reduced(n * mw.mantissa << max(k, 0),
                            d * mv.mantissa << max(-k, 0))
         if v.startswith(self.w):        # strictly inside the cylinder
-            return self.inner.pair(v)
+            return self.inner._pair(v)
         return 0, 1
 
 
@@ -137,8 +135,8 @@ class DiffMartingale(Martingale):
         self.part = part
         self.measure = whole.measure
 
-    def pair(self, w: str) -> tuple[int, int]:
-        (a, b), (c, d) = self.whole.pair(w), self.part.pair(w)
+    def _pair(self, w: str) -> tuple[int, int]:
+        (a, b), (c, d) = self.whole._pair(w), self.part._pair(w)
         return reduced(a * d - c * b, b * d)
 
 
@@ -254,23 +252,6 @@ def _require_null(op: SplittingOperator, what: str) -> None:
             f"{NULL_GATE_PRECISION} is not null")
 
 
-class CompleteNull(SplittingOperator):
-    """Measurement of an arbitrary subset of the null set `op` measures: op's
-    plus half restarted from the unit martingale, and the input itself."""
-
-    def __init__(self, op: SplittingOperator):
-        self.op = op
-        self.measure = op.measure
-
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        return self.op.split(r, unit(self.measure))[0], d
-
-
-def complete_null(op: SplittingOperator) -> CompleteNull:
-    _require_null(op, "complete_null")
-    return CompleteNull(op)
-
-
 class NullUnion(SplittingOperator):
     """Union of finitely many null sets: member j restarts from the unit
     martingale at precision j+r+1, the plus half is their sum and the minus
@@ -284,6 +265,13 @@ class NullUnion(SplittingOperator):
         return reduce(SumMartingale,
                       [op.split(j + r + 1, unit(self.measure))[0]
                        for j, op in enumerate(self.members)]), d
+
+
+def complete_null(op: SplittingOperator) -> NullUnion:
+    """Measurement of an arbitrary subset of the null set `op` measures:
+    the union of that one null set."""
+    _require_null(op, "complete_null")
+    return NullUnion((op,))
 
 
 class ModulatedSequence:
@@ -339,8 +327,8 @@ class LimitPlusMartingale(Martingale):
         self.k = k
         self.measure = measure
 
-    def pair(self, w: str) -> tuple[int, int]:
-        return self.halves[0].pair(w)
+    def _pair(self, w: str) -> tuple[int, int]:
+        return self.halves[0]._pair(w)
 
     def _grid(self, t: int, w: str) -> int:
         got = self.halves[0]._grid(t + 1, w)

@@ -7,9 +7,12 @@ something.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -18,6 +21,22 @@ from cantorbet.core import Dyadic, growth
 # one line per acceptance criterion; conftest echoes these in the final
 # report, where no capture mode can hide them
 ACCEPTANCE_LINES: list[str] = []
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_bench_module(name: str):
+    """perfbench/<name>.py, loaded from its file, leaving no bytecode
+    beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
 
 
 def bton_oracle(w: str) -> int:

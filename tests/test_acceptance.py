@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from cantorbet.calibration import EVALUATOR_MARGIN, recalibrate
 from cantorbet.core import Dyadic, ONE, growth, strings_of_length
@@ -36,12 +37,20 @@ from helpers import (
 )
 
 
+# the thirteen verdict lines as they read when every criterion passes with
+# its check count; the CI workflow diffs the suite's report against them
+VERDICTS = Path(__file__).with_name("acceptance_verdicts.txt")
+
+
 def verdict(num: int, name: str, failures: list, checked: int) -> None:
     status = "pass" if not failures else "FAIL"
     line = f"criterion {num:02d} {name}: {status} [{checked} checks]"
     ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert not failures, f"{name}: {len(failures)} failed, first {failures[:3]}"
+    # a count that moves means the criterion checks something else
+    assert line in VERDICTS.read_text().splitlines(), \
+        f"{line!r} is not in {VERDICTS.name}"
 
 
 def words_up_to(n: int) -> list[str]:

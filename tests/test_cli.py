@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cantorbet.calibration import EVALUATOR_MARGIN
 from cantorbet.cli import _Parser, _fraction_flag, run
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
-from cantorbet.core import Dyadic
+from cantorbet.core import Dyadic, strings_shorter_than
 from cantorbet.errors import ResourceError
 from cantorbet.funalg import parse_term
 from cantorbet.martingale import SumMartingale, TableMartingale, dump_martingale
@@ -25,8 +25,12 @@ from cantorbet.measure import (
 )
 
 from helpers import (
-    SHALLOW_WITNESS_MEASURE, growth_expressions, nesting_shapes, terms,
+    SHALLOW_WITNESS_MEASURE, growth_expressions, load_bench_module,
+    nesting_shapes, terms,
 )
+
+# the benchmark's reference: truth tables and measures of set expressions
+ref = load_bench_module("reference")
 
 
 def cli(*argv):
@@ -847,10 +851,13 @@ def test_zero_denominator_flag_is_a_usage_error():
 
 # Set expressions as tuples: ("cyl", w), ("compl", E), ("cap", E, F),
 # ("cup", E, F) or ("limit", [E0, ..., En], K), with words of at most three
-# bits, so each set is a union of the eight 3-bit cylinders.
+# bits, so each set is a union of the eight 3-bit cylinders.  The
+# benchmark's reference answers for them: `ref.contains` is the truth
+# table, `ref.set_measure` the measure and `ref.expr_text` the text.
 
 _THREE_BITS = frozenset(format(i, "03b") for i in range(8))
-_ZERO_SHARE = {"uniform": Fraction(1, 2), "biased:3/8": Fraction(3, 8)}
+_BUILTIN = {"uniform": Fraction(1, 2), "biased:3/8": Fraction(3, 8)}
+_EIGHTHS = [Fraction(k, 8) for k in range(9)]
 
 
 def _expressions(depth):
@@ -868,26 +875,29 @@ def _expressions(depth):
     return e
 
 
-def _text(e):
-    if e[0] == "cyl":
-        return f"(cyl {e[1] or '~'})"
-    if e[0] == "limit":
-        return "(limit " + " ".join(map(_text, e[1])) + f" {e[2]})"
-    return f"({e[0]} " + " ".join(map(_text, e[1:])) + ")"
+@st.composite
+def _measure_files(draw):
+    """A measure file's text and the reference model of its table: the
+    `half` or `copy` rule below depth 1 to 3, splits on the 2^-3 grid,
+    some of 0 or 1, and the witness l(n) = 3n, which every nonzero mass
+    then clears."""
+    rule = draw(st.sampled_from(["half", "copy"]))
+    depth = draw(st.integers(1, 3))
+    table = {"": Fraction(1)}
+    for w in strings_shorter_than(depth):
+        c = draw(st.sampled_from(_EIGHTHS))
+        table[w + "0"], table[w + "1"] = table[w] * c, table[w] * (1 - c)
+    lines = [f"measure depth={depth} ext={rule}"]
+    lines += [f"{w or '~'} {m.numerator} {m.denominator.bit_length() - 1}"
+              for w, m in table.items()]
+    lines.append("l poly 0 3")
+    below = ("const", Fraction(1, 2)) if rule == "half" else ("copy",)
+    return "\n".join(lines) + "\n", ref.MeasureModel(table, depth, below)
 
 
-def _truth_table(e):
-    """The 3-bit strings whose cylinders lie in the set; a limit is its
-    stage K, or its last stage when there are fewer."""
-    head = e[0]
-    if head == "cyl":
-        return frozenset(s for s in _THREE_BITS if s.startswith(e[1]))
-    if head == "compl":
-        return _THREE_BITS - _truth_table(e[1])
-    if head == "limit":
-        return _truth_table(e[1][min(e[2], len(e[1]) - 1)])
-    left, right = _truth_table(e[1]), _truth_table(e[2])
-    return left & right if head == "cap" else left | right
+def _cylinders(e):
+    """The 3-bit strings whose cylinders lie in the set."""
+    return frozenset(s for s in _THREE_BITS if ref.contains(e, s))
 
 
 def _honest(e):
@@ -895,37 +905,40 @@ def _honest(e):
     if e[0] == "cyl":
         return True
     if e[0] == "limit":
-        later = {_truth_table(s) for s in e[1][min(e[2], len(e[1]) - 1):]}
+        later = {_cylinders(s) for s in e[1][min(e[2], len(e[1]) - 1):]}
         return len(later) == 1 and all(map(_honest, e[1]))
     return all(map(_honest, e[1:]))
-
-
-def _set_measure(e, spec):
-    p = _ZERO_SHARE[spec]
-    return sum((p ** s.count("0") * (1 - p) ** s.count("1")
-                for s in _truth_table(e)), Fraction(0))
 
 
 # cli() raises whatever escapes run(), so an uncaught exception, the only
 # source of a traceback, fails these tests
 @settings(max_examples=120)
-@given(e=_expressions(6), spec=st.sampled_from(sorted(_ZERO_SHARE)),
+@given(e=_expressions(6),
+       measure=st.one_of(st.sampled_from(sorted(_BUILTIN)), _measure_files()),
        r=st.integers(0, 10))
-def test_generated_set_expressions_keep_the_contract(e, spec, r):
-    code, out, err = cli("measure-value", "--expr", _text(e),
+def test_generated_set_expressions_keep_the_contract(tmp_path_factory, e,
+                                                     measure, r):
+    if isinstance(measure, str):
+        spec, model = measure, ref.MeasureModel.coin(_BUILTIN[measure])
+    else:
+        text, model = measure
+        path = tmp_path_factory.getbasetemp() / "drawn.measure"
+        path.write_text(text)
+        spec = str(path)
+    code, out, err = cli("measure-value", "--expr", ref.expr_text(e),
                          "--measure", spec, "--precision", str(r))
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     if _honest(e):
         assert code == 0, err
         m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?\n", out)
         got = Fraction(int(m.group(1)), 2 ** int(m.group(2) or 0))
-        assert abs(got - _set_measure(e, spec)) <= Fraction(1, 2 ** r)
+        assert abs(got - ref.set_measure(e, model)) <= Fraction(1, 2 ** r)
 
 
 @settings(max_examples=120)
 @given(e=_expressions(6), data=st.data())
 def test_mutated_set_expressions_keep_the_contract(e, data):
-    text = _text(e)
+    text = ref.expr_text(e)
     i = data.draw(st.integers(0, len(text)), label="cut from")
     j = data.draw(st.integers(i, len(text)), label="cut to")
     patch = data.draw(st.text("() 01~-9acilmnoptuy\u00e9", max_size=8),

@@ -13,11 +13,12 @@ from cantorbet import config
 from cantorbet.core import (
     Dyadic, ZERO, ONE, HALF, parse_dyadic, frac_round_at, round_ratio,
     shift_round,
-    bton, ntob, succ, pred, smash, growth, strings_of_length, read_word,
+    bton, ntob, succ, pred, growth, strings_of_length, read_word,
     show_word, read_natural, read_sexpr, strings_shorter_than, check_table,
 )
 from cantorbet.config import MAX_NESTING
 from cantorbet.errors import DomainError, ParseError, ResourceError
+from cantorbet.funalg import Smash
 
 from helpers import bton_oracle, normalized, random_dyadic
 
@@ -303,8 +304,12 @@ def test_word_codec_validates():
 
 
 # ---------------------------------------------------------------------------
-# smash
+# smash: the algebra's own primitive, on two string arguments
 # ---------------------------------------------------------------------------
+
+def smash(u: str, v: str) -> str:
+    return Smash().evaluate((), (u, v))
+
 
 def test_smash():
     assert smash("01", "10") == "1111"

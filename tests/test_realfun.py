@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 from cantorbet.core import Dyadic, HALF, frac_round_at
 from cantorbet.errors import DomainError
 from cantorbet.realfun import (
-    paste, robin_hood_exact, robin_hood_pipeline, identity1,
-    negate1, absolute_value, ceil_log2, weight_bits,
+    from_exact, paste, robin_hood_exact, robin_hood_pipeline, identity1,
+    negate1, absolute_value, ceil_log2, transfer_cases, weight_bits,
 )
 
 from helpers import random_transfer_point
@@ -105,10 +105,20 @@ def test_paste_modulus_is_max():
     k = robin_hood_pipeline(Fraction(1, 4))  # wrong arity though
     slow = paste(f, g, identity1())
     assert slow.modulus(7) == 7
-    with pytest.raises(DomainError):
-        paste(f, k, identity1())     # coarity mismatch
-    with pytest.raises(DomainError):
-        paste(f, g, robin_hood_pipeline(HALF))  # guard not scalar
+    with pytest.raises(DomainError, match="shared arity"):
+        paste(f, k, identity1())     # arity mismatch
+    with pytest.raises(DomainError, match="shared arity"):
+        paste(f, g, robin_hood_pipeline(HALF))  # arity mismatch
+
+
+def test_paste_checks_coarities_on_equal_arities():
+    pair = from_exact(1, 2, lambda xs: (xs[0], xs[0]), lambda n: n)
+    for f, g in ((identity1(), pair), (pair, identity1())):
+        with pytest.raises(DomainError,
+                           match="paste branches must share a coarity"):
+            paste(f, g, identity1())
+    with pytest.raises(DomainError, match="paste guard must be scalar"):
+        paste(identity1(), negate1(), pair)
 
 
 def test_paste_exact_branching():
@@ -166,6 +176,65 @@ def test_rh_domain_errors():
         robin_hood_exact(HALF, Fraction(1, 2), Fraction(-1, 8))
     with pytest.raises(DomainError):
         robin_hood_exact(Fraction(3, 2), 1, 1)
+
+
+def _grid_weights(rng):
+    """Weights A/B, 0 < A < B, drawn on the 2**-k grids for several k, and
+    scaled by a random factor, since a split's weight comes unreduced."""
+    for k in (1, 2, 3, 8, 40):
+        for _ in range(6):
+            A = rng.randrange(1, 1 << k)
+            c = rng.randrange(1, 9)
+            yield A * c, c << k
+
+
+def _outside_the_domain(rng, A, B, one):
+    """Pairs with a negative coordinate and a mean below 1, one of each
+    kind: s >= one with t < 0, t >= one with s < 0, both negative, and one
+    coordinate in [0, one) with the other negative."""
+    s = one + rng.randrange(0, 4 * one + 1)
+    t_top = min(-1, -(-(B * one - A * s) // (B - A)) - 1)
+    yield s, t_top - rng.randrange(0, 3 * one + 1)
+    t = one + rng.randrange(0, 4 * one + 1)
+    s_top = min(-1, -(-(B * one - (B - A) * t) // A) - 1)
+    yield s_top - rng.randrange(0, 3 * one + 1), t
+    yield -rng.randrange(1, 4 * one + 1), -rng.randrange(1, 4 * one + 1)
+    yield rng.randrange(0, one), -rng.randrange(1, 4 * one + 1)
+    yield -rng.randrange(1, 4 * one + 1), rng.randrange(0, one)
+
+
+def test_transfer_cases_refuses_every_pair_outside_the_domain():
+    rng = random.Random(71)
+    refused = inside = 0
+    for A, B in _grid_weights(rng):
+        a = Fraction(A, B)
+        pipe = robin_hood_pipeline(a)
+        for one in (1, 2, 1 << 5, 1 << 40):
+            for s, t in _outside_the_domain(rng, A, B, one):
+                assert (s < 0 or t < 0) and A * s + (B - A) * t < B * one
+                want = (f"({Fraction(s, one)}, {Fraction(t, one)}) outside "
+                        f"the transfer domain for {a}")
+                with pytest.raises(DomainError) as e:
+                    transfer_cases(A, B, s, t, one)
+                assert str(e.value) == want
+                with pytest.raises(DomainError) as e:
+                    robin_hood_exact(a, Fraction(s, one), Fraction(t, one))
+                assert str(e.value) == want
+                refused += 1
+            for _ in range(5):
+                s, t = (rng.randrange(-4 * one, 4 * one + 1)
+                        for _ in range(2))
+                if (s < 0 or t < 0) and A * s + (B - A) * t < B * one:
+                    continue
+                (n0, d0), (n1, d1) = transfer_cases(A, B, s, t, one)
+                assert (Fraction(n0, d0 * one), Fraction(n1, d1 * one)) == \
+                    pipe.exact((Fraction(s, one), Fraction(t, one)))
+                inside += 1
+    assert refused == 30 * 4 * 5 and inside > 200
+    # the two pairs the weight 1/2 used to answer without a word
+    for s, t in ((3, -2), (-2, 3)):
+        with pytest.raises(DomainError, match="outside the transfer domain"):
+            transfer_cases(1, 2, s, t, 1)
 
 
 # ---------------------------------------------------------------------------

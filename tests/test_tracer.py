@@ -13,10 +13,8 @@ one that goes round them leaves its layer's counters at 0.
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import json
 import pkgutil
-import sys
 from pathlib import Path
 
 import cantorbet
@@ -24,17 +22,9 @@ from cantorbet import cli, diagonal, martingale
 from cantorbet.core import Dyadic
 from cantorbet.measure import uniform
 
+from helpers import load_bench_module
+
 ROOT = Path(__file__).resolve().parent.parent
-TRACER = ROOT / "perfbench" / "tracer.py"
-
-
-def _load_tracer(monkeypatch):
-    # loaded from its file, leaving no bytecode beside it
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _namespaces():
@@ -51,9 +41,9 @@ def _snapshot():
             for attr, value in list(vars(ns).items())}
 
 
-def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
+def test_tracer_installs_and_uninstalls_cleanly():
     before = _snapshot()
-    tracer = _load_tracer(monkeypatch).Tracer()
+    tracer = load_bench_module("tracer").Tracer()
     try:
         tracer.install()
         during = _snapshot()
@@ -73,7 +63,7 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
             if before[key] is not value] == []
 
 
-def test_traced_smoke_run_counts_every_layer(monkeypatch, tmp_path):
+def test_traced_smoke_run_counts_every_layer(tmp_path):
     # the package's functions are read through their modules, so that the
     # tracer's replacements are the ones called
     oracle = tmp_path / "table.orc"
@@ -82,7 +72,7 @@ def test_traced_smoke_run_counts_every_layer(monkeypatch, tmp_path):
     half = {"": Dyadic(1, 1), "0": Dyadic(3, 2), "1": Dyadic(1, 2),
             "00": Dyadic(7, 3), "01": Dyadic(5, 3),
             "10": Dyadic(1, 2), "11": Dyadic(1, 2)}
-    tracer = _load_tracer(monkeypatch).Tracer()
+    tracer = load_bench_module("tracer").Tracer()
     try:
         tracer.install()
         lam = martingale.regularize(
