@@ -82,8 +82,8 @@ class Dyadic:
             k = tz if tz < precision else precision
             mantissa >>= k
             precision -= k
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "precision", precision)
+        _set_mantissa(self, mantissa)
+        _set_precision(self, precision)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability
         raise AttributeError("Dyadic is immutable")
@@ -109,18 +109,20 @@ class Dyadic:
                 other.mantissa << (p - other.precision), p)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, p = self._align(other)
         return Dyadic(a + b, p)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b, p = self._align(other)
         return Dyadic(a - b, p)
 
@@ -131,11 +133,17 @@ class Dyadic:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dyadic(self.mantissa * other.mantissa,
-                      self.precision + other.precision)
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        m = self.mantissa * other.mantissa
+        p = self.precision + other.precision
+        if m & 1 or not p:
+            # a product of normalized factors with an odd mantissa, or an
+            # integer, is normalized already
+            return _dyadic(m, p)
+        return Dyadic(m, p)
 
     __rmul__ = __mul__
 
@@ -152,36 +160,41 @@ class Dyadic:
         return (a > b) - (a < b)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.mantissa == other.mantissa and self.precision == other.precision
 
     def __hash__(self):
         return hash((self.mantissa, self.precision))
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._cmp(other) < 0
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._cmp(other) > 0
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, Dyadic):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self._cmp(other) >= 0
 
     def __bool__(self):
@@ -227,6 +240,18 @@ class Dyadic:
 
     def __str__(self):
         return self.render()
+
+
+_set_mantissa = Dyadic.mantissa.__set__
+_set_precision = Dyadic.precision.__set__
+
+
+def _dyadic(mantissa: int, precision: int) -> Dyadic:
+    """A Dyadic from fields already normalized, built without the checks."""
+    d = object.__new__(Dyadic)
+    _set_mantissa(d, mantissa)
+    _set_precision(d, precision)
+    return d
 
 
 def _coerce(x):

@@ -16,7 +16,11 @@ masses against the positivity witness's threshold — the route a
 resource-bounded evaluator would take.  Both routes step down the tree one
 level at a time, and each level costs one `children` step of the measure
 on the split it reads: the masses of a node's children come from the
-node's own mass, never from a closed-form `mass` query.
+node's own mass, never from a closed-form `mass` query.  Both ask the base
+twice per node, for its two children, and hand each child's base value to
+that child's own step.  The exact route fills a missing word from its
+deepest memoized prefix down, so a walk that extends its path by one bit
+asks for one step.
 """
 
 from __future__ import annotations
@@ -194,9 +198,17 @@ def is_regular(d: Martingale, depth: int) -> bool:
 
 
 def max_capital(d: Martingale, prefix: str) -> Fraction:
-    """Largest capital along the prefix (a finite success diagnostic)."""
+    """Largest capital along the prefix (a finite success diagnostic).
+
+    The prefixes' pairs are compared on integers, by cross-multiplying;
+    only the largest is asked for as a `value`."""
     validate_string(prefix)
-    return max(d.value(prefix[:i]) for i in range(len(prefix) + 1))
+    best, (bn, bd) = 0, d._pair("")
+    for i in range(1, len(prefix) + 1):
+        n, e = d._pair(prefix[:i])
+        if n * bd > bn * e:
+            best, bn, bd = i, n, e
+    return d.value(prefix[:best])
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +246,13 @@ class RegularizedMartingale(Martingale):
         self.measure = same_measure(base.measure, nu)
         self._nu = nu
         # The exact route's memo: each value as a reduced pair (n, d), d > 0,
-        # and each memoized node's mass, which its children's step reads
-        self._memo: dict[str, tuple[int, int]] = {"": base._pair("")}
+        # and each memoized node's mass, which its children's step reads;
+        # and the base's pair at each node not yet expanded where the step
+        # above it asked for one, which that node's own step reads
+        root = base._pair("")
+        self._memo: dict[str, tuple[int, int]] = {"": root}
         self._mass: dict[str, Dyadic] = {"": nu.mass("")}
+        self._base_pairs: dict[str, tuple[int, int]] = {"": root}
         # The path cursor of the finite-precision route (see `_scan`): the
         # last path scanned, each level's split data along it (the
         # children's masses, the weight and the running slope), and the
@@ -253,13 +269,16 @@ class RegularizedMartingale(Martingale):
     value = Martingale.value   # its own, for perfbench/tracer.py to wrap
 
     def _pair(self, w: str) -> tuple[int, int]:
-        """The exact value from the memo; the pairs down to w are filled
-        from the root first."""
+        """The exact value from the memo.  A missing w is filled from its
+        deepest memoized prefix down, one `_children` step per level, so a
+        query k bits below the memo costs k steps and k + 1 probes."""
         memo = self._memo
         if w not in memo:
-            for i in range(len(w)):
-                if w[:i + 1] not in memo:
-                    self._children(w[:i])
+            k = len(w) - 1
+            while w[:k] not in memo:
+                k -= 1
+            for i in range(k, len(w)):
+                self._children(w[:i])
         return memo[w]
 
     def _children(self, w: str) -> None:
@@ -267,23 +286,29 @@ class RegularizedMartingale(Martingale):
 
         The children's masses come from w's memoized mass by one
         `children` step of the measure, so a node costs the same at any
-        depth.  The base's three pairs and w's own value n/d go onto one
-        denominator T, so the pair handed to the transfer is (s/T, t/T);
-        `transfer_cases` at one = T gives each output as n/(d*T), reduced.
+        depth.  The base is asked for w0 and w1 only: its pair at w was
+        kept by the step above w, or asked for here where that step was
+        degenerate and kept none.  That pair, the children's and w's own
+        value n/d go onto one denominator T, so the pair handed to the
+        transfer is (s/T, t/T); `transfer_cases` at one = T gives each
+        output as n/(d*T), reduced.
         """
         memo, mass = self._memo, self._mass
-        n, d = memo[w]   # _pair() fills the memo from the root down
+        n, d = memo[w]   # _pair() expands w's parent first
         m = mass[w]
         m0, m1 = self._nu.children(w, m)
         mass[w + "0"], mass[w + "1"] = m0, m1
+        base_pairs = self._base_pairs
+        kept = base_pairs.pop(w, None)
         ab = _weight(m, m0)
         if ab is None:
             memo[w + "0"] = memo[w + "1"] = n, d
             return
         A, B = ab
         base = self.base
-        (nw, dw), (n0, d0), (n1, d1) = \
-            base._pair(w), base._pair(w + "0"), base._pair(w + "1")
+        nw, dw = kept or base._pair(w)
+        n0, d0 = base_pairs[w + "0"] = base._pair(w + "0")
+        n1, d1 = base_pairs[w + "1"] = base._pair(w + "1")
         T = lcm(d, dw, d0, d1)
         c = n * (T // d) - nw * (T // dw)
         s = c + n0 * (T // d0)

@@ -39,6 +39,16 @@ def load_bench_module(name: str):
     return module
 
 
+class ProbeCountingMemo(dict):
+    """A memo that counts its membership tests."""
+
+    probes = 0
+
+    def __contains__(self, key):
+        self.probes += 1
+        return dict.__contains__(self, key)
+
+
 def bton_oracle(w: str) -> int:
     """Length-then-lex rank, computed by counting, not bit tricks."""
     shorter = (1 << len(w)) - 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -76,17 +77,55 @@ def test_every_result_is_normalized(a, b, r, k):
         assert normalized(d), (d.mantissa, d.precision)
 
 
-@given(dyadics, dyadics)
-def test_arith_matches_fractions(a, b):
-    assert (a + b).to_fraction() == a.to_fraction() + b.to_fraction()
-    assert (a - b).to_fraction() == a.to_fraction() - b.to_fraction()
-    assert (a * b).to_fraction() == a.to_fraction() * b.to_fraction()
-    assert (a <= b) == (a.to_fraction() <= b.to_fraction())
+_OPERATORS = [operator.add, operator.sub, operator.mul, operator.eq,
+              operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@given(dyadics, dyadics, st.integers(min_value=-(1 << 20), max_value=1 << 20))
+def test_arith_matches_fractions(a, b, k):
+    # Dyadic and int operands, on either side: every result is Fraction
+    # arithmetic's, and every Dyadic result is normalized.
+    fa, fb = a.to_fraction(), b.to_fraction()
+    for op in _OPERATORS:
+        for x, y, want in [(a, b, op(fa, fb)), (a, k, op(fa, k)),
+                           (k, a, op(k, fa)), (a, a, op(fa, fa))]:
+            got = op(x, y)
+            if isinstance(want, bool):
+                assert got is want, (op, x, y)
+            else:
+                assert normalized(got), (op, x, y, got.mantissa,
+                                         got.precision)
+                assert got.to_fraction() == want, (op, x, y)
+
+
+def test_product_fields_are_normalized():
+    # a product of normalized factors is normalized already when its
+    # mantissa is odd or its precision 0; otherwise its twos are stripped
+    for a, b, fields in [(Dyadic(2), Dyadic(1, 1), (1, 0)),
+                         (Dyadic(0), Dyadic(3, 2), (0, 0)),
+                         (Dyadic(6), Dyadic(3, 1), (9, 0)),
+                         (Dyadic(4), Dyadic(3, 3), (3, 1)),
+                         (Dyadic(3, 1), Dyadic(5, 2), (15, 3)),
+                         (Dyadic(-6), Dyadic(5), (-30, 0)),
+                         (Dyadic(1, 1), 6, (3, 0)), (6, Dyadic(1, 2), (3, 1))]:
+        got = a * b
+        assert (got.mantissa, got.precision) == fields, (a, b)
+
+
+def test_foreign_operands_are_not_implemented():
+    a = Dyadic(3, 1)
+    for other in (Fraction(1, 3), Fraction(1, 2), 0.5, 2.0):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__eq__", "__lt__", "__le__", "__gt__",
+                     "__ge__"):
+            assert getattr(a, name)(other) is NotImplemented, (name, other)
 
 
 def test_dyadic_has_no_division():
     # a quotient of dyadics need not be dyadic: Dyadic stays on the grid
-    for a, b in [(ONE, ONE), (HALF, Dyadic(3)), (ONE, 3), (3, HALF)]:
+    for a, b in [(ONE, ONE), (HALF, Dyadic(3)), (ONE, 3), (3, HALF),
+                 (HALF, Fraction(1, 2)), (Fraction(1, 2), HALF), (HALF, 0.5),
+                 (0.5, HALF)]:
         with pytest.raises(TypeError):
             a / b
 

@@ -19,7 +19,8 @@ from cantorbet.diagonal import (
 )
 
 from helpers import (
-    build_measure, build_table_martingale, random_conditionals,
+    ProbeCountingMemo, build_measure, build_table_martingale,
+    random_conditionals,
 )
 
 
@@ -406,6 +407,22 @@ def test_mass_queries_do_not_grow_with_the_path(monkeypatch):
             lam.approx(16, x)
             counts.append(len(calls))
         assert counts == [3, 3, 3], counts
+
+
+def test_conservation_memo_probes_grow_linearly():
+    # Each step asks for the pair of a word one bit below the exact memo,
+    # which the fill answers from the deepest memoized prefix in two
+    # probes; max_capital probes each prefix once more.  A fill that
+    # tested every prefix from the root would make about D**2 / 2.
+    nu = uniform()
+    base = TableMartingale({"": Dyadic(1, 2)}, 0, nu)
+    for steps in (100, 400, 1600):
+        lam = regularize(base, nu)
+        m = capital_margin(lam, "")
+        lam._memo = memo = ProbeCountingMemo(lam._memo)
+        rep = conservation_check(lam, nu, "", m, steps)
+        assert len(rep.steps) == steps and rep.max_capital == Fraction(1, 4)
+        assert memo.probes <= 3 * steps + 3, (steps, memo.probes)
 
 
 def test_conservation_stops_at_the_first_step_reaching_one():

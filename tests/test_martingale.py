@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantorbet.core import (
     Dyadic, ZERO, ONE, frac_round_at, ntob, strings_of_length,
+    strings_shorter_than,
 )
 from cantorbet.errors import DomainError, MeasureMismatchError, ParseError
 from cantorbet.measure import (
@@ -29,7 +30,7 @@ from cantorbet.splitting import (
 
 from helpers import (
     random_conditionals, build_measure, random_martingale_table,
-    build_table_martingale,
+    build_table_martingale, ProbeCountingMemo,
 )
 from test_approx import _measure, _split_conditionals, _word
 
@@ -173,6 +174,22 @@ def test_capital_diagnostics():
     d = table_d(COVER_FIXTURE, 2)
     assert max_capital(d, "00") == Fraction(9, 8)
     assert max_capital(d, "11") == Fraction(1, 2)
+
+
+def test_max_capital_is_the_largest_value_along_the_prefix():
+    # max_capital compares the prefixes' pairs on integers; its answer is
+    # the max over their values as Fractions, on tables, regularizations
+    # and sums of both
+    rng = random.Random(61)
+    for kind in ["Table", "Sum", "Slice", "LimitPlus"] * 4:
+        base, nu = _regularization_base(kind, rng)
+        for d in (base, regularize(base, nu), SumMartingale(base, unit(nu))):
+            for n in (0, 1, 5, 30):
+                w = _word(rng, n)
+                got = max_capital(d, w)
+                assert type(got) is Fraction
+                assert got == max(d.value(w[:i]) for i in range(n + 1)), \
+                    (kind, w)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +650,70 @@ def test_interleaved_queries_match_a_fresh_regularization():
             want = nu.mass(w)
             assert (m.mantissa, m.precision) == \
                 (want.mantissa, want.precision), (kind, w)
+
+
+class PairCountingMartingale(Martingale):
+    """Delegates to another martingale, counting its `_pair` calls."""
+
+    def __init__(self, inner: Martingale):
+        self.inner = inner
+        self.measure = inner.measure
+        self.calls = 0
+
+    def _pair(self, w: str) -> tuple[int, int]:
+        self.calls += 1
+        return self.inner._pair(w)
+
+
+def test_exact_route_asks_the_base_twice_per_node():
+    # Each step asks the base for both children and keeps their pairs, so
+    # a child's own step reads its pair back: a fresh regularization's
+    # value at an n-bit word asks the base for the root and then for two
+    # children per level, on measures whose splits are all nondegenerate.
+    rng = random.Random(71)
+    half, p = Dyadic(1, 1), Dyadic(3, 3)
+    drawn = random_conditionals(rng, 4)
+    for nu, cond, depth in [
+            (uniform(), dict.fromkeys(strings_shorter_than(6), half), 6),
+            (biased(p), dict.fromkeys(strings_shorter_than(6), p), 6),
+            (build_measure(drawn, 4), drawn, 4)]:
+        for n in (0, 1, 5, 20, 60):
+            table = random_martingale_table(rng, cond, depth)
+            base = PairCountingMartingale(TableMartingale(table, depth, nu))
+            w = _word(rng, n)
+            got = regularize(base, nu).value(w)
+            assert base.calls == 1 + 2 * n, (n, base.calls)
+            assert got == _reference_value(base.inner, nu, w)
+
+
+def test_a_query_below_the_memo_fills_from_the_deepest_memoized_prefix():
+    # A word k bits below the memo costs k `_children` steps, from its
+    # deepest memoized prefix down, and k + 1 probes of the memo: one bit
+    # below costs one step and two probes, whatever the word's length.
+    rng = random.Random(79)
+    for kind in ["Table", "Sum", "Slice", "LimitPlus"] * 2:
+        base, nu = _regularization_base(kind, rng)
+        lam = regularize(base, nu)
+        steps = []
+        children = lam._children
+        lam._children = lambda w: (steps.append(w), children(w))
+        x = _word(rng, rng.randrange(20, 40))
+        lam.value(x)
+        lam._memo = memo = ProbeCountingMemo(lam._memo)
+        for k in (1, 1, 2, 7):
+            w = x + _word(rng, k)
+            del steps[:]
+            memo.probes = 0
+            got = lam.pair(w)
+            assert steps == [w[:i] for i in range(len(x), len(w))], (kind, k)
+            assert memo.probes == k + 1, (kind, k, memo.probes)
+            assert got == regularize(base, nu).pair(w), (kind, w)
+            x = w
+        # the sibling was filled with w: one probe, no step
+        del steps[:]
+        memo.probes = 0
+        lam.pair(x[:-1] + "10"[int(x[-1])])
+        assert steps == [] and memo.probes == 1
 
 
 # ---------------------------------------------------------------------------
