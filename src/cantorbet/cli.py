@@ -278,7 +278,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_LITERAL
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The `cantorbet` parser, and each verb's own parser by name: the
+    choices of its subparsers action."""
     parser = _Parser(
         prog="cantorbet",
         description="Exact-arithmetic toolkit for betting strategies, "
@@ -394,12 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the first K words, one per line")
     p.set_defaults(handler=_cmd_enumerate)
 
-    return parser
+    return parser, sub.choices
 
 
 # argparse looks up sys.stdout and sys.stderr when it prints, so one parser
 # serves every call, captured streams included
-_PARSER = build_parser()
+_PARSER, _VERB_PARSERS = build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +414,14 @@ def run(argv) -> int:
     """Parse, dispatch, translate errors into the exit-status protocol."""
     try:
         # parsing is inside the try, as a flag's type may raise
-        # ResourceError; argv[0] is then the verb
-        ns = _PARSER.parse_args(argv)
+        # ResourceError; argv[0] is then the verb.  A verb's own parser
+        # reads the flags after it; the top-level parser takes every other
+        # argv (none, -h, an unknown verb) and prints its usage
+        verb_parser = _VERB_PARSERS.get(argv[0]) if argv else None
+        if verb_parser is None:
+            ns = _PARSER.parse_args(argv)
+        else:
+            ns = verb_parser.parse_args(argv[1:])
         # precisions and margins are sizes: refuse one past the cap before
         # any 2**size is built
         for flag in ("precision", "margin"):

@@ -114,6 +114,10 @@ class Dyadic:
             if other is NotImplemented:
                 return NotImplemented
         a, b, p = self._align(other)
+        if self.precision != other.precision or not p:
+            # normalized operands at two precisions: the finer one's odd
+            # mantissa makes the sum odd; at precision 0 any sum is an int
+            return _dyadic(a + b, p)
         return Dyadic(a + b, p)
 
     __radd__ = __add__
@@ -124,6 +128,9 @@ class Dyadic:
             if other is NotImplemented:
                 return NotImplemented
         a, b, p = self._align(other)
+        if self.precision != other.precision or not p:
+            # normalized already, as for a sum
+            return _dyadic(a - b, p)
         return Dyadic(a - b, p)
 
     def __rsub__(self, other):
@@ -147,11 +154,12 @@ class Dyadic:
 
     __rmul__ = __mul__
 
+    # a sign change keeps a normalized mantissa odd and a zero at precision 0
     def __neg__(self):
-        return Dyadic(-self.mantissa, self.precision)
+        return _dyadic(-self.mantissa, self.precision)
 
     def __abs__(self):
-        return Dyadic(abs(self.mantissa), self.precision)
+        return _dyadic(abs(self.mantissa), self.precision)
 
     # -- comparisons ---------------------------------------------------
 

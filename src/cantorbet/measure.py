@@ -54,17 +54,15 @@ class PositivityWitness:
         return self.c0 + self.c1 * n
 
     def clears(self, mass: Dyadic, n: int) -> bool:
-        """Whether mass >= 2**-l(n).
+        """Whether mass >= 2**-l(n)."""
+        return _clears(mass.mantissa, mass.precision, self(n))
 
-        Read off the mass's mantissa m and precision p: for m >= 1,
-        m / 2**p >= 2**-l exactly when p <= l or m >= 2**(p - l).  The
-        threshold itself is never built; l(n) may run to billions of bits.
-        """
-        m, p = mass.mantissa, mass.precision
-        if m <= 0:
-            return False
-        l = self(n)
-        return p <= l or m.bit_length() > p - l
+
+def _clears(m: int, p: int, l: int) -> bool:
+    """Whether m / 2**p >= 2**-l: for m >= 1, exactly when p <= l or
+    m >= 2**(p - l).  The threshold itself is never built; l may run to
+    billions of bits."""
+    return m > 0 and (p <= l or m.bit_length() > p - l)
 
 
 class ProbabilityMeasure:
@@ -92,11 +90,18 @@ class ProbabilityMeasure:
     # -- construction-time checks --------------------------------------
 
     def _validate(self):
-        check_table(self.table, self.depth)
-        if self.table[""] != ONE:
+        table = self.table
+        check_table(table, self.depth)
+        if table[""] != ONE:
             raise DomainError("root mass must be exactly 1")
+        # each mass against its children's sum, on the finest of the
+        # three grids
         for w in strings_shorter_than(self.depth):
-            if self.table[w] != self.table[w + "0"] + self.table[w + "1"]:
+            m, m0, m1 = table[w], table[w + "0"], table[w + "1"]
+            p = max(m.precision, m0.precision, m1.precision)
+            if (m.mantissa << (p - m.precision)
+                    != (m0.mantissa << (p - m0.precision))
+                    + (m1.mantissa << (p - m1.precision))):
                 raise DomainError(f"additivity fails at {w!r}")
 
     def _boundary_conditionals(self) -> dict[str, Dyadic]:
@@ -114,7 +119,7 @@ class ProbabilityMeasure:
             raise DomainError("ext=copy needs a table of depth >= 1")
         out = {}
         for u in strings_of_length(self.depth):
-            if self.table[u] == ZERO:
+            if not self.table[u]:
                 continue
             a, b = self.table[u[:-1] + "0"], self.table[u[:-1]]
             n, d = reduced(a.mantissa << b.precision,
@@ -178,15 +183,18 @@ class ProbabilityMeasure:
         threshold by 2**-c1: every length passes exactly when the table
         does and each such mu clears 2**-c1."""
         if depth is None:
-            # its threshold at n = 1 is the drop per level, 2**-c1
-            step = PositivityWitness(0, self.witness.c1)
+            # the drop per level, min(c, 1 - c) with both on one grid,
+            # against 2**-c1
+            c1 = self.witness.c1
             return self.weakly_positive(self.depth) and all(
-                step.clears(min(split), 1)
-                for split in self._split.values() if ZERO not in split)
+                _clears(min(a, b), p, c1)
+                for a, b, p in map(_on_one_grid, self._split.values())
+                if a and b)
         # the root's mass, 1, clears every threshold
-        clears = self.witness.clears
-        return all(clears(m, len(w) + 1) for w, _, m0, m1 in self.splits(depth)
-                   for m in (m0, m1) if m)
+        l = self.witness
+        return all(_clears(m.mantissa, m.precision, l(len(w) + 1))
+                   for w, _, m0, m1 in self.splits(depth)
+                   for m in (m0, m1) if m.mantissa)
 
     def __repr__(self):
         return (f"ProbabilityMeasure(depth={self.depth}, ext={self.ext[0]}, "
@@ -199,6 +207,14 @@ class ProbabilityMeasure:
                 and self.witness == other.witness and self.table == other.table)
 
     __hash__ = None  # content-compared, mutable-looking; keep unhashable
+
+
+def _on_one_grid(split: tuple[Dyadic, Dyadic]) -> tuple[int, int, int]:
+    """The mantissas of (c, 1 - c) on the finer one's grid, and its
+    precision."""
+    c, d = split
+    p = max(c.precision, d.precision)
+    return c.mantissa << (p - c.precision), d.mantissa << (p - d.precision), p
 
 
 def uniform() -> ProbabilityMeasure:

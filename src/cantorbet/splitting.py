@@ -24,7 +24,7 @@ an expression nested k deep costs O(k) operator applications.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 
 from .core import (
     Dyadic, ZERO, read_natural, read_sexpr, read_word, reduced, shift_round,
@@ -389,37 +389,50 @@ def initial_capital_surplus(op: SplittingOperator, r: int,
 # where w is a bit string (~ for the empty string) and K is the index from
 # which the limit family is constant.
 
-def _operands(items):
-    for item in items:
-        if isinstance(item, str):
-            raise ParseError(f"expected an operator form, got {item!r}")
-    return items
+def _operand(item):
+    if isinstance(item, str):
+        raise ParseError(f"expected an operator form, got {item!r}")
+    return item
 
 
-def _build_form(items, nu: ProbabilityMeasure) -> SplittingOperator:
-    """The operator of one closed form: its head, then atoms and operators."""
+def _build_cyl(items, nu: ProbabilityMeasure) -> SplittingOperator:
+    if len(items) != 2 or not isinstance(items[1], str):
+        raise ParseError("(cyl w) takes exactly one string")
+    try:
+        return cylinder(read_word(items[1]), nu)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _build_compl(items, nu: ProbabilityMeasure) -> SplittingOperator:
+    if len(items) != 2:
+        raise ParseError("(compl E) takes exactly one operator")
+    return complement(_operand(items[1]))
+
+
+def _build_cap_cup(items, nu: ProbabilityMeasure) -> SplittingOperator:
     head = items[0]
-    if head == "cyl":
-        if len(items) != 2 or not isinstance(items[1], str):
-            raise ParseError("(cyl w) takes exactly one string")
-        try:
-            return cylinder(read_word(items[1]), nu)
-        except DomainError as exc:
-            raise ParseError(str(exc)) from None
-    if head == "compl":
-        if len(items) != 2:
-            raise ParseError("(compl E) takes exactly one operator")
-        return complement(*_operands(items[1:]))
-    if head in ("cap", "cup"):
-        if len(items) != 3:
-            raise ParseError(f"({head} E F) takes exactly two operators")
-        return IntersectUnion(*_operands(items[1:]), head)
-    if head == "limit":
-        if len(items) < 3 or not isinstance(items[-1], str):
-            raise ParseError("(limit E0 E1 ... K) needs stages and an index")
-        k = read_natural(items[-1], "limit index")
-        return LimitMeasurement(modulated(_operands(items[1:-1]), k))
-    raise ParseError(f"unknown operator head {head!r}")
+    if len(items) != 3:
+        raise ParseError(f"({head} E F) takes exactly two operators")
+    return IntersectUnion(_operand(items[1]), _operand(items[2]), head)
+
+
+def _build_limit(items, nu: ProbabilityMeasure) -> SplittingOperator:
+    if len(items) < 3 or not isinstance(items[-1], str):
+        raise ParseError("(limit E0 E1 ... K) needs stages and an index")
+    k = read_natural(items[-1], "limit index")
+    return LimitMeasurement(modulated(map(_operand, items[1:-1]), k))
+
+
+def _unknown_head(items, nu: ProbabilityMeasure) -> SplittingOperator:
+    raise ParseError(f"unknown operator head {items[0]!r}")
+
+
+# the builder of a closed form's operator, by the form's head; each takes
+# the form's items (its head, then atoms and built operators) and the measure
+_BUILDERS = {"cyl": _build_cyl, "compl": _build_compl,
+             "cap": _build_cap_cup, "cup": _build_cap_cup,
+             "limit": _build_limit}
 
 
 def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
@@ -427,5 +440,7 @@ def parse_operator(text: str, nu: ProbabilityMeasure) -> SplittingOperator:
     recurses through `cap`, `cup` and `limit`, so only those count toward
     the nesting bound; `compl` does not, because nested complements
     cancel."""
-    return read_sexpr(text, partial(_build_form, nu=nu),
-                      ("cap", "cup", "limit"), "set expression")
+    def build(items):
+        return _BUILDERS.get(items[0], _unknown_head)(items, nu)
+
+    return read_sexpr(text, build, ("cap", "cup", "limit"), "set expression")

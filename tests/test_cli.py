@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import json
 import re
 import shlex
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorbet.calibration import EVALUATOR_MARGIN
-from cantorbet.cli import _Parser, _fraction_flag, run
+from cantorbet.cli import _Parser, _fraction_flag, build_parser, run
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.core import Dyadic, strings_shorter_than
 from cantorbet.errors import ResourceError
@@ -1182,3 +1183,59 @@ def test_module_entry_point(good_mg):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "ok\n"
+
+
+# ---------------------------------------------------------------------------
+# dispatch: a verb's own parser reads the flags after it
+# ---------------------------------------------------------------------------
+
+def _parse(parser, argv):
+    """The namespace's fields, or the exit status and stderr of a usage
+    error."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
+def _pinned_argvs():
+    tests = Path(__file__).parent
+    for name in ("pinned_outputs.json", "pinned_terms.json"):
+        for row in json.loads((tests / name).read_text()):
+            yield [a.replace("{dir}", "/nonexistent") for a in row[0]]
+
+
+def test_a_verbs_parser_gives_the_full_parsers_namespace():
+    parser, verbs = build_parser()
+    argvs = list(_pinned_argvs())
+    assert len(argvs) >= 800
+    for argv in argvs:
+        full = _parse(parser, argv)
+        assert full.pop("verb") == argv[0]
+        assert _parse(verbs[argv[0]], argv[1:]) == full, argv
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["-h"], 0), (["--help"], 0), (["bogus"], 2), (["--version"], 2),
+])
+def test_argvs_without_a_verb_go_to_the_top_level_parser(argv, code):
+    parser, _ = build_parser()
+    got, out, err = cli(*argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith(parser.format_usage())
+        assert err.splitlines()[-1].startswith("cantorbet: error: ")
+    else:
+        assert out == parser.format_help() and err == ""
+
+
+def test_unrecognized_arguments_are_reported_by_the_verb():
+    code, out, err = cli("measure-value", "--expr", "(cyl 0)", "--measure",
+                         "uniform", "--precision", "4", "--extra")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == \
+        "cantorbet measure-value: error: unrecognized arguments: --extra"
+    assert err.startswith("usage: cantorbet measure-value ")

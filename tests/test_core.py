@@ -112,6 +112,20 @@ def test_product_fields_are_normalized():
         assert (got.mantissa, got.precision) == fields, (a, b)
 
 
+def test_sum_and_difference_fields_are_normalized():
+    # operands at two precisions give an odd mantissa at the finer one and
+    # integers an integer, both normalized already; at one precision
+    # above 0 the twos of the sum or difference are stripped
+    for got, fields in [(Dyadic(1, 1) + Dyadic(1, 1), (1, 0)),
+                        (Dyadic(3, 2) - Dyadic(1, 2), (1, 1)),
+                        (Dyadic(1, 1) + Dyadic(1, 2), (3, 2)),
+                        (Dyadic(1, 2) - Dyadic(1, 1), (-1, 2)),
+                        (Dyadic(5) - 5, (0, 0)), (Dyadic(5) + 3, (8, 0)),
+                        (2 - Dyadic(3, 1), (1, 1)), (-Dyadic(3, 2), (-3, 2)),
+                        (abs(Dyadic(-3, 2)), (3, 2)), (-Dyadic(0), (0, 0))]:
+        assert (got.mantissa, got.precision) == fields
+
+
 def test_foreign_operands_are_not_implemented():
     a = Dyadic(3, 1)
     for other in (Fraction(1, 3), Fraction(1, 2), 0.5, 2.0):

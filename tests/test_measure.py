@@ -401,3 +401,61 @@ def test_load_rejects_witness_mismatch():
         load_measure(SHALLOW_WITNESS_MEASURE)
     # the same table under a threshold that falls by 2**-2 per level
     load_measure(SHALLOW_WITNESS_MEASURE.replace("l poly 4 1", "l poly 4 2"))
+
+
+def _fraction_verdict(table: dict[str, Fraction], depth: int, ext: str,
+                      c0: int, c1: int):
+    """The additivity check's message, or weakly_positive()'s answer, on
+    Fractions: every nonzero table mass at length n against 2**-(c0 + c1 n),
+    and below the table each boundary split (c, 1 - c) with both sides
+    nonzero against 2**-c1."""
+    for n in range(depth):
+        for w in strings_of_length(n):
+            if table[w] != table[w + "0"] + table[w + "1"]:
+                return f"additivity fails at {w!r}"
+    if any(m and m < Fraction(1, 1 << (c0 + c1 * len(w)))
+           for w, m in table.items()):
+        return False
+    for u in strings_of_length(depth):
+        if table[u]:
+            c = (Fraction(1, 2) if ext == "half"
+                 else table[u[:-1] + "0"] / table[u[:-1]])
+            if c and c != 1 and min(c, 1 - c) < Fraction(1, 1 << c1):
+                return False
+    return True
+
+
+def test_integer_checks_match_fractions():
+    # depth 0-4 tables split top down with shares on the 2**-3 grid, 0 and
+    # 1 among them (null nodes); a third of them then move one node's mass
+    # by one unit of a grid at least as fine as the table's finest
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        depth = rng.randrange(5)
+        ext = rng.choice(("half", "copy")) if depth else "half"
+        table = {"": Fraction(1)}
+        for n in range(depth):
+            for w in strings_of_length(n):
+                share = Fraction(rng.choice((0, 1, 1, 2, 3, 5, 7, 8)), 8)
+                table[w + "0"] = table[w] * share
+                table[w + "1"] = table[w] - table[w + "0"]
+        if depth and rng.randrange(3) == 0:
+            finest = max(m.denominator for m in table.values())
+            ulp = Fraction(1, finest << rng.randrange(3))
+            w = rng.choice([w for w in table if w])
+            table[w] += ulp if rng.randrange(2) or not table[w] else -ulp
+        c0, c1 = rng.randrange(5), rng.randrange(5)
+        want = _fraction_verdict(table, depth, ext, c0, c1)
+        try:
+            nu = ProbabilityMeasure(
+                {w: Dyadic.from_fraction(m) for w, m in table.items()}, depth,
+                ("const", HALF) if ext == "half" else ("copy",),
+                PositivityWitness(c0, c1))
+        except DomainError as exc:
+            got = str(exc)
+        else:
+            got = nu.weakly_positive()
+        assert got == want, (table, depth, ext, c0, c1)
+        seen.add(want if isinstance(want, bool) else "additivity")
+    assert seen == {True, False, "additivity"}

@@ -521,3 +521,43 @@ def test_parse_operator_errors():
                 "(cyl 0) extra", "(limit (cyl 0))", "(limit (cyl 0) x)"]:
         with pytest.raises(ParseError):
             parse_operator(bad, mu)
+
+
+@pytest.mark.parametrize("k", [*range(8), 3000])
+def test_nested_complements_cancel_to_the_cylinder(k, monkeypatch):
+    # each (compl E) of a Complement unwraps it, so k complements leave
+    # the cylinder operator itself for even k and one Complement of it
+    # for odd k, however deep
+    mu = uniform()
+    cyl = CylinderPos("0", mu)
+    monkeypatch.setattr("cantorbet.splitting.cylinder", lambda w, nu: cyl)
+    op = parse_operator("(compl " * k + "(cyl 0)" + ")" * k, mu)
+    if k % 2:
+        assert type(op) is Complement and op.inner is cyl
+    else:
+        assert op is cyl
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(cyl)", "(cyl w) takes exactly one string (position 0)"),
+    ("(cyl 0 1)", "(cyl w) takes exactly one string (position 0)"),
+    ("(compl)", "(compl E) takes exactly one operator (position 0)"),
+    ("(compl 0)", "expected an operator form, got '0' (position 0)"),
+    ("(compl (cyl 0) (cyl 1))",
+     "(compl E) takes exactly one operator (position 0)"),
+    ("(cap (cyl 0))", "(cap E F) takes exactly two operators (position 0)"),
+    ("(cup 0 (cyl 1))", "expected an operator form, got '0' (position 0)"),
+    ("(limit (cyl 0))",
+     "(limit E0 E1 ... K) needs stages and an index (position 0)"),
+    ("(limit (cyl 0) x)",
+     "limit index must be a natural number, got 'x' (position 0)"),
+    ("(foo (cyl 0))", "unknown operator head 'foo' (position 0)"),
+    ("(cap (cyl 0) (cup (cyl 1) 1))",
+     "expected an operator form, got '1' (position 13)"),
+    ("(cup (cyl 0) (limit 0 (cyl 1) 1))",
+     "expected an operator form, got '0' (position 13)"),
+])
+def test_parse_operator_error_texts(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_operator(text, uniform())
+    assert str(info.value) == message
