@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .core import (
-    Dyadic, check_table, parse_dyadic, read_table, reduced, round_ratio,
+    ONE, Dyadic, check_table, parse_dyadic, read_table, reduced, round_ratio,
     shift_round, show_table, validate_string,
 )
 from .errors import DomainError, ParseError
@@ -246,12 +246,13 @@ class RegularizedMartingale(Martingale):
         self.measure = same_measure(base.measure, nu)
         self._nu = nu
         # The exact route's memo: each value as a reduced pair (n, d), d > 0,
-        # and each memoized node's mass, which its children's step reads;
-        # and the base's pair at each node not yet expanded where the step
-        # above it asked for one, which that node's own step reads
+        # and each memoized node's mass (the root's is 1), which its
+        # children's step reads; and the base's pair at each node not yet
+        # expanded where the step above it asked for one, which that
+        # node's own step reads
         root = base._pair("")
         self._memo: dict[str, tuple[int, int]] = {"": root}
-        self._mass: dict[str, Dyadic] = {"": nu.mass("")}
+        self._mass: dict[str, Dyadic] = {"": ONE}
         self._base_pairs: dict[str, tuple[int, int]] = {"": root}
         # The path cursor of the finite-precision route (see `_scan`): the
         # last path scanned, each level's split data along it (the
@@ -350,6 +351,23 @@ class RegularizedMartingale(Martingale):
         per-level rounding error, so the 2**-r bound holds at Q as at q;
         and as a walk goes down and q grows, Q changes only O(log D) times
         in D steps.
+
+        Error, in units u = 2**-q, on a weakly positive measure: let E be
+        the error of a node's shift cur - dp, dp the base there (within
+        u); E = 0 at the root, where cur = dp.  A fork's pair g is then
+        within E + u (b's error), the transfer scales that by at most its
+        slope L = 1/min(a, 1-a) <= 2**l, l its `weight_bits`, and rounding
+        adds u/2.  A child's dp is the b its parent rounded, so b's error
+        cancels from the child's E, or adds u where the exact pair takes
+        another case of the transfer; a degenerate level adds 2u.  So
+        E' <= L (E + u) + 3u/2, E <= 2**s (5/2) k u at depth k (s: the
+        slope bits above), and the answer errs by at most 2**slope (5/2)
+        (|x| + 1) u + 2**-(r+1), within 2**-r from q = r + 1 + slope +
+        log2(5 (|x| + 1) / 2) on (the clamp's pair error is then below
+        1/(2L); `_fork` needs 1/L).  So q is slack by two bits of its
+        margin 3, over a quarter bit of its length term, Q - q, and the
+        slope product (only the give case amplifies); a table base rounds
+        half up, halving u.  q is kept: it fixes every output's bytes.
 
         The scan resumes from the path cursor the last query left.  A
         level's split data (the masses, the weight the threshold test

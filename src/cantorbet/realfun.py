@@ -4,10 +4,10 @@ combinator and the Robin Hood transfer function.
 Functions carry an `approx(n, point)` evaluator accurate to 2**-n, a modulus
 of uniform continuity, and (for every function built here) an exact rational
 evaluator.  The Robin Hood transfer is the four cases of one body,
-`transfer_cases`, on an integer weight and a scaled pair:
-`robin_hood_exact` runs it on Fractions, the exact regularization route on
-integers over a common denominator, and the finite-precision route on
-2**-q mantissas.  `robin_hood_pipeline` assembles the same function from
+`transfer_cases`, on an integer weight and an integer pair over one
+denominator: `robin_hood_exact` and the exact regularization route put the
+pair on the lcm of its denominators, and the finite-precision route runs it
+on 2**-q mantissas.  `robin_hood_pipeline` assembles the same function from
 nested pastes, as the reference the test suite holds `robin_hood_exact` to.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .core import as_fraction, frac_round_at
@@ -137,20 +138,17 @@ def absolute_value() -> RealFunction:
 # Robin Hood
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
-
-
-def transfer_cases(A: int, B: int, s, t, one):
+def transfer_cases(A: int, B: int, s: int, t: int, one: int):
     """The four cases of the Robin Hood transfer, on a scaled pair.
 
     The weight is a = A/B with integers 0 < A < B, in any common scale
-    (no gcd is taken), and the pair is (s/one, t/one), with s, t and one
-    all ints or all Fractions.  A pair outside the domain (s, t >= 0 or
-    mean >= 1) raises DomainError.  Each output comes back as (n, d), an
-    integer d > 0 with output = n / (d * one), so a caller on the 2**-q
-    grid (one = 2**q) rounds n/d to a mantissa and a caller at one = 1
-    divides.  With S = A*s + (B-A)*t, the mean is S / (B * one), and the
-    cases are those of `robin_hood_exact`:
+    (no gcd is taken), and the pair is (s/one, t/one), on integers.  A
+    pair outside the domain (s, t >= 0 or mean >= 1) raises DomainError.
+    Each output comes back as (n, d), an integer d > 0 with output =
+    n / (d * one), so a caller on the 2**-q grid (one = 2**q) rounds n/d
+    to a mantissa and an exact caller reduces n / (d * one).  With
+    S = A*s + (B-A)*t, the mean is S / (B * one), and the cases are those
+    of `robin_hood_exact`:
       * both coordinates in [0, one]: (s, 1) and (t, 1);
       * S >= B * one: both get the mean, (S, B);
       * s >= one: (one, 1), and (S - A*one, B - A) for the other;
@@ -186,13 +184,15 @@ def robin_hood_exact(alpha, s, t) -> tuple[Fraction, Fraction]:
       * mean >= 1: both get the mean;
       * mean < 1 and s >= 1: s gives its excess, pinned to 1;
       * mean < 1 and t >= 1: symmetric.
-    The cases are `transfer_cases`, at one = 1.
+    The cases are `transfer_cases`, on T, the lcm of the denominators.
     """
     a = _transfer_weight(alpha)
-    s = as_fraction(s)
-    t = as_fraction(t)
-    (n0, d0), (n1, d1) = transfer_cases(a.numerator, a.denominator, s, t, _ONE)
-    return (n0 if d0 == 1 else n0 / d0), (n1 if d1 == 1 else n1 / d1)
+    s, t = as_fraction(s), as_fraction(t)
+    T = lcm(s.denominator, t.denominator)
+    (n0, d0), (n1, d1) = transfer_cases(a.numerator, a.denominator,
+                                        s.numerator * T // s.denominator,
+                                        t.numerator * T // t.denominator, T)
+    return Fraction(n0, d0 * T), Fraction(n1, d1 * T)
 
 
 def weight_bits(A: int, B: int) -> int:

@@ -11,8 +11,8 @@ martingale.
 
 This module builds the concrete measurements the theory promises:
 cylinders (null and positive mass), complements, finite intersections and
-unions, subsets of null sets, unions of null sequences, and modulated limits
-of eventually-constant measurement sequences.  An intersection or union of
+unions, subsets of null sets, unions of null sequences, and limits of
+eventually-constant measurement sequences.  An intersection or union of
 phi and psi splits the input with phi, then splits one of phi's halves with
 psi and adds the other half to the side it belongs to (see
 `IntersectUnion`).  This deliberately departs from the paper, which sums
@@ -28,7 +28,6 @@ from functools import reduce
 
 from .core import (
     Dyadic, ZERO, read_natural, read_sexpr, read_word, reduced, shift_round,
-    validate_string,
 )
 from .errors import (
     DomainError, ModulusViolationError, ParseError, PreconditionError,
@@ -38,13 +37,11 @@ from .martingale import Martingale, SumMartingale, unit, regularize
 
 __all__ = [
     "SplittingOperator",
-    "ModulatedSequence",
     "cylinder",
     "complement",
     "IntersectUnion",
     "complete_null",
     "union_sequence",
-    "modulated",
     "LimitMeasurement",
     "measure_value",
     "initial_capital_surplus",
@@ -90,7 +87,7 @@ class IndicatorMartingale(Martingale):
     """Indicator of a cylinder; a martingale exactly when the cylinder is null."""
 
     def __init__(self, w: str, nu: ProbabilityMeasure):
-        self.w = validate_string(w)
+        self.w = w
         self.measure = nu
 
     def _pair(self, v: str) -> tuple[int, int]:
@@ -102,22 +99,25 @@ class SliceMartingale(Martingale):
 
     Inside the cylinder it follows `inner`; on the way down it holds
     inner(w) * nu(w | v), scaled mass that bets everything on reaching w;
-    elsewhere 0.  The conditional honours the positivity witness: a mass
-    below threshold reads as 0.
+    elsewhere 0; `mass` is nu(w).  The conditional honours the positivity
+    witness: a mass below threshold reads as 0.
     """
 
-    def __init__(self, w: str, nu: ProbabilityMeasure, inner: Martingale):
-        self.w = validate_string(w)
+    def __init__(self, w: str, nu: ProbabilityMeasure, inner: Martingale,
+                 mass: Dyadic):
+        self.w = w
         self.measure = nu
         self.inner = inner
-        self._mw = nu.mass(w)
-        self._above = nu.witness.clears(self._mw, len(w))
+        self._mw = mass
+        self._above = nu.witness.clears(mass, len(w))
 
     def _pair(self, v: str) -> tuple[int, int]:
         if self.w.startswith(v):        # on the way down (or at the root w)
             if not self._above:
                 return 0, 1
             n, d = self.inner._pair(self.w)
+            if v == self.w:
+                return n, d
             mw, mv = self._mw, self.measure.mass(v)   # times nu(w) / nu(v)
             k = mv.precision - mw.precision
             return reduced(n * mw.mantissa << max(k, 0),
@@ -149,11 +149,6 @@ class CylinderNull(SplittingOperator):
     exact, so the precision argument `r` is ignored."""
 
     def __init__(self, w: str, nu: ProbabilityMeasure):
-        validate_string(w)
-        if w == "":
-            raise PreconditionError("the root cylinder has mass 1, never 0")
-        if nu.mass(w) != ZERO:
-            raise PreconditionError(f"cylinder {w!r} has positive mass")
         self.w = w
         self.measure = nu
 
@@ -162,25 +157,24 @@ class CylinderNull(SplittingOperator):
 
 
 class CylinderPos(SplittingOperator):
-    """Measurement of a positive-mass cylinder through regularization;
-    both components are exact, so the precision argument `r` is ignored."""
+    """Measurement of a cylinder of positive mass `mass` through
+    regularization; both components are exact, so `r` is ignored."""
 
-    def __init__(self, w: str, nu: ProbabilityMeasure):
-        validate_string(w)
-        if nu.mass(w) == ZERO:
-            raise PreconditionError(f"cylinder {w!r} has mass zero")
+    def __init__(self, w: str, nu: ProbabilityMeasure, mass: Dyadic):
         self.w = w
         self.measure = nu
+        self.mass = mass
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
         lam = regularize(d, self.measure)
-        inside = SliceMartingale(self.w, self.measure, lam)
+        inside = SliceMartingale(self.w, self.measure, lam, self.mass)
         return inside, DiffMartingale(lam, inside)
 
 
 def cylinder(w: str, nu: ProbabilityMeasure) -> SplittingOperator:
-    """Dispatch on the cylinder's mass."""
-    return CylinderNull(w, nu) if nu.mass(w) == ZERO else CylinderPos(w, nu)
+    """w's measurement, picked by its one mass query, which checks w."""
+    m = nu.mass(w)
+    return CylinderNull(w, nu) if m == ZERO else CylinderPos(w, nu, m)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,7 @@ class NullUnion(SplittingOperator):
 
     def __init__(self, members):
         self.members = tuple(members)
-        self.measure = self.members[0].measure
+        self.measure = reduce(same_measure, (m.measure for m in self.members))
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
         return reduce(SumMartingale,
@@ -274,38 +268,13 @@ def complete_null(op: SplittingOperator) -> NullUnion:
     return NullUnion((op,))
 
 
-class ModulatedSequence:
-    """A measurement sequence with a constant convergence modulus: the
-    operators `stages` E_0 ... E_n, every one from index `k` <= n on the
-    same measurement, so the plus values sit at their limit from stage k.
-    Stages past n repeat E_n."""
-
-    def __init__(self, stages: tuple, k: int):
-        self.stages = stages
-        self.k = k
-        self.measure = stages[0].measure
-
-
-def modulated(operators, gamma: int | None = None) -> ModulatedSequence:
-    """Eventually-constant family, constant from index `gamma` (default:
-    the last operator)."""
-    ops = tuple(operators)
-    if not ops:
-        raise DomainError("modulated family must have at least one stage")
-    reduce(same_measure, (op.measure for op in ops))
-    if gamma is not None and gamma < 0:
-        raise DomainError("modulus index must be >= 0")
-    last = len(ops) - 1
-    return ModulatedSequence(ops, last if gamma is None else min(gamma, last))
-
-
-def union_sequence(operators) -> ModulatedSequence:
+def union_sequence(operators) -> LimitMeasurement:
     """Union of a (finite, hence eventually-empty) family of null sets:
     stage j is the `NullUnion` of members 0 ... j."""
-    ops = modulated(operators).stages
+    ops = tuple(operators)
     for j, op in enumerate(ops):
         _require_null(op, f"union_sequence member {j}")
-    return modulated(NullUnion(ops[:j + 1]) for j in range(len(ops)))
+    return LimitMeasurement(NullUnion(ops[:j + 1]) for j in range(len(ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +311,31 @@ class LimitPlusMartingale(Martingale):
 
 
 class LimitMeasurement(SplittingOperator):
-    """Limit of a modulated sequence: stage k and up to PROBES later stages
-    (never past the last) are split once each, at precision r+1; the plus
-    half is the limit of their plus halves, the minus half stage k's."""
+    """Limit of an eventually-constant family: the operators `stages`
+    E_0 ... E_n on one measure are the same measurement from index
+    k = min(gamma, n) on (gamma defaults to n), so the plus values sit at
+    their limit from stage k; stages past n repeat E_n.
+
+    Stage k and up to PROBES later stages (never past the last) are split
+    once each, at precision r+1; the plus half is the limit of their plus
+    halves, the minus half stage k's."""
 
     PROBES = 2
 
-    def __init__(self, seq: ModulatedSequence):
-        self.seq = seq
-        self.measure = seq.measure
+    def __init__(self, operators, gamma: int | None = None):
+        self.stages = tuple(operators)
+        if not self.stages:
+            raise DomainError("modulated family must have at least one stage")
+        self.measure = reduce(same_measure, (op.measure for op in self.stages))
+        if gamma is not None and gamma < 0:
+            raise DomainError("modulus index must be >= 0")
+        last = len(self.stages) - 1
+        self.k = last if gamma is None else min(gamma, last)
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        k = self.seq.k
+        k = self.k
         pairs = [op.split(r + 1, d)
-                 for op in self.seq.stages[k:k + self.PROBES + 1]]
+                 for op in self.stages[k:k + self.PROBES + 1]]
         return (LimitPlusMartingale([plus for plus, _ in pairs], k,
                                     self.measure),
                 pairs[0][1])
@@ -421,7 +401,7 @@ def _build_limit(items, nu: ProbabilityMeasure) -> SplittingOperator:
     if len(items) < 3 or not isinstance(items[-1], str):
         raise ParseError("(limit E0 E1 ... K) needs stages and an index")
     k = read_natural(items[-1], "limit index")
-    return LimitMeasurement(modulated(map(_operand, items[1:-1]), k))
+    return LimitMeasurement(map(_operand, items[1:-1]), k)
 
 
 def _unknown_head(items, nu: ProbabilityMeasure) -> SplittingOperator:

@@ -27,7 +27,6 @@ from cantorbet.measure import biased, uniform
 from cantorbet.realfun import absolute_value, robin_hood_exact
 from cantorbet.splitting import (
     IntersectUnion, LimitMeasurement, complement, cylinder, measure_value,
-    modulated,
 )
 
 from helpers import (
@@ -366,7 +365,7 @@ def test_criterion_12_limit_of_union():
     stages = [cylinder("000", nu)]
     stages.append(IntersectUnion(stages[0], cylinder("001", nu), "cup"))
     stages.append(IntersectUnion(stages[1], cylinder("01", nu), "cup"))
-    lim = LimitMeasurement(modulated(stages))
+    lim = LimitMeasurement(stages)
     failures, checked = [], 0
     for r in range(9):
         got = measure_value(lim, r)

@@ -24,7 +24,7 @@ from cantorbet.martingale import (
 )
 from cantorbet.splitting import (
     DiffMartingale, IndicatorMartingale, LimitMeasurement,
-    LimitPlusMartingale, SliceMartingale, cylinder, modulated,
+    LimitPlusMartingale, SliceMartingale, cylinder,
 )
 
 from helpers import (
@@ -75,16 +75,17 @@ def _build(kind: str, rng: random.Random):
         return RegularizedMartingale(table(), nu)
     w = _word(rng, rng.randrange(0, depth + 2))
     if kind == "Slice":
-        return SliceMartingale(w, nu, RegularizedMartingale(table(), nu))
+        return SliceMartingale(w, nu, RegularizedMartingale(table(), nu),
+                               nu.mass(w))
     if kind == "Diff":
         lam = RegularizedMartingale(table(), nu)
-        return DiffMartingale(lam, SliceMartingale(w, nu, lam))
+        return DiffMartingale(lam, SliceMartingale(w, nu, lam, nu.mass(w)))
     if kind == "Indicator":
         return IndicatorMartingale(w, nu)
     assert kind == "LimitPlus"
     stages = [cylinder(_word(rng, rng.randrange(0, 4)), nu)
               for _ in range(rng.randrange(1, 4))]
-    d = LimitMeasurement(modulated(stages)).plus(rng.randrange(0, 6), table())
+    d = LimitMeasurement(stages).plus(rng.randrange(0, 6), table())
     assert isinstance(d, LimitPlusMartingale)
     return d
 

@@ -15,12 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorbet.calibration import EVALUATOR_MARGIN
-from cantorbet.cli import _Parser, _fraction_flag, build_parser, run
+from cantorbet.cli import (
+    _Parser, _fraction_flag, build_parser, resolve_measure, run,
+)
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
 from cantorbet.core import Dyadic, strings_shorter_than
 from cantorbet.errors import ResourceError
 from cantorbet.funalg import parse_term
-from cantorbet.martingale import SumMartingale, TableMartingale, dump_martingale
+from cantorbet.martingale import (
+    SumMartingale, TableMartingale, dump_martingale, load_martingale,
+    regularize,
+)
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, dump_measure, uniform,
 )
@@ -934,6 +939,59 @@ def test_generated_set_expressions_keep_the_contract(tmp_path_factory, e,
         m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?\n", out)
         got = Fraction(int(m.group(1)), 2 ** int(m.group(2) or 0))
         assert abs(got - ref.set_measure(e, model)) <= Fraction(1, 2 ** r)
+
+
+_BETS = [Fraction(k, 4) for k in (4, -4, 2, -2, 3, -3, 1, -1, 0)]
+
+
+@st.composite
+def _martingale_tables(draw, model):
+    """A table martingale under the reference model, depth 0 to 6, as
+    its entries: the root holds 0 to 3/2 in eighths, and each split bets
+    b = lam * d(w), lam in [-1, 1] in quarters, giving d(w) + (1 - c) * b
+    to w0 and d(w) - c * b to w1, for the split's share c, which keeps the
+    averaging identity and every entry >= 0.  A null node's children get
+    any such pair.  A root below 1 lets a bet lift one child to 1 while the
+    mean stays below it: the transfer's give cases."""
+    depth = draw(st.integers(0, 6))
+    table = {"": Fraction(draw(st.integers(0, 12)), 8)}
+    for w in strings_shorter_than(depth):
+        c = model.conditional(w) if model.mass(w) else Fraction(1, 2)
+        b = table[w] * draw(st.sampled_from(_BETS))
+        table[w + "0"], table[w + "1"] = table[w] + (1 - c) * b, \
+            table[w] - c * b
+    return table, depth
+
+
+# the regularized value at w, through `regularize --w` at precision r and in
+# process, against the reference's exact path
+@settings(max_examples=120)
+@given(measure=st.one_of(st.sampled_from(sorted(_BUILTIN)), _measure_files()),
+       data=st.data(), w=st.text("01", max_size=12), r=st.integers(0, 16))
+def test_regularized_paths_match_the_reference(tmp_path_factory, measure,
+                                               data, w, r):
+    if isinstance(measure, str):
+        spec, model = measure, ref.MeasureModel.coin(_BUILTIN[measure])
+    else:
+        text, model = measure
+        path = tmp_path_factory.getbasetemp() / "drawn.measure"
+        path.write_text(text)
+        spec = str(path)
+    table, depth = data.draw(_martingale_tables(model), label="table")
+    lines = [f"martingale measure={spec} depth={depth}"]
+    lines += [f"{u or '~'} {m.numerator} {m.denominator.bit_length() - 1}"
+              for u, m in table.items()]
+    mg = tmp_path_factory.getbasetemp() / "drawn.mg"
+    mg.write_text("\n".join(lines) + "\n")
+    want = ref.regularized_path(lambda u: table[u[:depth]], model, w)[-1][0]
+    code, out, err = cli("regularize", "--file", str(mg), "--w", w or "~",
+                         "--precision", str(r))
+    assert code == 0, err
+    m = re.fullmatch(r"(\d+)(?:/2\^(\d+))?\n", out)
+    got = Fraction(int(m.group(1)), 2 ** int(m.group(2) or 0))
+    assert abs(got - want) <= Fraction(1, 2 ** r)
+    d = load_martingale(mg.read_text(), resolve_measure)
+    assert regularize(d, d.measure).value(w) == want
 
 
 @settings(max_examples=120)

@@ -383,9 +383,9 @@ def test_mass_queries_do_not_grow_with_the_path(monkeypatch):
     # Both routes step from each node's mass to its children's, so a fresh
     # regularization's D-step walk and its value and approx at an n-bit
     # word make the same number of closed-form `mass` queries for every D
-    # and n: the root's, once per regularization, and the walk's
-    # precondition.  A route that asked `mass` per level would make
-    # O(D + n) of them.
+    # and n: one, the walk's precondition.  A regularization asks none,
+    # since the root's mass is 1.  A route that asked `mass` per level
+    # would make O(D + n) of them.
     calls = []
     mass = ProbabilityMeasure.mass
 
@@ -406,7 +406,7 @@ def test_mass_queries_do_not_grow_with_the_path(monkeypatch):
             lam.value(x)
             lam.approx(16, x)
             counts.append(len(calls))
-        assert counts == [3, 3, 3], counts
+        assert counts == [1, 1, 1], counts
 
 
 def test_conservation_memo_probes_grow_linearly():

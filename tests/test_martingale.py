@@ -25,7 +25,7 @@ from cantorbet.martingale import (
 )
 from cantorbet.realfun import ceil_log2, robin_hood_exact, weight_bits
 from cantorbet.splitting import (
-    LimitMeasurement, SliceMartingale, cylinder, modulated,
+    LimitMeasurement, SliceMartingale, cylinder,
 )
 
 from helpers import (
@@ -555,13 +555,13 @@ def _regularization_base(kind, rng):
     if kind == "Sum":
         return SumMartingale(table(), RegularizedMartingale(table(), nu)), nu
     if kind == "Slice":
-        return SliceMartingale(_word(rng, rng.randrange(depth + 2)), nu,
-                               RegularizedMartingale(table(), nu)), nu
+        w = _word(rng, rng.randrange(depth + 2))
+        return SliceMartingale(w, nu, RegularizedMartingale(table(), nu),
+                               nu.mass(w)), nu
     assert kind == "LimitPlus"
     stages = [cylinder(_word(rng, rng.randrange(4)), nu)
               for _ in range(rng.randrange(1, 4))]
-    return LimitMeasurement(modulated(stages)).plus(rng.randrange(6),
-                                                    table()), nu
+    return LimitMeasurement(stages).plus(rng.randrange(6), table()), nu
 
 
 @settings(max_examples=150, deadline=None)

@@ -109,7 +109,7 @@ def test_zero_mass_subtree_stays_zero():
 # ---------------------------------------------------------------------------
 
 def conditional(nu, w, v):
-    return SliceMartingale(w, nu, unit(nu)).pair(v)
+    return SliceMartingale(w, nu, unit(nu), nu.mass(w)).pair(v)
 
 
 def test_conditional_three_cases():

@@ -1,5 +1,5 @@
 """Splitting operators: cylinder measurements, the set algebra, null-set
-machinery, modulated limits, and value extraction."""
+machinery, limits, and value extraction."""
 
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from cantorbet.measure import (
 from cantorbet.martingale import ConstantMartingale, unit, covers, regularize
 from cantorbet.splitting import (
     Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
-    cylinder, complement, complete_null, union_sequence,
-    modulated, measure_value,
+    cylinder, complement, complete_null, union_sequence, measure_value,
     initial_capital_surplus, parse_operator, IndicatorMartingale,
     LimitPlusMartingale, SplittingOperator,
 )
@@ -51,7 +50,7 @@ def random_d(seed, depth=4):
 
 def test_null_cylinder():
     nu = null_measure()
-    op = CylinderNull("1", nu)
+    op = cylinder("1", nu)
     plus = op.plus(4, unit(nu))
     assert plus.value("") == 0
     assert plus.value("1") == 1
@@ -62,13 +61,16 @@ def test_null_cylinder():
 
 
 def test_null_cylinder_preconditions():
+    # `cylinder` decides each class's precondition, from its one mass
+    # query, and hands a positive mass on
     nu = null_measure()
-    with pytest.raises(PreconditionError):
-        CylinderNull("0", nu)
-    with pytest.raises(PreconditionError):
-        CylinderNull("", nu)
-    with pytest.raises(PreconditionError):
-        CylinderPos("1", nu)
+    op = cylinder("1", nu)
+    assert type(op) is CylinderNull and op.w == "1"
+    for w, mass in (("0", ONE), ("", ONE)):
+        op = cylinder(w, nu)
+        assert type(op) is CylinderPos and (op.w, op.mass) == (w, mass)
+    op = cylinder("01", uniform())
+    assert type(op) is CylinderPos and op.mass == Dyadic(1, 2)
 
 
 def test_indicator_is_martingale_on_null_cylinder():
@@ -82,7 +84,7 @@ def test_indicator_is_martingale_on_null_cylinder():
 
 def test_positive_cylinder_value():
     mu = uniform()
-    op = CylinderPos("01", mu)
+    op = cylinder("01", mu)
     got = measure_value(op, 6)
     assert got == Dyadic(1, 2)
     assert got.render(6) == "16/2^6"
@@ -94,7 +96,7 @@ def test_positive_cylinder_value():
 def test_positive_cylinder_at_root_is_regularization():
     mu = uniform()
     d, nu = random_d(3)
-    op = CylinderPos("", nu)
+    op = cylinder("", nu)
     plus = op.plus(5, d)
     lam = regularize(d, nu)
     for w in ["", "0", "11", "0101"]:
@@ -103,7 +105,7 @@ def test_positive_cylinder_at_root_is_regularization():
 
 def test_positive_cylinder_off_side_zero():
     mu = uniform()
-    plus = CylinderPos("0", mu).plus(3, unit(mu))
+    plus = cylinder("0", mu).plus(3, unit(mu))
     assert plus.value("1") == 0
     assert plus.value("10") == 0
     assert plus.value("0") == 1
@@ -112,7 +114,7 @@ def test_positive_cylinder_off_side_zero():
 
 def test_slice_minus_nonnegative():
     d, nu = random_d(11)
-    op = CylinderPos("010", nu)
+    op = cylinder("010", nu)
     minus = op.minus(4, d)
     rng = random.Random(2)
     for _ in range(60):
@@ -127,26 +129,55 @@ def test_cylinder_dispatch():
     assert measure_value(cylinder("0", nu), 6) == ONE
 
 
+def test_a_cylinder_reads_its_mass_once(monkeypatch):
+    # parse_operator's (cyl w) asks nu(w) once, and neither the form's
+    # split nor its measure_value asks for w again: a null w, a positive w
+    # below a `copy` table (the boundary node 0 splits 3/4 : 1/4), and the
+    # root
+    copy = ProbabilityMeasure({"": ONE, "0": Dyadic(3, 2), "1": Dyadic(1, 2)},
+                              1, ext=("copy",),
+                              witness=PositivityWitness(0, 3))
+    calls = []
+    mass = ProbabilityMeasure.mass
+
+    def counted(nu, w):
+        calls.append(w)
+        return mass(nu, w)
+
+    monkeypatch.setattr(ProbabilityMeasure, "mass", counted)
+    for nu, w, want in ((null_measure(), "1", 0),
+                        (copy, "0110", Fraction(9, 256)),
+                        (uniform(), "", 1)):
+        del calls[:]
+        op = parse_operator(f"(cyl {w or '~'})", nu)
+        assert calls == [w], (w, calls)
+        del calls[:]
+        op.split(6, unit(nu))
+        got = measure_value(op, 8).to_fraction()
+        assert w not in calls, (w, calls)
+        assert abs(got - want) <= Fraction(1, 2 ** 8), w
+
+
 # ---------------------------------------------------------------------------
 # complement
 # ---------------------------------------------------------------------------
 
 def test_complement_value():
     mu = uniform()
-    op = complement(CylinderPos("0", mu))
+    op = complement(cylinder("0", mu))
     v = measure_value(op, 8)
     assert abs(v.to_fraction() - Fraction(1, 2)) <= Fraction(2, 2 ** 8)
 
 
 def test_complement_involution():
     mu = uniform()
-    base = CylinderPos("0", mu)
+    base = cylinder("0", mu)
     assert complement(complement(base)) is base
 
 
 def test_complement_preserves_axiom_iii():
     d, nu = random_d(5)
-    op = complement(CylinderPos("01", nu))
+    op = complement(cylinder("01", nu))
     for r in range(1, 8):
         assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
 
@@ -159,8 +190,8 @@ def test_theta_values():
     """The two-term components: cap's plus is psi+(phi+) alone, cup's minus
     is psi-(phi-) alone, and cap's minus is phi- + psi-(phi+)."""
     mu = uniform()
-    c0 = CylinderPos("0", mu)
-    c1 = CylinderPos("1", mu)
+    c0 = cylinder("0", mu)
+    c1 = cylinder("1", mu)
     for r in (2, 5, 8):
         both = IntersectUnion(c0, c0, "cap").plus(r, unit(mu))
         assert both.value("") == Fraction(1, 2)
@@ -172,7 +203,7 @@ def test_theta_values():
 
 def test_theta_outputs_satisfy_identity():
     d, nu = random_d(7)
-    c = CylinderPos("01", nu)
+    c = cylinder("01", nu)
     for which in ("cap", "cup"):
         op = IntersectUnion(c, c, which)
         for out in (op.plus(3, d), op.minus(3, d)):
@@ -187,11 +218,11 @@ def test_theta_outputs_satisfy_identity():
 
 def test_intersect_union_validation():
     mu = uniform()
-    c = CylinderPos("0", mu)
+    c = cylinder("0", mu)
     with pytest.raises(DomainError):
         IntersectUnion(c, c, "both")
     with pytest.raises(MeasureMismatchError):
-        IntersectUnion(c, CylinderPos("0", biased(Dyadic(3, 2))), "cap")
+        IntersectUnion(c, cylinder("0", biased(Dyadic(3, 2))), "cap")
 
 
 class CountingOperator(SplittingOperator):
@@ -275,8 +306,7 @@ def test_union_sequence_limit_splits_each_member_once():
     # query from that one split
     nu = null_measure()
     for n in (1, 4, 16):
-        op = LimitMeasurement(
-            union_sequence([CylinderNull("1", nu) for _ in range(n)]))
+        op = union_sequence([cylinder("1", nu) for _ in range(n)])
         with counting_splits() as calls:
             plus = op.plus(3, unit(nu))
             for w in ("", "0", "1", "10", "0110"):
@@ -287,8 +317,8 @@ def test_union_sequence_limit_splits_each_member_once():
 
 def test_cap_cup_cylinder_values():
     mu = uniform()
-    c0 = CylinderPos("0", mu)
-    c1 = CylinderPos("1", mu)
+    c0 = cylinder("0", mu)
+    c1 = cylinder("1", mu)
     r = 8
     tol = Fraction(1, 2 ** r)
     assert measure_value(IntersectUnion(c0, c1, "cap"), r).to_fraction() <= tol
@@ -304,7 +334,7 @@ def test_inclusion_exclusion_sample():
     for _ in range(10):
         u = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
         v = "".join(rng.choice("01") for _ in range(rng.randrange(4)))
-        cu, cv = CylinderPos(u, mu), CylinderPos(v, mu)
+        cu, cv = cylinder(u, mu), cylinder(v, mu)
         r = 7
         cap = measure_value(IntersectUnion(cu, cv, "cap"), r).to_fraction()
         cup = measure_value(IntersectUnion(cu, cv, "cup"), r).to_fraction()
@@ -315,8 +345,8 @@ def test_inclusion_exclusion_sample():
 
 def test_cap_cup_axiom_iii():
     d, nu = random_d(23)
-    c0 = CylinderPos("0", nu)
-    c01 = CylinderPos("01", nu)
+    c0 = cylinder("0", nu)
+    c01 = cylinder("01", nu)
     for which in ("cap", "cup"):
         op = IntersectUnion(c0, c01, which)
         for r in range(1, 8):
@@ -360,7 +390,7 @@ def test_axioms_i_ii_on_cylinders():
 
 def test_complete_null():
     nu = null_measure()
-    op = complete_null(CylinderNull("1", nu))
+    op = complete_null(cylinder("1", nu))
     d, _ = (unit(nu), None)
     assert op.minus(5, d) is d
     p1 = op.plus(5, d)
@@ -372,12 +402,12 @@ def test_complete_null():
 def test_complete_null_gate():
     mu = uniform()
     with pytest.raises(PreconditionError):
-        complete_null(CylinderPos("0", mu))
+        complete_null(cylinder("0", mu))
 
 
 def test_union_sequence_bounds():
     nu = null_measure()
-    ops = [CylinderNull("1", nu) for _ in range(4)]
+    ops = [cylinder("1", nu) for _ in range(4)]
     seq = union_sequence(ops)
     one = unit(nu)
     prev = Fraction(0)
@@ -393,7 +423,7 @@ def test_union_sequence_bounds():
 def test_union_sequence_gate():
     mu = uniform()
     with pytest.raises(PreconditionError):
-        union_sequence([CylinderPos("0", mu)])
+        union_sequence([cylinder("0", mu)])
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +432,7 @@ def test_union_sequence_gate():
 
 def test_limit_constant_sequence():
     mu = uniform()
-    seq = modulated([CylinderPos("01", mu)])
-    op = LimitMeasurement(seq)
+    op = LimitMeasurement([cylinder("01", mu)])
     for r in range(2, 9):
         v = measure_value(op, r)
         assert abs(v.to_fraction() - Fraction(1, 4)) <= Fraction(1, 2 ** r)
@@ -411,11 +440,11 @@ def test_limit_constant_sequence():
 
 def test_limit_increasing_union():
     mu = uniform()
-    e0 = CylinderPos("000", mu)
-    e1 = IntersectUnion(CylinderPos("000", mu), CylinderPos("001", mu),
+    e0 = cylinder("000", mu)
+    e1 = IntersectUnion(cylinder("000", mu), cylinder("001", mu),
                          "cup")
-    e2 = IntersectUnion(e1, CylinderPos("01", mu), "cup")
-    op = LimitMeasurement(modulated([e0, e1, e2]))
+    e2 = IntersectUnion(e1, cylinder("01", mu), "cup")
+    op = LimitMeasurement([e0, e1, e2])
     for r in range(2, 9):
         v = measure_value(op, r)
         assert abs(v.to_fraction() - Fraction(1, 2)) <= Fraction(1, 2 ** r)
@@ -423,7 +452,7 @@ def test_limit_increasing_union():
 
 def test_limit_axiom_iii():
     d, nu = random_d(41)
-    op = LimitMeasurement(modulated([CylinderPos("0", nu)]))
+    op = LimitMeasurement([cylinder("0", nu)])
     for r in range(1, 7):
         assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
 
@@ -431,8 +460,7 @@ def test_limit_axiom_iii():
 def test_limit_modulus_violation_detected():
     mu = uniform()
     # stages genuinely change at index 1, but the modulus claims constancy
-    seq = modulated([CylinderPos("00", mu), CylinderPos("0", mu)], gamma=0)
-    op = LimitMeasurement(seq)
+    op = LimitMeasurement([cylinder("00", mu), cylinder("0", mu)], gamma=0)
     with pytest.raises(ModulusViolationError) as exc:
         measure_value(op, 8)
     assert str(exc.value) == ("stage 1 at '' is 1/2^1, outside the 2^-9 "
@@ -453,16 +481,28 @@ def test_limit_envelope_is_four_steps_of_the_finer_grid():
         "stage 1 at '' is 5/2^3, outside the 2^-2 envelope around 0"
 
 
-def test_modulated_empty_family_rejected():
-    with pytest.raises(DomainError):
-        modulated([])
-    with pytest.raises(DomainError):
+def test_limit_empty_family_rejected():
+    empty = "modulated family must have at least one stage"
+    with pytest.raises(DomainError, match=empty):
+        LimitMeasurement([])
+    with pytest.raises(DomainError, match=empty):
         union_sequence([])
 
 
-def test_modulated_negative_index_rejected():
-    with pytest.raises(DomainError):
-        modulated([CylinderPos("0", uniform())], gamma=-1)
+def test_limit_negative_index_rejected():
+    with pytest.raises(DomainError, match="modulus index must be >= 0"):
+        LimitMeasurement([cylinder("0", uniform())], gamma=-1)
+
+
+def test_stages_on_two_measures_are_refused():
+    mu, nu = uniform(), biased(Dyadic(3, 3))
+    with pytest.raises(MeasureMismatchError):
+        LimitMeasurement([cylinder("0", mu), cylinder("0", nu)])
+    # everything on the all-ones ray: '0' is null here, as '1' is there
+    mirror = ProbabilityMeasure({"": ONE, "0": ZERO, "1": ONE}, 1,
+                                witness=PositivityWitness(0, 1))
+    with pytest.raises(MeasureMismatchError):
+        union_sequence([cylinder("1", null_measure()), cylinder("0", mirror)])
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +511,7 @@ def test_modulated_negative_index_rejected():
 
 def test_measure_value_examples():
     mu = uniform()
-    disjoint = IntersectUnion(CylinderPos("0", mu), CylinderPos("10", mu),
+    disjoint = IntersectUnion(cylinder("0", mu), cylinder("10", mu),
                                "cup")
     v = measure_value(disjoint, 8)
     assert v.precision <= 8
@@ -481,10 +521,10 @@ def test_measure_value_examples():
 def test_axiom_iii_across_operators():
     d, nu = random_d(59)
     ops = [
-        CylinderPos("0", nu),
-        CylinderPos("", nu),
-        complement(CylinderPos("11", nu)),
-        IntersectUnion(CylinderPos("0", nu), CylinderPos("01", nu), "cap"),
+        cylinder("0", nu),
+        cylinder("", nu),
+        complement(cylinder("11", nu)),
+        IntersectUnion(cylinder("0", nu), cylinder("01", nu), "cap"),
     ]
     for op in ops:
         for r in range(1, 11):
@@ -529,7 +569,7 @@ def test_nested_complements_cancel_to_the_cylinder(k, monkeypatch):
     # the cylinder operator itself for even k and one Complement of it
     # for odd k, however deep
     mu = uniform()
-    cyl = CylinderPos("0", mu)
+    cyl = cylinder("0", mu)
     monkeypatch.setattr("cantorbet.splitting.cylinder", lambda w, nu: cyl)
     op = parse_operator("(compl " * k + "(cyl 0)" + ")" * k, mu)
     if k % 2:
