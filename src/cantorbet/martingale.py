@@ -58,9 +58,18 @@ class Martingale:
     """Base: the exact value as a reduced pair `pair(w) -> (n, d)`, d > 0,
     the same rational as `value(w)`, and the canonical approximation
     `approx(r, w)`, each checking w.  A subclass answers on checked words:
-    it defines `_pair` or only `value`, and `_grid` if it does not round."""
+    it defines `_pair` or only `value`, and `_grid` if it does not round.
+
+    `unit_bounded` is known from construction, never from sampled values:
+    where it is True, the martingale lies in [0, 1] at every node of
+    positive mass and keeps the averaging identity at each such node.
+    Regularizing such a martingale changes none of those values (see
+    `splitting.CylinderPos`).  The unit martingale has it, and so does every
+    constant of value <= 1; a table, a regularization or a sum that
+    `combine` builds never has it."""
 
     measure: ProbabilityMeasure | None = None
+    unit_bounded = False
 
     def pair(self, w: str) -> tuple[int, int]:
         return self._pair(validate_string(w))
@@ -95,6 +104,7 @@ class ConstantMartingale(Martingale):
             raise DomainError("martingale values must be >= 0")
         self._v = v.numerator, v.denominator
         self.measure = measure
+        self.unit_bounded = v <= 1
 
     def _pair(self, w: str) -> tuple[int, int]:
         return self._v
@@ -151,12 +161,16 @@ class SumMartingale(Martingale):
     q = r + 1 + ceil(log2 n) and rounds once: the terms err by at most
     n * 2**-q <= 2**-(r+1) together and the rounding by 2**-(r+1), so the
     answer is within 2**-r whatever the terms are.
+
+    `unit_bounded` is the caller's claim; `splitting.IntersectUnion` makes
+    it for a sum of halves that provably add up to at most its input.
     """
 
-    def __init__(self, *terms: Martingale):
+    def __init__(self, *terms: Martingale, unit_bounded: bool = False):
         self.terms = tuple(u for t in terms
                            for u in (t.terms if isinstance(t, SumMartingale)
                                      else (t,)))
+        self.unit_bounded = unit_bounded
         self.measure = None
         for t in self.terms:
             self.measure = same_measure(self.measure, t.measure)

@@ -19,6 +19,15 @@ psi and adds the other half to the side it belongs to (see
 the four sign-composition pieces theta^{ab} = psi^b(phi^a): it keeps the
 splitting axioms with two terms and applies each of phi and psi once, so
 an expression nested k deep costs O(k) operator applications.
+
+A positive cylinder splits the regularization of its input, unless the
+input is `unit_bounded` (see `Martingale`): that input's regularization
+equals it at every node of positive mass, so the cylinder splits a memo of
+the input's own pairs instead.  The unit martingale is unit_bounded, and
+so is each half the operators build from such an input by an exact split
+(see `SplittingOperator`), so a measurement started from `unit(nu)`
+regularizes nothing.  Values at null nodes may then differ from those of
+`regularize(d, nu)`; no root value reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +36,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .core import (
-    Dyadic, ZERO, read_natural, read_sexpr, read_word, reduced, shift_round,
+    Dyadic, ONE, ZERO, read_natural, read_sexpr, read_word, reduced,
+    shift_round,
 )
 from .errors import (
     DomainError, ModulusViolationError, ParseError, PreconditionError,
@@ -59,6 +69,16 @@ class SplittingOperator:
 
     Every subclass gets the two views in its own namespace unless it
     defines them itself, so they can be looked up (and patched) per class.
+
+    A split is exact when both halves come back `unit_bounded`.  Every
+    operator here keeps this invariant: if both halves of split(r, d) are
+    unit_bounded, then so is d, and plus + minus = d at every node of
+    positive mass.  The cylinders keep it (see `CylinderPos`), a complement
+    and a limit return the halves of a split that keeps it, and
+    `IntersectUnion` marks a sum only when both of its splits were exact.
+    A `NullUnion`'s plus half is never unit_bounded: `_require_null` admits
+    members of value up to 2**-NULL_GATE_PRECISION, so that half plus the
+    input can exceed 1.
     """
 
     measure: ProbabilityMeasure
@@ -84,7 +104,13 @@ class SplittingOperator:
 # ---------------------------------------------------------------------------
 
 class IndicatorMartingale(Martingale):
-    """Indicator of a cylinder; a martingale exactly when the cylinder is null."""
+    """Indicator of a cylinder; a martingale exactly when the cylinder is null.
+
+    `CylinderNull` builds it, on a null cylinder: it is then 0 at every node
+    of positive mass, since each node inside the cylinder is null, so it is
+    `unit_bounded`."""
+
+    unit_bounded = True
 
     def __init__(self, w: str, nu: ProbabilityMeasure):
         self.w = w
@@ -100,7 +126,20 @@ class SliceMartingale(Martingale):
     Inside the cylinder it follows `inner`; on the way down it holds
     inner(w) * nu(w | v), scaled mass that bets everything on reaching w;
     elsewhere 0; `mass` is nu(w).  The conditional honours the positivity
-    witness: a mass below threshold reads as 0.
+    witness: a mass below threshold reads as 0.  The masses of w's proper
+    prefixes are stepped down from the root by `children`, when a query
+    first reaches them.
+
+    It is `unit_bounded` when `inner` is and nu(w) clears the witness's
+    threshold, as every positive mass of a weakly positive measure does.
+    Proof: at a prefix v of w of positive mass the slice holds
+    inner(w) * nu(w) / nu(v), in [0, 1] as nu(w) <= nu(v); inside the
+    cylinder it holds inner's values, and elsewhere 0.  The averaging
+    identity holds at each prefix, where one child carries the capital
+    inner(w) * nu(w) and the other none, and inside and outside the
+    cylinder it is inner's and 0's.  Where the threshold test fails on a
+    positive mass, the slice drops inner's capital at w and is no
+    martingale there, so it is not marked.
     """
 
     def __init__(self, w: str, nu: ProbabilityMeasure, inner: Martingale,
@@ -110,6 +149,8 @@ class SliceMartingale(Martingale):
         self.inner = inner
         self._mw = mass
         self._above = nu.witness.clears(mass, len(w))
+        self.unit_bounded = inner.unit_bounded and self._above
+        self._masses = [ONE]   # nu(w[:i]) for the i reached so far
 
     def _pair(self, v: str) -> tuple[int, int]:
         if self.w.startswith(v):        # on the way down (or at the root w)
@@ -118,7 +159,7 @@ class SliceMartingale(Martingale):
             n, d = self.inner._pair(self.w)
             if v == self.w:
                 return n, d
-            mw, mv = self._mw, self.measure.mass(v)   # times nu(w) / nu(v)
+            mw, mv = self._mw, self._prefix_mass(len(v))  # nu(w) / nu(v)
             k = mv.precision - mw.precision
             return reduced(n * mw.mantissa << max(k, 0),
                            d * mv.mantissa << max(-k, 0))
@@ -126,18 +167,56 @@ class SliceMartingale(Martingale):
             return self.inner._pair(v)
         return 0, 1
 
+    def _prefix_mass(self, i: int) -> Dyadic:
+        """nu(w[:i]), one `children` step per level below the deepest
+        prefix whose mass is known."""
+        masses, w, nu = self._masses, self.w, self.measure
+        for j in range(len(masses) - 1, i):
+            masses.append(nu.children(w[:j], masses[j])[int(w[j])])
+        return masses[i]
+
 
 class DiffMartingale(Martingale):
-    """Pointwise difference (whole minus part)."""
+    """Pointwise difference (whole minus part), where the part lies between
+    0 and the whole at every node of positive mass, as a slice of the
+    whole does.  It is then `unit_bounded` when both are."""
 
     def __init__(self, whole: Martingale, part: Martingale):
         self.whole = whole
         self.part = part
         self.measure = whole.measure
+        self.unit_bounded = whole.unit_bounded and part.unit_bounded
 
     def _pair(self, w: str) -> tuple[int, int]:
         (a, b), (c, d) = self.whole._pair(w), self.part._pair(w)
         return reduced(a * d - c * b, b * d)
+
+
+class MemoMartingale(Martingale):
+    """A base martingale's exact pairs, kept as they are asked: what
+    `CylinderPos` splits in place of a `unit_bounded` input's
+    regularization.
+
+    The memo asks the base at the root and at the cylinder's word w when it
+    is built, as a regularization asks its base's root.  A measurement
+    builds its halves from the inside out, so these questions are answered
+    by memos that the splits below already filled, and the root query that
+    follows reads them: deep nesting stays within Python's recursion
+    limit.  Every other word is asked once and kept, so nested slices and
+    differences that ask one word twice cost linear work, not exponential.
+    """
+
+    def __init__(self, base: Martingale, nu: ProbabilityMeasure, w: str):
+        self.base = base
+        self.measure = same_measure(base.measure, nu)
+        self.unit_bounded = base.unit_bounded
+        self._memo = {"": base._pair(""), w: base._pair(w)}
+
+    def _pair(self, v: str) -> tuple[int, int]:
+        memo = self._memo
+        if v not in memo:
+            memo[v] = self.base._pair(v)
+        return memo[v]
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +236,28 @@ class CylinderNull(SplittingOperator):
 
 
 class CylinderPos(SplittingOperator):
-    """Measurement of a cylinder of positive mass `mass` through
-    regularization; both components are exact, so `r` is ignored."""
+    """Measurement of a cylinder of positive mass `mass`: the slice of the
+    regularized input at the cylinder, and the rest.  Both components are
+    exact, so `r` is ignored.
+
+    A `unit_bounded` input d is not regularized: a `MemoMartingale` of d's
+    own pairs stands in for `regularize(d, nu)`, which equals d at every
+    node of positive mass.  Proof, down the tree from the root, where both
+    hold d's root value: at a nondegenerate split both children have
+    positive mass, so the transfer is handed d's own pair there, which lies
+    in the unit square, and returns it unchanged; at a degenerate split of
+    a node of positive mass the one child with mass copies the node's
+    value, which is d's at that child by the averaging identity.  Values at
+    null nodes may differ, and no root value reads them: every martingale
+    here, asked at a node of positive mass, reads its inputs only at nodes
+    of positive mass.
+
+    The split is exact in `SplittingOperator`'s sense: the halves of a
+    unit_bounded input are the slice and d minus it, unit_bounded unless
+    the slice fails the witness's threshold, and they add up to d.  The
+    halves of any other input are those of its regularization, and are
+    not unit_bounded.
+    """
 
     def __init__(self, w: str, nu: ProbabilityMeasure, mass: Dyadic):
         self.w = w
@@ -166,8 +265,10 @@ class CylinderPos(SplittingOperator):
         self.mass = mass
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        lam = regularize(d, self.measure)
-        inside = SliceMartingale(self.w, self.measure, lam, self.mass)
+        nu = self.measure
+        lam = MemoMartingale(d, nu, self.w) if d.unit_bounded else \
+            regularize(d, nu)
+        inside = SliceMartingale(self.w, nu, lam, self.mass)
         return inside, DiffMartingale(lam, inside)
 
 
@@ -214,6 +315,12 @@ class IntersectUnion(SplittingOperator):
     phi's set makes b succeed.  The paper's four theta^{ab} pieces are
     replaced by these two terms on purpose: phi and psi are each applied
     once, so nesting on either side costs linear work.
+
+    The sum is `unit_bounded` when both splits were exact (see
+    `SplittingOperator`): then d is unit_bounded, a + b = d,
+    psi+ + psi- is the half psi split, and the sum is d minus the other,
+    nonnegative half, so it lies in [0, 1] at every node of positive mass
+    and the pair adds up to d there.
     """
 
     def __init__(self, phi: SplittingOperator, psi: SplittingOperator,
@@ -227,11 +334,12 @@ class IntersectUnion(SplittingOperator):
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
         a, b = self.phi.split(r + 1, d)
-        if self.which == "cap":
-            plus, minus = self.psi.split(r + 2, a)
-            return plus, SumMartingale(b, minus)
-        plus, minus = self.psi.split(r + 2, b)
-        return SumMartingale(a, plus), minus
+        cap = self.which == "cap"
+        plus, minus = self.psi.split(r + 2, a if cap else b)
+        exact = all(h.unit_bounded for h in (a, b, plus, minus))
+        if cap:
+            return plus, SumMartingale(b, minus, unit_bounded=exact)
+        return SumMartingale(a, plus, unit_bounded=exact), minus
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +357,19 @@ def _require_null(op: SplittingOperator, what: str) -> None:
 class NullUnion(SplittingOperator):
     """Union of finitely many null sets: member j restarts from the unit
     martingale at precision j+r+1, the plus half is their sum and the minus
-    half is the input itself."""
+    half is the input itself.
+
+    The plus half is a `SumMartingale` even of one member, so it is never
+    `unit_bounded`: the split adds capital to its input, and a member that
+    passes `_require_null` may have positive mass."""
 
     def __init__(self, members):
         self.members = tuple(members)
         self.measure = reduce(same_measure, (m.measure for m in self.members))
 
     def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        return reduce(SumMartingale,
-                      [op.split(j + r + 1, unit(self.measure))[0]
-                       for j, op in enumerate(self.members)]), d
+        return SumMartingale(*(op.split(j + r + 1, unit(self.measure))[0]
+                               for j, op in enumerate(self.members))), d
 
 
 def complete_null(op: SplittingOperator) -> NullUnion:
@@ -295,6 +406,7 @@ class LimitPlusMartingale(Martingale):
         self.halves = halves
         self.k = k
         self.measure = measure
+        self.unit_bounded = halves[0].unit_bounded   # its exact values
 
     def _pair(self, w: str) -> tuple[int, int]:
         return self.halves[0]._pair(w)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from cantorbet.core import Dyadic, growth
+from cantorbet.core import Dyadic, growth, strings_shorter_than
 
 # one line per acceptance criterion; conftest echoes these in the final
 # report, where no capture mode can hide them
@@ -37,6 +37,10 @@ def load_bench_module(name: str):
     finally:
         sys.dont_write_bytecode = keep
     return module
+
+
+# the benchmark's reference: truth tables and measures of set expressions
+ref = load_bench_module("reference")
 
 
 class ProbeCountingMemo(dict):
@@ -191,6 +195,65 @@ def build_table_martingale(rng: random.Random, nu, cond, depth: int,
 
     table = random_martingale_table(rng, cond, depth, jitter)
     return TableMartingale(table, depth, nu)
+
+
+# Set expressions as tuples: ("cyl", w), ("compl", E), ("cap", E, F),
+# ("cup", E, F) or ("limit", [E0, ..., En], K), as `ref` reads them.
+
+def set_expressions(depth: int, leaf=None):
+    """Well-formed expressions nested at most `depth` forms deep, with
+    words of at most three bits; `leaf` draws the innermost forms, (cyl w)
+    by default."""
+    if leaf is None:
+        leaf = st.tuples(st.just("cyl"), st.text("01", max_size=3))
+    e = leaf
+    for _ in range(depth):
+        e = st.one_of(
+            leaf,
+            st.tuples(st.just("compl"), e),
+            st.tuples(st.sampled_from(["cap", "cup"]), e, e),
+            st.tuples(st.just("limit"), st.lists(e, min_size=1, max_size=3),
+                      st.integers(0, 3)),
+        )
+    return e
+
+
+# the built-in measures' specs, with each one's probability of a 0
+BUILTIN_MEASURES = {"uniform": Fraction(1, 2), "biased:3/8": Fraction(3, 8)}
+_EIGHTHS = [Fraction(k, 8) for k in range(9)]
+
+
+@st.composite
+def measure_files(draw):
+    """A measure file's text and the reference model of its table: the
+    `half` or `copy` rule below depth 1 to 3, splits on the 2^-3 grid,
+    some of 0 or 1, and the witness l(n) = 3n, which every nonzero mass
+    then clears."""
+    rule = draw(st.sampled_from(["half", "copy"]))
+    depth = draw(st.integers(1, 3))
+    table = {"": Fraction(1)}
+    for w in strings_shorter_than(depth):
+        c = draw(st.sampled_from(_EIGHTHS))
+        table[w + "0"], table[w + "1"] = table[w] * c, table[w] * (1 - c)
+    lines = [f"measure depth={depth} ext={rule}"]
+    lines += [f"{w or '~'} {m.numerator} {m.denominator.bit_length() - 1}"
+              for w, m in table.items()]
+    lines.append("l poly 0 3")
+    below = ("const", Fraction(1, 2)) if rule == "half" else ("copy",)
+    return "\n".join(lines) + "\n", ref.MeasureModel(table, depth, below)
+
+
+def measures():
+    """A measure drawn as `measure_files` or a built-in one, loaded in
+    process: (the ProbabilityMeasure, its reference model)."""
+    from cantorbet.martingale import default_measure_resolver
+    from cantorbet.measure import load_measure
+
+    return st.one_of(
+        st.sampled_from(sorted(BUILTIN_MEASURES)).map(
+            lambda spec: (default_measure_resolver(spec),
+                          ref.MeasureModel.coin(BUILTIN_MEASURES[spec]))),
+        measure_files().map(lambda f: (load_measure(f[0]), f[1])))
 
 
 def nesting_shapes(k: int) -> dict[str, tuple[str, Fraction]]:

@@ -24,7 +24,7 @@ from cantorbet.martingale import (
 )
 from cantorbet.splitting import (
     DiffMartingale, IndicatorMartingale, LimitMeasurement,
-    LimitPlusMartingale, SliceMartingale, cylinder,
+    LimitPlusMartingale, MemoMartingale, SliceMartingale, cylinder,
 )
 
 from helpers import (
@@ -82,6 +82,9 @@ def _build(kind: str, rng: random.Random):
         return DiffMartingale(lam, SliceMartingale(w, nu, lam, nu.mass(w)))
     if kind == "Indicator":
         return IndicatorMartingale(w, nu)
+    if kind == "Memo":
+        return MemoMartingale(table() if rng.randrange(2) else
+                              RegularizedMartingale(table(), nu), nu, w)
     assert kind == "LimitPlus"
     stages = [cylinder(_word(rng, rng.randrange(0, 4)), nu)
               for _ in range(rng.randrange(1, 4))]
@@ -91,7 +94,7 @@ def _build(kind: str, rng: random.Random):
 
 
 KINDS = ["Table", "Constant", "Sum", "Regularized", "Slice", "Diff",
-         "Indicator", "LimitPlus"]
+         "Indicator", "Memo", "LimitPlus"]
 
 
 def _subclasses(cls):

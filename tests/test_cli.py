@@ -31,12 +31,9 @@ from cantorbet.measure import (
 )
 
 from helpers import (
-    SHALLOW_WITNESS_MEASURE, growth_expressions, load_bench_module,
-    nesting_shapes, terms,
+    BUILTIN_MEASURES, SHALLOW_WITNESS_MEASURE, growth_expressions,
+    measure_files, nesting_shapes, ref, set_expressions, terms,
 )
-
-# the benchmark's reference: truth tables and measures of set expressions
-ref = load_bench_module("reference")
 
 
 def cli(*argv):
@@ -855,50 +852,15 @@ def test_zero_denominator_flag_is_a_usage_error():
     assert "--alpha" in err and "Traceback" not in err
 
 
-# Set expressions as tuples: ("cyl", w), ("compl", E), ("cap", E, F),
-# ("cup", E, F) or ("limit", [E0, ..., En], K), with words of at most three
-# bits, so each set is a union of the eight 3-bit cylinders.  The
+# Set expressions as tuples (see `helpers.set_expressions`), with words of at
+# most three bits, so each set is a union of the eight 3-bit cylinders.  The
 # benchmark's reference answers for them: `ref.contains` is the truth
 # table, `ref.set_measure` the measure and `ref.expr_text` the text.
 
 _THREE_BITS = frozenset(format(i, "03b") for i in range(8))
-_BUILTIN = {"uniform": Fraction(1, 2), "biased:3/8": Fraction(3, 8)}
-_EIGHTHS = [Fraction(k, 8) for k in range(9)]
-
-
-def _expressions(depth):
-    """Well-formed expressions nested at most `depth` forms deep."""
-    leaf = st.tuples(st.just("cyl"), st.text("01", max_size=3))
-    e = leaf
-    for _ in range(depth):
-        e = st.one_of(
-            leaf,
-            st.tuples(st.just("compl"), e),
-            st.tuples(st.sampled_from(["cap", "cup"]), e, e),
-            st.tuples(st.just("limit"), st.lists(e, min_size=1, max_size=3),
-                      st.integers(0, 3)),
-        )
-    return e
-
-
-@st.composite
-def _measure_files(draw):
-    """A measure file's text and the reference model of its table: the
-    `half` or `copy` rule below depth 1 to 3, splits on the 2^-3 grid,
-    some of 0 or 1, and the witness l(n) = 3n, which every nonzero mass
-    then clears."""
-    rule = draw(st.sampled_from(["half", "copy"]))
-    depth = draw(st.integers(1, 3))
-    table = {"": Fraction(1)}
-    for w in strings_shorter_than(depth):
-        c = draw(st.sampled_from(_EIGHTHS))
-        table[w + "0"], table[w + "1"] = table[w] * c, table[w] * (1 - c)
-    lines = [f"measure depth={depth} ext={rule}"]
-    lines += [f"{w or '~'} {m.numerator} {m.denominator.bit_length() - 1}"
-              for w, m in table.items()]
-    lines.append("l poly 0 3")
-    below = ("const", Fraction(1, 2)) if rule == "half" else ("copy",)
-    return "\n".join(lines) + "\n", ref.MeasureModel(table, depth, below)
+# a built-in measure's spec, or a measure file's text with its model
+_MEASURES = st.one_of(st.sampled_from(sorted(BUILTIN_MEASURES)),
+                      measure_files())
 
 
 def _cylinders(e):
@@ -919,13 +881,12 @@ def _honest(e):
 # cli() raises whatever escapes run(), so an uncaught exception, the only
 # source of a traceback, fails these tests
 @settings(max_examples=120)
-@given(e=_expressions(6),
-       measure=st.one_of(st.sampled_from(sorted(_BUILTIN)), _measure_files()),
-       r=st.integers(0, 10))
+@given(e=set_expressions(6), measure=_MEASURES, r=st.integers(0, 10))
 def test_generated_set_expressions_keep_the_contract(tmp_path_factory, e,
                                                      measure, r):
     if isinstance(measure, str):
-        spec, model = measure, ref.MeasureModel.coin(_BUILTIN[measure])
+        spec = measure
+        model = ref.MeasureModel.coin(BUILTIN_MEASURES[measure])
     else:
         text, model = measure
         path = tmp_path_factory.getbasetemp() / "drawn.measure"
@@ -966,12 +927,13 @@ def _martingale_tables(draw, model):
 # the regularized value at w, through `regularize --w` at precision r and in
 # process, against the reference's exact path
 @settings(max_examples=120)
-@given(measure=st.one_of(st.sampled_from(sorted(_BUILTIN)), _measure_files()),
-       data=st.data(), w=st.text("01", max_size=12), r=st.integers(0, 16))
+@given(measure=_MEASURES, data=st.data(), w=st.text("01", max_size=12),
+       r=st.integers(0, 16))
 def test_regularized_paths_match_the_reference(tmp_path_factory, measure,
                                                data, w, r):
     if isinstance(measure, str):
-        spec, model = measure, ref.MeasureModel.coin(_BUILTIN[measure])
+        spec = measure
+        model = ref.MeasureModel.coin(BUILTIN_MEASURES[measure])
     else:
         text, model = measure
         path = tmp_path_factory.getbasetemp() / "drawn.measure"
@@ -995,7 +957,7 @@ def test_regularized_paths_match_the_reference(tmp_path_factory, measure,
 
 
 @settings(max_examples=120)
-@given(e=_expressions(6), data=st.data())
+@given(e=set_expressions(6), data=st.data())
 def test_mutated_set_expressions_keep_the_contract(e, data):
     text = ref.expr_text(e)
     i = data.draw(st.integers(0, len(text)), label="cut from")

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from cantorbet.cli import run
 from cantorbet.core import Dyadic, strings_of_length
+from cantorbet.martingale import RegularizedMartingale
 
 from helpers import random_martingale_table
 
@@ -136,6 +137,27 @@ def test_pinned_outputs(tmp_path):
     assert [row[0] for row in got] == [row[0] for row in want]
     diff = [(g[0], g[1:], w[1:]) for g, w in zip(got, want) if g != w]
     assert not diff, diff[:5]
+
+
+def test_pinned_measure_values_build_no_regularization(tmp_path,
+                                                       monkeypatch):
+    # a measurement starts from the unit martingale, whose splits need no
+    # regularization; the regularize verb shows that the count counts
+    built = []
+    init = RegularizedMartingale.__init__
+
+    def counted(self, base, nu):
+        built.append(base)
+        init(self, base, nu)
+
+    monkeypatch.setattr(RegularizedMartingale, "__init__", counted)
+    argvs = calls(tmp_path)
+    measured = [argv for argv in argvs if argv[0] == "measure-value"]
+    assert len(measured) == 80
+    outcomes(tmp_path, measured)
+    assert built == []
+    outcomes(tmp_path, [argvs[0]])
+    assert argvs[0][0] == "regularize" and len(built) == 1
 
 
 if __name__ == "__main__":

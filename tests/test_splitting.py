@@ -9,8 +9,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from cantorbet.core import Dyadic, ZERO, ONE
+from cantorbet import splitting
+from cantorbet.core import Dyadic, ZERO, ONE, strings_of_length
 from cantorbet.errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
@@ -18,7 +20,10 @@ from cantorbet.errors import (
 from cantorbet.measure import (
     PositivityWitness, ProbabilityMeasure, uniform, biased,
 )
-from cantorbet.martingale import ConstantMartingale, unit, covers, regularize
+from cantorbet.martingale import (
+    ConstantMartingale, RegularizedMartingale, default_measure_resolver,
+    unit, covers, regularize,
+)
 from cantorbet.splitting import (
     Complement, CylinderNull, CylinderPos, IntersectUnion, LimitMeasurement,
     cylinder, complement, complete_null, union_sequence, measure_value,
@@ -27,7 +32,8 @@ from cantorbet.splitting import (
 )
 
 from helpers import (
-    random_conditionals, build_measure, build_table_martingale, nesting_shapes,
+    BUILTIN_MEASURES, random_conditionals, build_measure,
+    build_table_martingale, measures, nesting_shapes, ref, set_expressions,
 )
 
 
@@ -601,3 +607,233 @@ def test_parse_operator_error_texts(text, message):
     with pytest.raises(ParseError) as info:
         parse_operator(text, uniform())
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# measurements from the unit martingale
+# ---------------------------------------------------------------------------
+# Splitting `unit(nu)` by the operator of a set E gives, at every node v of
+# positive mass, exactly nu(E | v) and 1 - nu(E | v).  So no positive
+# cylinder of the measurement regularizes its input, and the measured
+# values are those of the route that regularizes every input.  Expressions
+# are `helpers.set_expressions` tuples, plus the null sets the grammar
+# cannot reach: ("complete", E) is `complete_null` of E and
+# ("sequence", [E, ...]) is `union_sequence` of the members.
+
+
+def _contains(e, s: str) -> bool:
+    if e[0] == "complete":
+        return ref.contains(e[1], s)
+    if e[0] == "sequence":
+        return any(ref.contains(m, s) for m in e[1])
+    return ref.contains(e, s)
+
+
+def _longest(e) -> int:
+    members = (e[1],) if e[0] == "complete" else \
+        e[1] if e[0] == "sequence" else (e,)
+    return max(len(w) for m in members for w in ref.expr_words(m))
+
+
+def _operator(e, nu):
+    """The operator of an expression, built from its tuple."""
+    head = e[0]
+    if head == "cyl":
+        return cylinder(e[1], nu)
+    if head == "compl":
+        return complement(_operator(e[1], nu))
+    if head in ("cap", "cup"):
+        return IntersectUnion(_operator(e[1], nu), _operator(e[2], nu), head)
+    if head == "limit":
+        return LimitMeasurement([_operator(s, nu) for s in e[1]], e[2])
+    if head == "complete":
+        return complete_null(_operator(e[1], nu))
+    return union_sequence([_operator(m, nu) for m in e[1]])
+
+
+def _null(e, model):
+    """E where its set is null, and otherwise (cap E (compl E)), which is
+    empty."""
+    return e if ref.set_measure(e, model) == 0 else ("cap", e, ("compl", e))
+
+
+def _null_forms(model, depth: int, tiny: bool = False):
+    """A `complete_null` or `union_sequence` form of null members drawn
+    `depth` forms deep; with `tiny`, a member may also be a cylinder of 11
+    to 16 bits instead, which the null gate admits where its mass is at
+    most 2^-10 though it is not null."""
+    member = set_expressions(depth).map(lambda e: _null(e, model))
+    if tiny:
+        member |= st.tuples(st.just("cyl"),
+                            st.text("01", min_size=11, max_size=16))
+    members = st.lists(member, min_size=1, max_size=3)
+    return st.one_of(members.map(lambda ms: ("complete", ms[0])),
+                     members.map(lambda ms: ("sequence", ms)))
+
+
+def _conditionals(e, model) -> dict[str, Fraction]:
+    """nu(E | v) at every node v of positive mass down to the longest word
+    + 2, by the reference's truth table over the strings of length
+    max(|v|, longest word)."""
+    n = _longest(e)
+    out = {}
+    for k in range(n + 3):
+        for v in strings_of_length(k):
+            m = model.mass(v)
+            if m:
+                out[v] = sum(model.mass(v + t)
+                             for t in strings_of_length(max(n - k, 0))
+                             if _contains(e, v + t)) / m
+    return out
+
+
+def _assert_splits_unit_into_conditionals(op, e, nu, model, r):
+    plus, minus = op.split(r, unit(nu))
+    for v, p in _conditionals(e, model).items():
+        assert (plus.value(v), minus.value(v)) == (p, 1 - p), (v, r)
+
+
+@settings(max_examples=150)
+@given(e=set_expressions(6), measure=measures(), r=st.integers(0, 10))
+def test_a_split_of_the_unit_martingale_is_the_conditional_probability(
+        e, measure, r):
+    # exactly, not within 2^-r; a limit reads its stage min(K, last), as
+    # the reference's truth table does
+    nu, model = measure
+    op = parse_operator(ref.expr_text(e), nu)
+    _assert_splits_unit_into_conditionals(op, e, nu, model, r)
+
+
+@settings(max_examples=60)
+@given(measure=measures(), data=st.data(), r=st.integers(0, 10))
+def test_null_unions_split_the_unit_martingale_into_conditionals(
+        measure, data, r):
+    nu, model = measure
+    e = data.draw(_null_forms(model, 4), label="null set")
+    try:
+        op = _operator(e, nu)
+    except ModulusViolationError:
+        reject()   # a member's limit leaves its envelope at the null gate
+    _assert_splits_unit_into_conditionals(op, e, nu, model, r)
+
+
+def _measured(e, nu, r):
+    """measure_value of e's operator, built here, as (mantissa,
+    precision), or the error that building or measuring it raised."""
+    try:
+        v = measure_value(_operator(e, nu), r)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return v.mantissa, v.precision
+
+
+@settings(max_examples=100)
+@given(measure=measures(), data=st.data(), r=st.integers(0, 20))
+def test_measured_values_match_the_route_that_regularizes_every_input(
+        measure, data, r):
+    # null sets nest under cap, cup, compl and limit: a null union's plus
+    # half is never unit-bounded, so the splits above it regularize; a
+    # member of positive mass below the gate would show it at r > 10
+    nu, model = measure
+    leaf = st.one_of(st.tuples(st.just("cyl"), st.text("01", max_size=3)),
+                     _null_forms(model, 2, tiny=True))
+    e = data.draw(set_expressions(4, leaf), label="expression")
+    fast = _measured(e, nu, r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitting, "MemoMartingale",
+                   lambda d, nu, w: regularize(d, nu))
+        assert _measured(e, nu, r) == fast
+
+
+def test_a_member_of_positive_mass_under_the_null_gate_is_regularized():
+    # (cyl 0^11) passes the null gate, at 2^-11 under the uniform measure.
+    # Its union with (cyl 0) holds 1 + 2^-10 at 0, so the cap's split must
+    # regularize that union, whose transfer lowers the capital at 0 to 1:
+    # the cap then measures 1/2, not 1/2 + 2^-11
+    mu = uniform()
+    for tiny in (complete_null(cylinder("0" * 11, mu)),
+                 union_sequence([cylinder("0" * 11, mu)])):
+        cup = IntersectUnion(tiny, cylinder("0", mu), "cup")
+        op = IntersectUnion(cup, cylinder("0", mu), "cap")
+        assert not cup.plus(4, unit(mu)).unit_bounded
+        assert measure_value(op, 16) == Dyadic(1, 1)
+
+
+@contextlib.contextmanager
+def counting_regularizations(mp):
+    """The inputs of the CylinderPos splits in the block, and the number
+    of regularizations built, in the yielded lists."""
+    inputs, built = [], []
+    split, init = CylinderPos.split, RegularizedMartingale.__init__
+
+    def counted_split(self, r, d):
+        inputs.append(d)
+        return split(self, r, d)
+
+    def counted_init(self, base, nu):
+        built.append(base)
+        init(self, base, nu)
+
+    mp.setattr(CylinderPos, "split", counted_split)
+    mp.setattr(RegularizedMartingale, "__init__", counted_init)
+    yield inputs, built
+
+
+@settings(max_examples=60)
+@given(e=set_expressions(6), spec=st.sampled_from(sorted(BUILTIN_MEASURES)),
+       seed=st.integers(0, 2 ** 32 - 1), r=st.integers(0, 10))
+def test_only_inputs_not_unit_bounded_are_regularized(e, spec, seed, r):
+    # from the unit martingale no split regularizes; from a table, every
+    # positive cylinder's split builds one regularization, as the built-in
+    # measures have no null cylinder
+    nu = default_measure_resolver(spec)
+    c = Dyadic.from_fraction(BUILTIN_MEASURES[spec])
+    table = build_table_martingale(random.Random(seed), nu,
+                                   {w: c for n in range(4)
+                                    for w in strings_of_length(n)}, 4)
+    op = parse_operator(ref.expr_text(e), nu)
+    with pytest.MonkeyPatch.context() as mp, \
+            counting_regularizations(mp) as (inputs, built):
+        op.split(r, unit(nu))
+        assert inputs and built == []
+        del inputs[:]
+        plus, minus = op.split(r, table)
+        plus.value("")
+        minus.value("")
+        assert not any(d.unit_bounded for d in inputs)
+        assert len(built) == len(inputs)
+
+
+def test_slices_step_their_masses_down_from_the_root():
+    # A cap of two cylinders on one 64-bit word, split from a table:
+    # each regularization walks the 64 levels and asks the slice it
+    # regularizes at every level.  A slice steps the masses of w's
+    # prefixes down from the root once each, by `children`, so no
+    # closed-form mass query follows the cylinders' own.
+    nu = biased(Dyadic(3, 3))
+    w = "".join(random.Random(5).choice("01") for _ in range(64))
+    op = IntersectUnion(cylinder(w, nu), cylinder(w, nu), "cap")
+    d = build_table_martingale(random.Random(6), nu,
+                               {u: Dyadic(3, 3) for n in range(3)
+                                for u in strings_of_length(n)}, 3)
+    calls = {"mass": 0, "children": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(self, *args, name=name,
+                        orig=getattr(ProbabilityMeasure, name)):
+                calls[name] += 1
+                return orig(self, *args)
+            mp.setattr(ProbabilityMeasure, name, counted)
+        plus, minus = op.split(4, d)
+        plus.value("")
+        minus.value("")
+    # two regularizations step down 64 levels each, and the slice they
+    # ask at every level steps to its 63 proper prefixes; the outer slice
+    # is read at the root only
+    assert calls == {"mass": 0, "children": 2 * 64 + 63}
+    # the stepped masses are the closed form's, whatever order asks them
+    a = op.phi.split(5, d)[0]
+    inner = a.inner.value(w)
+    for i in [*range(40, 64, 3), *range(0, 64, 5)]:
+        ratio = nu.mass(w).to_fraction() / nu.mass(w[:i]).to_fraction()
+        assert a.value(w[:i]) == inner * ratio, i
