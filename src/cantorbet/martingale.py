@@ -162,8 +162,8 @@ class SumMartingale(Martingale):
     n * 2**-q <= 2**-(r+1) together and the rounding by 2**-(r+1), so the
     answer is within 2**-r whatever the terms are.
 
-    `unit_bounded` is the caller's claim; `splitting.IntersectUnion` makes
-    it for a sum of halves that provably add up to at most its input.
+    `unit_bounded` is the caller's claim; `splitting.IntersectUnion` and
+    `splitting.NullUnion` make it for sums of the halves of exact splits.
     """
 
     def __init__(self, *terms: Martingale, unit_bounded: bool = False):
@@ -177,7 +177,10 @@ class SumMartingale(Martingale):
 
     def _pair(self, w: str) -> tuple[int, int]:
         n, d = 0, 1
-        for tn, td in (t._pair(w) for t in self.terms):
+        # a plain loop, not a generator, so that a query through nested
+        # halves costs one Python frame per sum
+        for t in self.terms:
+            tn, td = t._pair(w)
             n, d = n * td + tn * d, d * td
         return reduced(n, d)
 

@@ -1,33 +1,28 @@
 """Splitting operators: measurements of sets by martingale pairs.
 
-A splitting operator sends (precision, martingale) to a pair of martingales
+A splitting operator sends a martingale to a pair of martingales
 (plus, minus) that divide the input's initial capital between a set and its
 complement: successes inside the set are inherited by `plus`, successes
-outside by `minus`, and the two root values never exceed the input's root
-by more than 2**-precision.  Each operator computes the pair in one
-`split(r, d)`; `plus` and `minus` are views of it.  The measured value of
-the set is then read off the plus component started from the unit
-martingale.
+outside by `minus`, and the two root values add up to the input's root
+exactly.  The paper indexes its operators by a precision r and lets the
+pair exceed the input by 2**-r; every split here has slack 0, so the index
+is not an argument.  Each operator computes the pair in one `split(d)`;
+`plus` and `minus` are views of it.  The measured value of the set is then
+read off the plus component started from the unit martingale.
 
 This module builds the concrete measurements the theory promises:
 cylinders (null and positive mass), complements, finite intersections and
 unions, subsets of null sets, unions of null sequences, and limits of
-eventually-constant measurement sequences.  An intersection or union of
-phi and psi splits the input with phi, then splits one of phi's halves with
-psi and adds the other half to the side it belongs to (see
-`IntersectUnion`).  This deliberately departs from the paper, which sums
-the four sign-composition pieces theta^{ab} = psi^b(phi^a): it keeps the
-splitting axioms with two terms and applies each of phi and psi once, so
-an expression nested k deep costs O(k) operator applications.
+eventually-constant measurement sequences.  An intersection or union
+applies each operand once, by two terms in place of the paper's four
+sign-composition pieces (see `IntersectUnion`), so an expression nested k
+deep costs O(k) operator applications.
 
 A positive cylinder splits the regularization of its input, unless the
-input is `unit_bounded` (see `Martingale`): that input's regularization
-equals it at every node of positive mass, so the cylinder splits a memo of
-the input's own pairs instead.  The unit martingale is unit_bounded, and
-so is each half the operators build from such an input by an exact split
-(see `SplittingOperator`), so a measurement started from `unit(nu)`
-regularizes nothing.  Values at null nodes may then differ from those of
-`regularize(d, nu)`; no root value reads them.
+input is `unit_bounded` (see `Martingale` and `CylinderPos`).  The unit
+martingale is unit_bounded, and so is each half the operators build from
+such an input by an exact split (see `SplittingOperator`), so a
+measurement started from `unit(nu)` regularizes nothing.
 """
 
 from __future__ import annotations
@@ -56,29 +51,27 @@ __all__ = [
     "measure_value",
     "initial_capital_surplus",
     "parse_operator",
-    "NULL_GATE_PRECISION",
 ]
-
-# precision at which "measures a null set" preconditions are checked
-NULL_GATE_PRECISION = 10
 
 
 class SplittingOperator:
-    """Interface: split(r, d) returns the pair (plus, minus) of martingales
-    over `measure`; plus(r, d) and minus(r, d) are its two halves.
+    """Interface: split(d) returns the pair (plus, minus) of martingales
+    over `measure`; plus(d) and minus(d) are its two halves.
 
     Every subclass gets the two views in its own namespace unless it
     defines them itself, so they can be looked up (and patched) per class.
 
+    Axiom (iii) holds with slack 0 at every precision: plus + minus = d at
+    the root for every input d (see each class), so the paper's precision
+    index is not an argument.
+
     A split is exact when both halves come back `unit_bounded`.  Every
-    operator here keeps this invariant: if both halves of split(r, d) are
+    operator here keeps this invariant: if both halves of split(d) are
     unit_bounded, then so is d, and plus + minus = d at every node of
     positive mass.  The cylinders keep it (see `CylinderPos`), a complement
-    and a limit return the halves of a split that keeps it, and
-    `IntersectUnion` marks a sum only when both of its splits were exact.
-    A `NullUnion`'s plus half is never unit_bounded: `_require_null` admits
-    members of value up to 2**-NULL_GATE_PRECISION, so that half plus the
-    input can exceed 1.
+    and a limit return the halves of a split that keeps it, `IntersectUnion`
+    marks a sum only when both of its splits were exact, and `NullUnion`
+    only when every member's half is unit_bounded.
     """
 
     measure: ProbabilityMeasure
@@ -89,14 +82,14 @@ class SplittingOperator:
             if name not in cls.__dict__:
                 setattr(cls, name, SplittingOperator.__dict__[name])
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
         raise NotImplementedError
 
-    def plus(self, r: int, d: Martingale) -> Martingale:
-        return self.split(r, d)[0]
+    def plus(self, d: Martingale) -> Martingale:
+        return self.split(d)[0]
 
-    def minus(self, r: int, d: Martingale) -> Martingale:
-        return self.split(r, d)[1]
+    def minus(self, d: Martingale) -> Martingale:
+        return self.split(d)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +186,8 @@ class DiffMartingale(Martingale):
 
 
 class MemoMartingale(Martingale):
-    """A base martingale's exact pairs, kept as they are asked: what
-    `CylinderPos` splits in place of a `unit_bounded` input's
-    regularization.
+    """A base martingale's exact pairs, kept as they are asked, which
+    `CylinderPos` splits in place of a `unit_bounded` input's regularization.
 
     The memo asks the base at the root and at the cylinder's word w when it
     is built, as a regularization asks its base's root.  A measurement
@@ -224,21 +216,20 @@ class MemoMartingale(Martingale):
 # ---------------------------------------------------------------------------
 
 class CylinderNull(SplittingOperator):
-    """Measurement of a mass-zero cylinder: indicator / identity, both
-    exact, so the precision argument `r` is ignored."""
+    """Measurement of a mass-zero cylinder: indicator / identity."""
 
     def __init__(self, w: str, nu: ProbabilityMeasure):
         self.w = w
         self.measure = nu
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
         return IndicatorMartingale(self.w, self.measure), d
 
 
 class CylinderPos(SplittingOperator):
     """Measurement of a cylinder of positive mass `mass`: the slice of the
-    regularized input at the cylinder, and the rest.  Both components are
-    exact, so `r` is ignored.
+    regularized input at the cylinder, and the rest, which add up to the
+    regularization, and so to d at the root.
 
     A `unit_bounded` input d is not regularized: a `MemoMartingale` of d's
     own pairs stands in for `regularize(d, nu)`, which equals d at every
@@ -254,9 +245,8 @@ class CylinderPos(SplittingOperator):
 
     The split is exact in `SplittingOperator`'s sense: the halves of a
     unit_bounded input are the slice and d minus it, unit_bounded unless
-    the slice fails the witness's threshold, and they add up to d.  The
-    halves of any other input are those of its regularization, and are
-    not unit_bounded.
+    the slice fails the witness's threshold; those of any other input are
+    the regularization's, and are not.
     """
 
     def __init__(self, w: str, nu: ProbabilityMeasure, mass: Dyadic):
@@ -264,7 +254,7 @@ class CylinderPos(SplittingOperator):
         self.measure = nu
         self.mass = mass
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
         nu = self.measure
         lam = MemoMartingale(d, nu, self.w) if d.unit_bounded else \
             regularize(d, nu)
@@ -287,8 +277,8 @@ class Complement(SplittingOperator):
         self.inner = inner
         self.measure = inner.measure
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        plus, minus = self.inner.split(r, d)
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
+        plus, minus = self.inner.split(d)
         return minus, plus
 
 
@@ -301,20 +291,19 @@ def complement(op: SplittingOperator) -> SplittingOperator:
 class IntersectUnion(SplittingOperator):
     """Intersection (`cap`) or union (`cup`) of the sets phi and psi measure.
 
-    With (a, b) = phi.split(r+1, d), psi splits one half at precision r+2:
+    With (a, b) = phi.split(d), psi splits one half:
 
         cup: (a + psi+(b), psi-(b))        cap: (psi+(a), b + psi-(a))
 
-    Axiom (iii): a + b <= d + 2**-(r+1) and psi+ + psi- <= input
-    + 2**-(r+2), so plus + minus <= d + 3 * 2**-(r+2) <= d + 2**-r at the
-    root.  Successes are inherited case by case.  For cup: a sequence in
-    phi's set makes a succeed, hence plus; one in psi's set but not phi's
-    makes b succeed, hence psi+(b); one in neither makes b, hence psi-(b),
-    succeed.  For cap: a sequence in both makes a, hence psi+(a), succeed;
-    one in phi's set but not psi's makes a, hence psi-(a); one outside
-    phi's set makes b succeed.  The paper's four theta^{ab} pieces are
-    replaced by these two terms on purpose: phi and psi are each applied
-    once, so nesting on either side costs linear work.
+    Axiom (iii): a + b = d and psi+ + psi- = the half at the root, so
+    plus + minus = d there.  Successes are inherited case by case.  For
+    cup: a sequence in phi's set makes a succeed, hence plus; one in psi's
+    set but not phi's makes b succeed, hence psi+(b); one in neither makes
+    b, hence psi-(b), succeed.  For cap: a sequence in both makes a, hence
+    psi+(a), succeed; one in phi's set but not psi's makes a, hence
+    psi-(a); one outside phi's set makes b succeed.  These two terms
+    replace the paper's four theta^{ab} = psi^b(phi^a) on purpose: phi and
+    psi are each applied once, so nesting on either side costs linear work.
 
     The sum is `unit_bounded` when both splits were exact (see
     `SplittingOperator`): then d is unit_bounded, a + b = d,
@@ -332,10 +321,18 @@ class IntersectUnion(SplittingOperator):
         self.psi = psi
         self.which = which
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        a, b = self.phi.split(r + 1, d)
-        cap = self.which == "cap"
-        plus, minus = self.psi.split(r + 2, a if cap else b)
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
+        # a complemented operand splits through its inner operator with the
+        # halves swapped, so that it adds no Python frame to the recursion
+        phi, psi, cap = self.phi, self.psi, self.which == "cap"
+        if isinstance(phi, Complement):
+            b, a = phi.inner.split(d)
+        else:
+            a, b = phi.split(d)
+        if isinstance(psi, Complement):
+            minus, plus = psi.inner.split(a if cap else b)
+        else:
+            plus, minus = psi.split(a if cap else b)
         exact = all(h.unit_bounded for h in (a, b, plus, minus))
         if cap:
             return plus, SumMartingale(b, minus, unit_bounded=exact)
@@ -347,29 +344,32 @@ class IntersectUnion(SplittingOperator):
 # ---------------------------------------------------------------------------
 
 def _require_null(op: SplittingOperator, what: str) -> None:
-    v = measure_value(op, NULL_GATE_PRECISION)
-    if v > Dyadic(1, NULL_GATE_PRECISION):
+    """Refuse op unless nu(E), the root of its plus half from the unit
+    martingale (nu(E | v) at each v of positive mass), is exactly 0."""
+    n, d = op.plus(unit(op.measure)).pair("")
+    if n:
         raise PreconditionError(
-            f"{what}: operator value {v} at precision "
-            f"{NULL_GATE_PRECISION} is not null")
+            f"{what}: operator value {Fraction(n, d)} is not null")
 
 
 class NullUnion(SplittingOperator):
-    """Union of finitely many null sets: member j restarts from the unit
-    martingale at precision j+r+1, the plus half is their sum and the minus
+    """Union of finitely many null sets: each member restarts from the unit
+    martingale, the plus half is the sum of their plus halves and the minus
     half is the input itself.
 
-    The plus half is a `SumMartingale` even of one member, so it is never
-    `unit_bounded`: the split adds capital to its input, and a member that
-    passes `_require_null` may have positive mass."""
+    Each member's half is 0 at the root (see `_require_null`), so the pair
+    adds up to the input there.  The sum is `unit_bounded` when every
+    member's half is: each is then nu(E_j | v) = 0 at every node v of
+    positive mass, as nu(E_j) = 0, and so is the sum."""
 
     def __init__(self, members):
         self.members = tuple(members)
         self.measure = reduce(same_measure, (m.measure for m in self.members))
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
-        return SumMartingale(*(op.split(j + r + 1, unit(self.measure))[0]
-                               for j, op in enumerate(self.members))), d
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
+        halves = [op.plus(unit(self.measure)) for op in self.members]
+        exact = all(h.unit_bounded for h in halves)
+        return SumMartingale(*halves, unit_bounded=exact), d
 
 
 def complete_null(op: SplittingOperator) -> NullUnion:
@@ -398,8 +398,7 @@ class LimitPlusMartingale(Martingale):
     `halves` are the plus halves of stages k, k+1, ...  Exact values take
     the modulus at face value and read stage k (sound for the library's
     eventually-constant families).  Approximations also check the later
-    halves and refuse to answer if they wander outside the promised
-    envelope.
+    halves, and refuse to answer outside the promised envelope.
     """
 
     def __init__(self, halves, k: int, measure: ProbabilityMeasure):
@@ -429,8 +428,9 @@ class LimitMeasurement(SplittingOperator):
     their limit from stage k; stages past n repeat E_n.
 
     Stage k and up to PROBES later stages (never past the last) are split
-    once each, at precision r+1; the plus half is the limit of their plus
-    halves, the minus half stage k's."""
+    once each; the plus half is the limit of their plus halves, the minus
+    half stage k's.  Exact values read stage k, so the pair adds up to the
+    input at the root as stage k's does."""
 
     PROBES = 2
 
@@ -444,13 +444,11 @@ class LimitMeasurement(SplittingOperator):
         last = len(self.stages) - 1
         self.k = last if gamma is None else min(gamma, last)
 
-    def split(self, r: int, d: Martingale) -> tuple[Martingale, Martingale]:
+    def split(self, d: Martingale) -> tuple[Martingale, Martingale]:
         k = self.k
-        pairs = [op.split(r + 1, d)
-                 for op in self.stages[k:k + self.PROBES + 1]]
-        return (LimitPlusMartingale([plus for plus, _ in pairs], k,
-                                    self.measure),
-                pairs[0][1])
+        pairs = [op.split(d) for op in self.stages[k:k + self.PROBES + 1]]
+        plus = LimitPlusMartingale([p for p, _ in pairs], k, self.measure)
+        return plus, pairs[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +457,17 @@ class LimitMeasurement(SplittingOperator):
 
 def measure_value(op: SplittingOperator, r: int) -> Dyadic:
     """The measured value of the set, canonical at precision r: the plus
-    component read at r+1, rounded onto the 2**-r grid.  For the cylinders,
-    which ignore `r`, this rounding alone is what meets 2**-r."""
+    component from the unit martingale read at r+1, rounded onto the 2**-r
+    grid."""
     if r < 0:
         raise DomainError("precision must be >= 0")
-    d = op.plus(r + 1, unit(op.measure))
-    return d.approx(r + 1, "").round_at(r)
+    return op.plus(unit(op.measure)).approx(r + 1, "").round_at(r)
 
 
-def initial_capital_surplus(op: SplittingOperator, r: int,
-                            d: Martingale) -> Fraction:
-    """plus(λ) + minus(λ) - d(λ): axiom (iii) demands this <= 2**-r."""
-    plus, minus = op.split(r, d)
+def initial_capital_surplus(op: SplittingOperator, d: Martingale) -> Fraction:
+    """plus(λ) + minus(λ) - d(λ): axiom (iii) demands this <= 2**-r at
+    precision r, and every operator here makes it 0."""
+    plus, minus = op.split(d)
     return plus.value("") + minus.value("") - d.value("")
 
 

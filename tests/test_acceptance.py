@@ -201,8 +201,8 @@ def test_criterion_05_splitting_surplus():
         for i, op in enumerate(pool):
             for j, d in enumerate(ds):
                 r = (i * 50 + j) % 11
-                plus = op.plus(r, d).value("")
-                minus = op.minus(r, d).value("")
+                plus = op.plus(d).value("")
+                minus = op.minus(d).value("")
                 checked += 1
                 if plus + minus > d.value("") + Fraction(1, 2 ** r):
                     failures.append((i, j, r))

@@ -88,7 +88,7 @@ def _build(kind: str, rng: random.Random):
     assert kind == "LimitPlus"
     stages = [cylinder(_word(rng, rng.randrange(0, 4)), nu)
               for _ in range(rng.randrange(1, 4))]
-    d = LimitMeasurement(stages).plus(rng.randrange(0, 6), table())
+    d = LimitMeasurement(stages).plus(table())
     assert isinstance(d, LimitPlusMartingale)
     return d
 

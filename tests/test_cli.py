@@ -19,7 +19,7 @@ from cantorbet.cli import (
     _Parser, _fraction_flag, build_parser, resolve_measure, run,
 )
 from cantorbet.config import MAX_NESTING, set_magnitude_cap
-from cantorbet.core import Dyadic, strings_shorter_than
+from cantorbet.core import Dyadic, strings_of_length, strings_shorter_than
 from cantorbet.errors import ResourceError
 from cantorbet.funalg import parse_term
 from cantorbet.martingale import (
@@ -267,6 +267,45 @@ def test_set_expression_nesting_bound():
                              "--measure", "uniform", "--precision", "4")
         assert (code, out) == (2, "")
         assert err.startswith("measure-value:") and err.count("\n") == 1
+
+
+def _distinct_word_nests():
+    """Three nests MAX_NESTING forms deep, one form per distinct word, as
+    (expression, text, measure spec, word length): no memo below a form
+    holds the word its cylinder asks, so each form adds its frames to the
+    queries that pass it."""
+    bits = (MAX_NESTING - 1).bit_length()
+    words = [format(i, f"0{bits}b") for i in range(MAX_NESTING)]
+    steps = (
+        (lambda e, w: ("compl", ("cup", ("cyl", w), e)),
+         "(compl (cup (cyl {w}) {t}))", "0", "uniform"),
+        (lambda e, w: ("cap", ("compl", e), ("cyl", w)),
+         "(cap (compl {t}) (cyl {w}))", "0", "biased:3/8"),
+        (lambda e, w: ("cup", ("cyl", w), e),
+         "(cup (cyl {w}) {t})", "1", "uniform"),
+    )
+    for step, form, start, spec in steps:
+        e, text = ("cyl", start), f"(cyl {start})"
+        for w in words:
+            e, text = step(e, w), form.format(w=w, t=text)
+        yield e, text, spec, bits
+
+
+def test_complemented_operands_add_no_recursion():
+    # a complemented operand of cap or cup is split through its inner
+    # operator, so the nests with complements finish at the default
+    # recursion limit as the plain nest of cups does, each within 2^-4 of
+    # its truth-table value
+    for e, text, spec, bits in _distinct_word_nests():
+        model = ref.MeasureModel.coin(BUILTIN_MEASURES[spec])
+        want = sum(model.mass(s) for s in strings_of_length(bits)
+                   if ref.contains(e, s))
+        code, out, err = cli("measure-value", "--expr", text,
+                             "--measure", spec, "--precision", "4")
+        assert (code, err) == (0, ""), text[:40]
+        assert out.endswith("/2^4\n"), out
+        got = Fraction(int(out.split("/")[0]), 16)
+        assert abs(got - want) <= Fraction(1, 16), (text[:40], got, want)
 
 
 def test_term_nesting_bound():

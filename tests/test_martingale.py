@@ -561,7 +561,7 @@ def _regularization_base(kind, rng):
     assert kind == "LimitPlus"
     stages = [cylinder(_word(rng, rng.randrange(4)), nu)
               for _ in range(rng.randrange(1, 4))]
-    return LimitMeasurement(stages).plus(rng.randrange(6), table()), nu
+    return LimitMeasurement(stages).plus(table()), nu
 
 
 @settings(max_examples=150, deadline=None)
@@ -611,7 +611,7 @@ def test_exact_route_makes_no_fraction_arithmetic(monkeypatch):
     assert any(d & (d - 1) for _, d in lam._memo.values())
     # set measurement: both halves of a positive cylinder's split, read on
     # the way down to the cylinder, inside it and beside it
-    plus, minus = cylinder("011", nu).split(5, base)
+    plus, minus = cylinder("011", nu).split(base)
     words = ["", "0", "01", "011", "0110", "01101", "1", "010", "11"]
     halves = [(plus.value(v), minus.value(v)) for v in words]
     assert is_regular(lam, 6)

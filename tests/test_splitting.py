@@ -9,10 +9,12 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cantorbet import splitting
-from cantorbet.core import Dyadic, ZERO, ONE, strings_of_length
+from cantorbet.core import (
+    Dyadic, ZERO, ONE, strings_of_length, strings_shorter_than,
+)
 from cantorbet.errors import (
     DomainError, MeasureMismatchError, ModulusViolationError, ParseError,
     PreconditionError,
@@ -57,12 +59,12 @@ def random_d(seed, depth=4):
 def test_null_cylinder():
     nu = null_measure()
     op = cylinder("1", nu)
-    plus = op.plus(4, unit(nu))
+    plus = op.plus(unit(nu))
     assert plus.value("") == 0
     assert plus.value("1") == 1
     assert plus.value("10") == 1
     assert plus.value("0") == 0
-    assert op.minus(4, unit(nu)).value("0110") == 1
+    assert op.minus(unit(nu)).value("0110") == 1
     assert measure_value(op, 8) == ZERO
 
 
@@ -103,7 +105,7 @@ def test_positive_cylinder_at_root_is_regularization():
     mu = uniform()
     d, nu = random_d(3)
     op = cylinder("", nu)
-    plus = op.plus(5, d)
+    plus = op.plus(d)
     lam = regularize(d, nu)
     for w in ["", "0", "11", "0101"]:
         assert plus.value(w) == lam.value(w)
@@ -111,7 +113,7 @@ def test_positive_cylinder_at_root_is_regularization():
 
 def test_positive_cylinder_off_side_zero():
     mu = uniform()
-    plus = cylinder("0", mu).plus(3, unit(mu))
+    plus = cylinder("0", mu).plus(unit(mu))
     assert plus.value("1") == 0
     assert plus.value("10") == 0
     assert plus.value("0") == 1
@@ -121,7 +123,7 @@ def test_positive_cylinder_off_side_zero():
 def test_slice_minus_nonnegative():
     d, nu = random_d(11)
     op = cylinder("010", nu)
-    minus = op.minus(4, d)
+    minus = op.minus(d)
     rng = random.Random(2)
     for _ in range(60):
         n = rng.randrange(6)
@@ -158,7 +160,7 @@ def test_a_cylinder_reads_its_mass_once(monkeypatch):
         op = parse_operator(f"(cyl {w or '~'})", nu)
         assert calls == [w], (w, calls)
         del calls[:]
-        op.split(6, unit(nu))
+        op.split(unit(nu))
         got = measure_value(op, 8).to_fraction()
         assert w not in calls, (w, calls)
         assert abs(got - want) <= Fraction(1, 2 ** 8), w
@@ -183,9 +185,7 @@ def test_complement_involution():
 
 def test_complement_preserves_axiom_iii():
     d, nu = random_d(5)
-    op = complement(cylinder("01", nu))
-    for r in range(1, 8):
-        assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
+    assert initial_capital_surplus(complement(cylinder("01", nu)), d) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +198,12 @@ def test_theta_values():
     mu = uniform()
     c0 = cylinder("0", mu)
     c1 = cylinder("1", mu)
-    for r in (2, 5, 8):
-        both = IntersectUnion(c0, c0, "cap").plus(r, unit(mu))
-        assert both.value("") == Fraction(1, 2)
-        neither = IntersectUnion(c0, c1, "cup").minus(r, unit(mu))
-        assert neither.value("") == 0
-        rest = IntersectUnion(c0, c1, "cap").minus(r, unit(mu))
-        assert rest.value("") == 1
+    both = IntersectUnion(c0, c0, "cap").plus(unit(mu))
+    assert both.value("") == Fraction(1, 2)
+    neither = IntersectUnion(c0, c1, "cup").minus(unit(mu))
+    assert neither.value("") == 0
+    rest = IntersectUnion(c0, c1, "cap").minus(unit(mu))
+    assert rest.value("") == 1
 
 
 def test_theta_outputs_satisfy_identity():
@@ -212,7 +211,7 @@ def test_theta_outputs_satisfy_identity():
     c = cylinder("01", nu)
     for which in ("cap", "cup"):
         op = IntersectUnion(c, c, which)
-        for out in (op.plus(3, d), op.minus(3, d)):
+        for out in (op.plus(d), op.minus(d)):
             for n in range(3):
                 for i in range(1 << n):
                     w = format(i, f"0{n}b") if n else ""
@@ -238,7 +237,7 @@ class CountingOperator(SplittingOperator):
         self.measure = nu
         self.calls = 0
 
-    def split(self, r, d):
+    def split(self, d):
         self.calls += 1
         return d, d
 
@@ -250,12 +249,12 @@ def test_operator_classes_own_their_views():
         assert {"plus", "minus", "split"} <= set(vars(cls)), cls
 
     class OwnPlus(CountingOperator):
-        def plus(self, r, d):
+        def plus(self, d):
             return "own"
 
     op = OwnPlus(uniform())
-    assert op.plus(1, unit(op.measure)) == "own"
-    assert op.minus(1, unit(op.measure)) is not None
+    assert op.plus(unit(op.measure)) == "own"
+    assert op.minus(unit(op.measure)) is not None
 
 
 def test_intersect_union_applies_phi_once_per_sign():
@@ -263,7 +262,7 @@ def test_intersect_union_applies_phi_once_per_sign():
     for which in ("cap", "cup"):
         for side in ("plus", "minus"):
             phi, psi = CountingOperator(mu), CountingOperator(mu)
-            getattr(IntersectUnion(phi, psi, which), side)(3, unit(mu))
+            getattr(IntersectUnion(phi, psi, which), side)(unit(mu))
             assert (phi.calls, psi.calls) == (1, 1), (which, side)
 
 
@@ -314,7 +313,7 @@ def test_union_sequence_limit_splits_each_member_once():
     for n in (1, 4, 16):
         op = union_sequence([cylinder("1", nu) for _ in range(n)])
         with counting_splits() as calls:
-            plus = op.plus(3, unit(nu))
+            plus = op.plus(unit(nu))
             for w in ("", "0", "1", "10", "0110"):
                 plus.value(w)
                 plus.approx(5, w)
@@ -354,9 +353,7 @@ def test_cap_cup_axiom_iii():
     c0 = cylinder("0", nu)
     c01 = cylinder("01", nu)
     for which in ("cap", "cup"):
-        op = IntersectUnion(c0, c01, which)
-        for r in range(1, 8):
-            assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
+        assert initial_capital_surplus(IntersectUnion(c0, c01, which), d) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +376,10 @@ def test_axioms_i_ii_on_cylinders():
         head = "".join(rng.choice("01") for _ in range(rng.randrange(6)))
         tail = rng.choice("01")
         member = eventually_constant(head, tail, 12).startswith(w)
-        r = 4
         for n in range(9):
             prefix = eventually_constant(head, tail, n)
             if covers(d, prefix):
-                side = op.plus(r, d) if member else op.minus(r, d)
+                side = op.plus(d) if member else op.minus(d)
                 assert any(
                     side.value(eventually_constant(head, tail, m)) >= 1
                     for m in range(13)), (w, head, tail, member)
@@ -398,9 +394,9 @@ def test_complete_null():
     nu = null_measure()
     op = complete_null(cylinder("1", nu))
     d, _ = (unit(nu), None)
-    assert op.minus(5, d) is d
-    p1 = op.plus(5, d)
-    p2 = op.plus(5, unit(nu))
+    assert op.minus(d) is d
+    p1 = op.plus(d)
+    p2 = op.plus(unit(nu))
     assert p1.value("1") == p2.value("1") == 1
     assert measure_value(op, 8) == ZERO
 
@@ -412,24 +408,34 @@ def test_complete_null_gate():
 
 
 def test_union_sequence_bounds():
+    # every stage is a union of exactly null members: its plus half holds
+    # no capital at the root, and its minus half is the input
     nu = null_measure()
-    ops = [cylinder("1", nu) for _ in range(4)]
-    seq = union_sequence(ops)
+    seq = union_sequence([cylinder("1", nu) for _ in range(4)])
     one = unit(nu)
-    prev = Fraction(0)
     for stage in seq.stages:
-        plus, minus = stage.split(3, one)
+        plus, minus = stage.split(one)
         assert minus is one
-        v = plus.value("")
-        assert v <= Fraction(1, 2 ** 3)
-        assert v >= prev
-        prev = v
+        assert plus.value("") == 0 and plus.unit_bounded
 
 
 def test_union_sequence_gate():
     mu = uniform()
     with pytest.raises(PreconditionError):
         union_sequence([cylinder("0", mu)])
+
+
+def test_a_null_member_that_breaks_its_modulus_fails_when_measured():
+    # stage 0, (cyl 1), is null, and the modulus claims the family constant
+    # from there, so the gate, which reads exact values, admits the limit;
+    # an approximation from the unit martingale then probes stage 1,
+    # (cyl 0), which holds all the mass
+    nu = null_measure()
+    member = LimitMeasurement([cylinder("1", nu), cylinder("0", nu)], gamma=0)
+    for op in (complete_null(member), union_sequence([member])):
+        with pytest.raises(ModulusViolationError,
+                           match="^stage 1 at '' is 1, outside the 2"):
+            measure_value(op, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +464,8 @@ def test_limit_increasing_union():
 
 def test_limit_axiom_iii():
     d, nu = random_d(41)
-    op = LimitMeasurement([cylinder("0", nu)])
-    for r in range(1, 7):
-        assert initial_capital_surplus(op, r, d) <= Fraction(1, 2 ** r)
+    assert initial_capital_surplus(LimitMeasurement([cylinder("0", nu)]), d) \
+        == 0
 
 
 def test_limit_modulus_violation_detected():
@@ -533,9 +538,7 @@ def test_axiom_iii_across_operators():
         IntersectUnion(cylinder("0", nu), cylinder("01", nu), "cap"),
     ]
     for op in ops:
-        for r in range(1, 11):
-            s = initial_capital_surplus(op, r, d)
-            assert s <= Fraction(1, 2 ** r)
+        assert initial_capital_surplus(op, d) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -657,15 +660,10 @@ def _null(e, model):
     return e if ref.set_measure(e, model) == 0 else ("cap", e, ("compl", e))
 
 
-def _null_forms(model, depth: int, tiny: bool = False):
+def _null_forms(model, depth: int):
     """A `complete_null` or `union_sequence` form of null members drawn
-    `depth` forms deep; with `tiny`, a member may also be a cylinder of 11
-    to 16 bits instead, which the null gate admits where its mass is at
-    most 2^-10 though it is not null."""
+    `depth` forms deep."""
     member = set_expressions(depth).map(lambda e: _null(e, model))
-    if tiny:
-        member |= st.tuples(st.just("cyl"),
-                            st.text("01", min_size=11, max_size=16))
     members = st.lists(member, min_size=1, max_size=3)
     return st.one_of(members.map(lambda ms: ("complete", ms[0])),
                      members.map(lambda ms: ("sequence", ms)))
@@ -687,34 +685,53 @@ def _conditionals(e, model) -> dict[str, Fraction]:
     return out
 
 
-def _assert_splits_unit_into_conditionals(op, e, nu, model, r):
-    plus, minus = op.split(r, unit(nu))
+def _assert_splits_unit_into_conditionals(op, e, nu, model):
+    plus, minus = op.split(unit(nu))
     for v, p in _conditionals(e, model).items():
-        assert (plus.value(v), minus.value(v)) == (p, 1 - p), (v, r)
+        assert (plus.value(v), minus.value(v)) == (p, 1 - p), v
 
 
 @settings(max_examples=150)
-@given(e=set_expressions(6), measure=measures(), r=st.integers(0, 10))
+@given(e=set_expressions(6), measure=measures())
 def test_a_split_of_the_unit_martingale_is_the_conditional_probability(
-        e, measure, r):
-    # exactly, not within 2^-r; a limit reads its stage min(K, last), as
-    # the reference's truth table does
+        e, measure):
+    # exactly; a limit reads its stage min(K, last), as the reference's
+    # truth table does
     nu, model = measure
     op = parse_operator(ref.expr_text(e), nu)
-    _assert_splits_unit_into_conditionals(op, e, nu, model, r)
+    _assert_splits_unit_into_conditionals(op, e, nu, model)
 
 
 @settings(max_examples=60)
-@given(measure=measures(), data=st.data(), r=st.integers(0, 10))
+@given(measure=measures(), data=st.data())
 def test_null_unions_split_the_unit_martingale_into_conditionals(
-        measure, data, r):
+        measure, data):
+    # the null gate reads exact values and checks no modulus, so building
+    # a null form cannot raise ModulusViolationError
     nu, model = measure
     e = data.draw(_null_forms(model, 4), label="null set")
-    try:
-        op = _operator(e, nu)
-    except ModulusViolationError:
-        reject()   # a member's limit leaves its envelope at the null gate
-    _assert_splits_unit_into_conditionals(op, e, nu, model, r)
+    _assert_splits_unit_into_conditionals(_operator(e, nu), e, nu, model)
+
+
+def _seeded_table(model, nu, seed: int):
+    """A seeded table martingale on nu to depth 4: each node of positive
+    mass splits by the model's conditional, and a null node by 1/2."""
+    cond = {w: Dyadic.from_fraction(model.conditional(w)) if model.mass(w)
+            else Dyadic(1, 1) for w in strings_shorter_than(4)}
+    return build_table_martingale(random.Random(seed), nu, cond, 4)
+
+
+@settings(max_examples=100)
+@given(measure=measures(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_axiom_iii_holds_with_no_slack(measure, data, seed):
+    # plus + minus = d at the root exactly, for the grammar's operators and
+    # the null forms, from the unit martingale and from a table
+    nu, model = measure
+    e = data.draw(st.one_of(set_expressions(5), _null_forms(model, 3)),
+                  label="set")
+    op = _operator(e, nu)
+    for d in (unit(nu), _seeded_table(model, nu, seed)):
+        assert initial_capital_surplus(op, d) == 0
 
 
 def _measured(e, nu, r):
@@ -732,31 +749,35 @@ def _measured(e, nu, r):
 def test_measured_values_match_the_route_that_regularizes_every_input(
         measure, data, r):
     # null sets nest under cap, cup, compl and limit: a null union's plus
-    # half is never unit-bounded, so the splits above it regularize; a
-    # member of positive mass below the gate would show it at r > 10
+    # half is unit-bounded, so no split of the measurement, or of the null
+    # gates' own, regularizes, and the memos measure what the
+    # regularizations measure
     nu, model = measure
     leaf = st.one_of(st.tuples(st.just("cyl"), st.text("01", max_size=3)),
-                     _null_forms(model, 2, tiny=True))
+                     _null_forms(model, 2))
     e = data.draw(set_expressions(4, leaf), label="expression")
-    fast = _measured(e, nu, r)
+    with pytest.MonkeyPatch.context() as mp, \
+            counting_regularizations(mp) as (inputs, built):
+        fast = _measured(e, nu, r)
+    assert built == [] and all(d.unit_bounded for d in inputs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitting, "MemoMartingale",
                    lambda d, nu, w: regularize(d, nu))
         assert _measured(e, nu, r) == fast
 
 
-def test_a_member_of_positive_mass_under_the_null_gate_is_regularized():
-    # (cyl 0^11) passes the null gate, at 2^-11 under the uniform measure.
-    # Its union with (cyl 0) holds 1 + 2^-10 at 0, so the cap's split must
-    # regularize that union, whose transfer lowers the capital at 0 to 1:
-    # the cap then measures 1/2, not 1/2 + 2^-11
+def test_the_null_gates_refuse_a_member_of_any_positive_mass():
+    # (cyl 0^11) and (cyl 0^30) measure 2^-11 and 2^-30 under the uniform
+    # measure: however small, a positive mass is not null
     mu = uniform()
-    for tiny in (complete_null(cylinder("0" * 11, mu)),
-                 union_sequence([cylinder("0" * 11, mu)])):
-        cup = IntersectUnion(tiny, cylinder("0", mu), "cup")
-        op = IntersectUnion(cup, cylinder("0", mu), "cap")
-        assert not cup.plus(4, unit(mu)).unit_bounded
-        assert measure_value(op, 16) == Dyadic(1, 1)
+    for n in (11, 30):
+        want = f"operator value 1/{2 ** n} is not null"
+        with pytest.raises(PreconditionError) as exc:
+            complete_null(cylinder("0" * n, mu))
+        assert str(exc.value) == f"complete_null: {want}"
+        with pytest.raises(PreconditionError) as exc:
+            union_sequence([cylinder("0" * n, mu)])
+        assert str(exc.value) == f"union_sequence member 0: {want}"
 
 
 @contextlib.contextmanager
@@ -766,9 +787,9 @@ def counting_regularizations(mp):
     inputs, built = [], []
     split, init = CylinderPos.split, RegularizedMartingale.__init__
 
-    def counted_split(self, r, d):
+    def counted_split(self, d):
         inputs.append(d)
-        return split(self, r, d)
+        return split(self, d)
 
     def counted_init(self, base, nu):
         built.append(base)
@@ -781,8 +802,8 @@ def counting_regularizations(mp):
 
 @settings(max_examples=60)
 @given(e=set_expressions(6), spec=st.sampled_from(sorted(BUILTIN_MEASURES)),
-       seed=st.integers(0, 2 ** 32 - 1), r=st.integers(0, 10))
-def test_only_inputs_not_unit_bounded_are_regularized(e, spec, seed, r):
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_only_inputs_not_unit_bounded_are_regularized(e, spec, seed):
     # from the unit martingale no split regularizes; from a table, every
     # positive cylinder's split builds one regularization, as the built-in
     # measures have no null cylinder
@@ -794,10 +815,10 @@ def test_only_inputs_not_unit_bounded_are_regularized(e, spec, seed, r):
     op = parse_operator(ref.expr_text(e), nu)
     with pytest.MonkeyPatch.context() as mp, \
             counting_regularizations(mp) as (inputs, built):
-        op.split(r, unit(nu))
+        op.split(unit(nu))
         assert inputs and built == []
         del inputs[:]
-        plus, minus = op.split(r, table)
+        plus, minus = op.split(table)
         plus.value("")
         minus.value("")
         assert not any(d.unit_bounded for d in inputs)
@@ -824,7 +845,7 @@ def test_slices_step_their_masses_down_from_the_root():
                 calls[name] += 1
                 return orig(self, *args)
             mp.setattr(ProbabilityMeasure, name, counted)
-        plus, minus = op.split(4, d)
+        plus, minus = op.split(d)
         plus.value("")
         minus.value("")
     # two regularizations step down 64 levels each, and the slice they
@@ -832,7 +853,7 @@ def test_slices_step_their_masses_down_from_the_root():
     # is read at the root only
     assert calls == {"mass": 0, "children": 2 * 64 + 63}
     # the stepped masses are the closed form's, whatever order asks them
-    a = op.phi.split(5, d)[0]
+    a = op.phi.split(d)[0]
     inner = a.inner.value(w)
     for i in [*range(40, 64, 3), *range(0, 64, 5)]:
         ratio = nu.mass(w).to_fraction() / nu.mass(w[:i]).to_fraction()

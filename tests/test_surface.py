@@ -27,8 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 KEPT = {
     "robin_hood_pipeline": "the reference route the transfer's tests hold "
                            "robin_hood_exact to",
-    "initial_capital_surplus": "axiom (iii), the check of the splitting "
-                               "tests across operators",
+    "initial_capital_surplus": "axiom (iii) with slack 0, which the "
+                               "splitting tests hold every operator to, "
+                               "null forms included",
     "complete_null": "the paper's measurement of a subset of a null set",
     "union_sequence": "the paper's union of a sequence of null sets",
     "covers": "success on a prefix, the check of the regularization and "
